@@ -1,15 +1,7 @@
 """Training-free out-of-distribution scoring over embedding KNN graphs."""
 
-from .baselines import BaselineConfig, cosine_score, cosine_scores, manifold_score
-from .graph import (
-    BlockAdjacency,
-    GraphConfig,
-    NodePartition,
-    NormalizedAdjacency,
-    build_adjacency,
-    knn_exact,
-    normalize,
-)
+from .baselines import BaselineConfig, cosine_scores, manifold_score
+from .graph import BlockAdjacency, NodePartition, build_adjacency, normalize
 from .metrics import EvalReport, auroc, evaluate, fpr_at_tpr
 from .prompts import PromptPool, PrototypeSet, cluster_prompts, mean_prototypes
 from .propagation import (
@@ -47,12 +39,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig", "BlockAdjacency", "DatasetManifest", "EmbeddingMatrix",
-    "EvalReport", "GraphConfig", "LabelTable", "NodePartition",
-    "NormalizedAdjacency", "NpyFormatError", "PromptPool", "PropagationConfig",
-    "PrototypeSet", "PseudoPromptSelection", "ScoreVector", "SynthDataset",
-    "SynthSpec", "auroc", "blob_benchmark_spec", "bridge_benchmark_spec",
-    "build_adjacency", "cluster_prompts", "cosine_score", "cosine_scores",
-    "evaluate", "fpr_at_tpr", "generate", "init_scores", "knn_exact",
+    "EvalReport", "LabelTable", "NodePartition", "NpyFormatError", "PromptPool",
+    "PropagationConfig", "PrototypeSet", "PseudoPromptSelection", "ScoreVector",
+    "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
+    "bridge_benchmark_spec", "build_adjacency", "cluster_prompts",
+    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "init_scores",
     "l2_normalize", "load_labels", "load_manifest", "load_matrix",
     "load_vector", "manifold_score", "mean_prototypes", "normalize",
     "propagate", "reinit_scores", "run_gsp", "save_matrix", "save_vector",

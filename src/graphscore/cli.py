@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import metrics, store, synth
 from .baselines import BaselineConfig, cosine_scores, manifold_score
-from .graph import GraphConfig, build_adjacency
+from .graph import build_adjacency
 from .prompts import (
     cluster_prompts,
     load_pooled_matrix,
@@ -94,6 +94,12 @@ def load_dataset(manifest_path) -> DatasetBundle:
     flags = store.load_flags(manifest.flags) if manifest.flags is not None else None
     if pool is not None and pool.n_classes != manifest.c_in:
         raise ValueError(f"prompt pool has {pool.n_classes} classes, manifest says {manifest.c_in}")
+    if prototypes is not None and prototypes.n_classes != manifest.c_in:
+        raise ValueError(f"{manifest.prototype_classes}: prototypes cover "
+                         f"{prototypes.n_classes} classes, manifest says {manifest.c_in}")
+    if flags is not None and flags.size != unlabeled.count:
+        raise ValueError(f"{manifest.flags}: {flags.size} flags but "
+                         f"{unlabeled.count} unlabeled rows")
     return DatasetBundle(unlabeled=unlabeled, labeled=labeled, labels=labels,
                          pool=pool, prototypes=prototypes, flags=flags,
                          c_in=manifest.c_in, class_names=manifest.class_names)
@@ -129,7 +135,7 @@ def compute_scores(method: str, prototypes, labeled, unlabeled, cfg: RunConfig):
     prop_cfg = PropagationConfig(alpha=cfg.alpha, iterations=cfg.iterations,
                                  m_percent=cfg.m_percent)
     scores, diag = run_gsp(prototypes, labeled, unlabeled, prop_cfg,
-                           GraphConfig(k=cfg.k), self_train=method in _SELF_TRAIN)
+                           k=cfg.k, self_train=method in _SELF_TRAIN)
     diag["method"] = method
     return scores, diag
 

@@ -4,15 +4,14 @@ The graph has a fixed block structure: prototypes and labeled samples carry
 identity self-loops and are never connected to each other; prototypes and
 labeled samples each connect to their k nearest unlabeled samples; unlabeled
 samples connect to their k nearest other unlabeled samples. Edge weights are
-clamped cosine similarities, the result is symmetrized by elementwise max,
-and every stored edge also carries the L2 distance between its endpoint
-embeddings (used by the shortest-path baseline).
+clamped cosine similarities and the result is symmetrized by elementwise
+max. The graph is one CSR matrix of those weights; on unit vectors the L2
+distance between an edge's endpoints is derived from its weight s as
+sqrt(2 - 2s) (used by the shortest-path baseline).
 """
 
-import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,18 +21,6 @@ from .store import EmbeddingMatrix, _lock
 
 # degrees are floored before inversion so isolated nodes do not divide by zero
 DEGREE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    k: int = 10
-    weight_exponent: float = 1.0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.weight_exponent < 1.0:
-            raise ValueError(f"weight_exponent must be >= 1, got {self.weight_exponent}")
 
 
 @dataclass(frozen=True)
@@ -76,65 +63,31 @@ class NodePartition:
 
 @dataclass(frozen=True)
 class BlockAdjacency:
-    """Symmetric weighted graph stored as sorted (row, col) triplets.
+    """Symmetric weighted graph over the partition's nodes.
 
-    ``weights`` holds the clamped-similarity edge weights; ``dists`` holds
-    the L2 distance between the endpoint embeddings for the same triplets.
-    Both directions of every edge are stored explicitly.
+    ``weights`` is one canonical CSR matrix (sorted indices, no duplicate
+    entries) holding both directions of every edge; its arrays are copied
+    and frozen on construction.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    dists: np.ndarray
+    weights: sp.csr_matrix
     partition: NodePartition
-    k: int
 
     def __post_init__(self):
-        for name in ("rows", "cols", "weights", "dists"):
-            arr = getattr(self, name)
-            dtype = np.int64 if name in ("rows", "cols") else np.float64
-            object.__setattr__(self, name, _lock(np.array(arr, dtype=dtype, copy=True)))
-        if not (len(self.rows) == len(self.cols) == len(self.weights) == len(self.dists)):
-            raise ValueError("triplet arrays must share length")
-        if (self.weights < 0).any():
+        n = self.partition.n_total
+        weights = sp.csr_matrix(self.weights, dtype=np.float64, copy=True)
+        if weights.shape != (n, n):
+            raise ValueError(f"weights shape {weights.shape} does not match partition total {n}")
+        weights.sum_duplicates()
+        if (weights.data < 0).any():
             raise ValueError("negative edge weight")
+        for arr in (weights.data, weights.indices, weights.indptr):
+            _lock(arr)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nnz(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def weights_csr(self) -> sp.csr_matrix:
-        n = self.partition.n_total
-        return sp.csr_matrix((self.weights, (self.rows, self.cols)), shape=(n, n))
-
-    @cached_property
-    def row_ptr(self) -> np.ndarray:
-        # triplets are sorted by (row, col); this indexes each row's span
-        return np.searchsorted(self.rows, np.arange(self.partition.n_total + 1))
-
-    def to_dense(self) -> np.ndarray:
-        n = self.partition.n_total
-        dense = np.zeros((n, n))
-        dense[self.rows, self.cols] = self.weights
-        return dense
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically normalized graph: weights scaled by 1/sqrt(deg_i deg_j)."""
-
-    weights: sp.csr_matrix
-    degree: np.ndarray
-    partition: NodePartition
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _lock(np.array(self.degree, dtype=np.float64)))
-
-    @property
-    def n_total(self) -> int:
-        return self.partition.n_total
+        return self.weights.nnz
 
 
 def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
@@ -145,26 +98,6 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     # stable sort on -sims: equal similarities resolve to the lower corpus index
     order = np.argsort(neg, axis=1, kind="stable")[:, :k]
     return order, np.take_along_axis(sims, order, axis=1)
-
-
-def knn_exact(queries: EmbeddingMatrix, corpus: EmbeddingMatrix, k: int,
-              exclude_self: bool = False) -> list:
-    """Exact k-nearest-neighbor search by cosine similarity (dot product on
-    unit vectors). Returns (query_index, corpus_index, similarity) triplets,
-    similarities unmodified."""
-    if queries.dim != corpus.dim:
-        raise ValueError(f"dim mismatch: queries {queries.dim}, corpus {corpus.dim}")
-    available = corpus.count - (1 if exclude_self else 0)
-    if exclude_self and queries.count != corpus.count:
-        raise ValueError("exclude_self requires queries and corpus to be the same set")
-    if k < 1 or k > available:
-        raise ValueError(f"k too large: {k} of {available} available neighbors")
-    idx, sims = _top_k(queries.data, corpus.data, k, exclude_self)
-    out = []
-    for qi in range(queries.count):
-        for j in range(k):
-            out.append((qi, int(idx[qi, j]), float(sims[qi, j])))
-    return out
 
 
 def _clamp_k(k: int, available: int, what: str) -> int:
@@ -178,15 +111,16 @@ def _clamp_k(k: int, available: int, what: str) -> int:
 
 
 def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatrix,
-                    k: int = 10, weight_exponent: float = 1.0) -> BlockAdjacency:
+                    k: int = 10) -> BlockAdjacency:
     """Construct the blockwise KNN graph.
 
     ``labeled`` may be None (zero-shot). Edge weight is
-    max(cosine similarity, 0) ** weight_exponent; zero-weight edges are
-    dropped. The directed KNN edges are symmetrized by elementwise max, and
-    identity self-loops are placed on the prototype and labeled diagonal.
+    max(cosine similarity, 0); zero-weight edges are dropped. The directed
+    KNN edges are symmetrized by elementwise max, and identity self-loops
+    are placed on the prototype and labeled diagonal.
     """
-    cfg = GraphConfig(k=k, weight_exponent=weight_exponent)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     proto = prototypes.vectors.data
     unlab = unlabeled.data
     lab = labeled.data if labeled is not None else np.zeros((0, unlabeled.dim))
@@ -195,7 +129,9 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
     part = NodePartition(proto.shape[0], lab.shape[0], unlab.shape[0])
     off_u = part.unlabeled_offset
 
-    rows, cols, sims = [], [], []
+    # identity diagonal on prototype and labeled segments
+    diag = np.arange(off_u)
+    rows, cols, sims = [diag], [diag], [np.ones(off_u)]
 
     def add_block(queries, offset, k_eff, exclude_self):
         if k_eff < 1:
@@ -206,76 +142,30 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
         cols.append(idx.ravel() + off_u)
         sims.append(s.ravel())
 
-    add_block(proto, 0, _clamp_k(cfg.k, part.n_unlabeled, "unlabeled"), False)
+    add_block(proto, 0, _clamp_k(k, part.n_unlabeled, "unlabeled"), False)
     if part.n_labeled:
-        add_block(lab, part.n_proto, _clamp_k(cfg.k, part.n_unlabeled, "unlabeled"), False)
-    add_block(unlab, off_u, _clamp_k(cfg.k, part.n_unlabeled - 1, "intra-unlabeled"), True)
+        add_block(lab, part.n_proto, _clamp_k(k, part.n_unlabeled, "unlabeled"), False)
+    add_block(unlab, off_u, _clamp_k(k, part.n_unlabeled - 1, "intra-unlabeled"), True)
 
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        s = np.concatenate(sims)
-        keep = s > 0.0
-        r, c, s = r[keep], c[keep], s[keep]
-    else:
-        r = c = np.zeros(0, dtype=np.int64)
-        s = np.zeros(0)
-    w = s if cfg.weight_exponent == 1.0 else s ** cfg.weight_exponent
-    d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * s))
-
-    # symmetrize by storing both directions, then dedupe mutual KNN pairs
-    r2 = np.concatenate([r, c])
-    c2 = np.concatenate([c, r])
-    w2 = np.concatenate([w, w])
-    d2 = np.concatenate([d, d])
-    # identity diagonal on prototype and labeled segments
-    diag = np.arange(part.n_proto + part.n_labeled, dtype=np.int64)
-    r2 = np.concatenate([r2, diag])
-    c2 = np.concatenate([c2, diag])
-    w2 = np.concatenate([w2, np.ones(diag.size)])
-    d2 = np.concatenate([d2, np.zeros(diag.size)])
-
-    key = r2 * part.n_total + c2
-    order = np.argsort(key, kind="stable")
-    key, r2, c2, w2, d2 = key[order], r2[order], c2[order], w2[order], d2[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    # duplicates carry identical weights (cosine similarity is symmetric)
-    return BlockAdjacency(rows=r2[first], cols=c2[first], weights=w2[first],
-                          dists=d2[first], partition=part, k=cfg.k)
+    r, c, s = (np.concatenate(parts) for parts in (rows, cols, sims))
+    keep = s > 0.0
+    n = part.n_total
+    directed = sp.csr_matrix((s[keep], (r[keep], c[keep])), shape=(n, n))
+    return BlockAdjacency(directed.maximum(directed.T), part)
 
 
-def normalize(adj: BlockAdjacency) -> NormalizedAdjacency:
+def normalize(adj: BlockAdjacency) -> BlockAdjacency:
     """Symmetric normalization: weight(i,j) / sqrt(deg_i * deg_j), with the
-    degree vector floored at DEGREE_FLOOR before inversion."""
+    degree vector floored at DEGREE_FLOOR before inversion. The result has
+    the same edges as ``adj``, with scaled weights."""
+    w = adj.weights
     n = adj.partition.n_total
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
     degree = np.zeros(n)
-    np.add.at(degree, adj.rows, adj.weights)
+    np.add.at(degree, rows, w.data)
     degree = np.maximum(degree, DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(degree)
     # the two factors multiply first so (i,j) and (j,i) round identically
-    scaled = adj.weights * (inv_sqrt[adj.rows] * inv_sqrt[adj.cols])
-    weights = sp.csr_matrix((scaled, (adj.rows, adj.cols)), shape=(n, n))
-    return NormalizedAdjacency(weights=weights, degree=degree, partition=adj.partition)
-
-
-def dump_graph(adj: BlockAdjacency, directory) -> None:
-    """Debug dump: triplet CSV plus a JSON header with partition sizes."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "edges.csv", "w", encoding="utf-8") as f:
-        f.write("row,col,weight\n")
-        for i, j, w in zip(adj.rows, adj.cols, adj.weights):
-            f.write(f"{i},{j},{w!r}\n")
-    header = {
-        "n_proto": adj.partition.n_proto,
-        "n_labeled": adj.partition.n_labeled,
-        "n_unlabeled": adj.partition.n_unlabeled,
-        "k": adj.k,
-        "nnz": adj.nnz,
-    }
-    with open(directory / "graph.json", "w", encoding="utf-8") as f:
-        json.dump(header, f, indent=2)
-        f.write("\n")
+    scaled = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
+    return BlockAdjacency(sp.csr_matrix((scaled, w.indices, w.indptr), shape=w.shape),
+                          adj.partition)

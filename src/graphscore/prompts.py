@@ -72,6 +72,9 @@ class PrototypeSet:
             raise ValueError("class_of must map every prototype row to a class")
         if (class_of < 0).any():
             raise ValueError("negative class id in class_of")
+        missing = np.setdiff1d(np.arange(class_of.max() + 1), class_of)
+        if missing.size:
+            raise ValueError(f"class_of has no prototype for class ids {missing.tolist()}")
         norms = np.linalg.norm(self.vectors.data, axis=1)
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError("prototype rows must be unit-normalized")
@@ -260,12 +263,17 @@ def load_prototypes(matrix_path, classes_path) -> PrototypeSet:
     vectors = l2_normalize(load_matrix(matrix_path))
     with open(classes_path, encoding="utf-8") as f:
         doc = json.load(f)
+    if "class_of" not in doc:
+        raise ValueError(f"{classes_path}: missing field 'class_of'")
     class_of = np.array(doc["class_of"], dtype=np.int64)
-    return PrototypeSet(
-        vectors=vectors,
-        class_of=class_of,
-        clusters_per_class=int(doc.get("clusters_per_class", 1)),
-    )
+    try:
+        return PrototypeSet(
+            vectors=vectors,
+            class_of=class_of,
+            clusters_per_class=int(doc.get("clusters_per_class", 1)),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{classes_path}: {exc}") from exc
 
 
 def save_prototypes(protos: PrototypeSet, matrix_path, classes_path) -> None:

@@ -9,8 +9,7 @@ re-injected every step:
 After a first pass, the most and least confident unlabeled nodes are
 promoted to +1/-1 pseudo prompts, the initial scores are rebuilt, and a
 second pass produces the final scores. The graph itself is held fixed
-between passes. A ``damped_variant`` flag swaps in the conventional damped
-update (1-alpha) * W_norm @ S + alpha * S_0 for comparison runs.
+between passes.
 """
 
 import time
@@ -18,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    GraphConfig,
-    NodePartition,
-    NormalizedAdjacency,
-    build_adjacency,
-    normalize,
-)
+from .graph import BlockAdjacency, NodePartition, build_adjacency, normalize
 from .store import _lock
 
 
@@ -33,7 +26,6 @@ class PropagationConfig:
     alpha: float = 0.5
     iterations: int = 5
     m_percent: float = 5.0
-    damped_variant: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -92,20 +84,18 @@ def init_scores(partition: NodePartition) -> ScoreVector:
     return ScoreVector(values, partition)
 
 
-def propagate(norm_adj: NormalizedAdjacency, s0: ScoreVector,
+def propagate(norm_adj: BlockAdjacency, s0: ScoreVector,
               cfg: PropagationConfig = None) -> ScoreVector:
-    """Run the fixed-iteration propagation recurrence from ``s0``."""
+    """Run the fixed-iteration propagation recurrence from ``s0`` over a
+    graph returned by :func:`normalize`."""
     cfg = cfg or PropagationConfig()
-    if norm_adj.n_total != s0.partition.n_total:
+    if norm_adj.partition.n_total != s0.partition.n_total:
         raise ValueError("graph and score vector disagree on node count")
     w = norm_adj.weights
     base = cfg.alpha * s0.values
     s = s0.values.copy()
     for _ in range(cfg.iterations):
-        if cfg.damped_variant:
-            s = (1.0 - cfg.alpha) * (w @ s) + base
-        else:
-            s = w @ s + base
+        s = w @ s + base
     return ScoreVector(s, s0.partition)
 
 
@@ -164,7 +154,7 @@ def reinit_scores(s0: ScoreVector, sel: PseudoPromptSelection) -> ScoreVector:
 
 
 def run_gsp(prototypes, labeled, unlabeled, cfg: PropagationConfig = None,
-            graph_cfg=None, self_train: bool = True):
+            k: int = 10, self_train: bool = True):
     """Full graph-score-propagation pipeline.
 
     Builds the blockwise KNN graph, normalizes it, propagates the initial
@@ -174,12 +164,10 @@ def run_gsp(prototypes, labeled, unlabeled, cfg: PropagationConfig = None,
     ablation). Returns ``(scores_on_unlabeled, diagnostics)``.
     """
     cfg = cfg or PropagationConfig()
-    graph_cfg = graph_cfg or GraphConfig()
     timing = {}
 
     t0 = time.perf_counter()
-    adj = build_adjacency(prototypes, labeled, unlabeled,
-                          k=graph_cfg.k, weight_exponent=graph_cfg.weight_exponent)
+    adj = build_adjacency(prototypes, labeled, unlabeled, k=k)
     timing["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -214,14 +202,12 @@ def run_gsp(prototypes, labeled, unlabeled, cfg: PropagationConfig = None,
             "n_labeled": adj.partition.n_labeled,
             "n_unlabeled": adj.partition.n_unlabeled,
         },
-        "graph": {"k": adj.k, "edges": adj.nnz},
+        "graph": {"k": k, "edges": adj.nnz},
         "config": {
             "alpha": cfg.alpha,
             "iterations": cfg.iterations,
             "m_percent": cfg.m_percent,
-            "damped_variant": cfg.damped_variant,
-            "k": graph_cfg.k,
-            "weight_exponent": graph_cfg.weight_exponent,
+            "k": k,
             "self_train": self_train,
         },
         "selection": None if selection is None else {

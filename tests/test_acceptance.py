@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphscore as gs
 from graphscore.cli import METHODS, RunConfig, compute_scores, main
@@ -59,7 +60,7 @@ def test_criterion_1_propagation_oracle_equivalence():
         norm = gs.normalize(adj)
         s0 = gs.init_scores(adj.partition)
         got = propagate(norm, s0, PropagationConfig(alpha=0.5, iterations=5))
-        expected = dense_propagation(adj.to_dense(), s0.values, 0.5, 5)
+        expected = dense_propagation(adj.weights.toarray(), s0.values, 0.5, 5)
         worst = max(worst, float(np.abs(got.values - expected).max()))
     elapsed = time.monotonic() - start
     _report(1, worst < 1e-9 and elapsed < 5.0,
@@ -68,9 +69,7 @@ def test_criterion_1_propagation_oracle_equivalence():
 
 def test_criterion_2_hand_checked_micro_case():
     part = gs.NodePartition(1, 0, 1)
-    adj = gs.BlockAdjacency(rows=[0, 0, 1], cols=[0, 1, 0],
-                            weights=[1.0, 1.0, 1.0], dists=[0.0, 0.0, 0.0],
-                            partition=part, k=1)
+    adj = gs.BlockAdjacency(sp.csr_matrix([[1.0, 1.0], [1.0, 0.0]]), part)
     s5 = propagate(gs.normalize(adj), ScoreVector([1.0, 0.0], part),
                    PropagationConfig(alpha=0.5, iterations=5))
     expected = np.array([2.4375, 2.125 / np.sqrt(2.0)])
@@ -96,7 +95,7 @@ def test_criterion_3_knn_graph_oracle():
         labeled = EmbeddingMatrix(lab_rows) if n_l else None
         adj = gs.build_adjacency(protos, labeled,
                                  EmbeddingMatrix(unlab_rows), k=k)
-        dense = adj.to_dense()
+        dense = adj.weights.toarray()
         expected = dense_block_adjacency(proto_rows, lab_rows, unlab_rows, k)
         ok &= bool(np.allclose(dense, expected, rtol=0, atol=1e-12))
         ok &= bool(((dense != 0) == (expected != 0)).all())
@@ -118,7 +117,8 @@ def test_criterion_4_dijkstra_oracle():
         n_src = adj.partition.unlabeled_offset
         dist = gs.baselines.shortest_path_distances(adj, sources=range(n_src))
         dense = np.full((n, n), np.inf)
-        dense[adj.rows, adj.cols] = adj.dists
+        edges = adj.weights.tocoo()
+        dense[edges.row, edges.col] = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * edges.data))
         all_pairs = floyd_warshall(dense)
         expected = all_pairs[:n_src].min(axis=0)
         finite = np.isfinite(expected)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphscore.baselines import (
     BaselineConfig,
-    cosine_score,
     cosine_scores,
     manifold_score,
     shortest_path_distances,
@@ -24,17 +24,21 @@ def _protos(rows, class_of=None):
                         clusters_per_class=1)
 
 
+def _one(sample, protos):
+    return float(cosine_scores(np.asarray(sample, dtype=float)[None, :], protos)[0])
+
+
 # cosine -----------------------------------------------------------------
 
 def test_single_class_scores_one():
     protos = _protos([[1.0, 0.0]])
     for sample in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]):
-        assert cosine_score(sample, protos) == 1.0
+        assert _one(sample, protos) == 1.0
 
 
 def test_two_class_closed_form():
     protos = _protos([[1.0, 0.0], [0.0, 1.0]])
-    got = cosine_score([1.0, 0.0], protos)
+    got = _one([1.0, 0.0], protos)
     expected = 1.0 / (1.0 + math.exp(-1.0))
     assert abs(got - expected) < 1e-9
 
@@ -42,7 +46,7 @@ def test_two_class_closed_form():
 def test_equidistant_sample_scores_one_over_c():
     protos = _protos([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     sample = np.ones(3) / np.sqrt(3.0)
-    assert abs(cosine_score(sample, protos) - 1.0 / 3.0) < 1e-12
+    assert abs(_one(sample, protos) - 1.0 / 3.0) < 1e-12
 
 
 def test_rotation_invariance():
@@ -61,7 +65,7 @@ def test_multi_prototype_class_uses_best_match():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], class_of=[0, 0, 1])
     single = _protos([[1.0, 0.0], [-1.0, 0.0]], class_of=[0, 1])
     sample = [1.0, 0.0]
-    assert abs(cosine_score(sample, protos) - cosine_score(sample, single)) < 1e-12
+    assert abs(_one(sample, protos) - _one(sample, single)) < 1e-12
 
 
 def test_softmax_bounds():
@@ -80,12 +84,15 @@ def test_temperature_validation():
 
 # manifold ---------------------------------------------------------------
 
-def _manual_adjacency(w_dense, dist_dense, n_proto, n_labeled=0):
-    rows, cols = np.nonzero(w_dense)
+def _manual_adjacency(w_dense, n_proto, n_labeled=0):
     n = w_dense.shape[0]
     part = NodePartition(n_proto, n_labeled, n - n_proto - n_labeled)
-    return BlockAdjacency(rows=rows, cols=cols, weights=w_dense[rows, cols],
-                          dists=dist_dense[rows, cols], partition=part, k=1)
+    return BlockAdjacency(sp.csr_matrix(w_dense), part)
+
+
+def _similarity(dist):
+    # inverse of the edge length sqrt(2 - 2s); exact for the dyadic lengths used
+    return 1.0 - dist ** 2 / 2.0
 
 
 def test_zero_distance_hit_scores_reciprocal_epsilon():
@@ -110,7 +117,8 @@ def test_dijkstra_matches_floyd_warshall():
         adj = build_adjacency(protos, None, unlabeled, k=4)
         dist = shortest_path_distances(adj, sources=range(2))
         dense = np.full((24, 24), np.inf)
-        dense[adj.rows, adj.cols] = adj.dists
+        edges = adj.weights.tocoo()
+        dense[edges.row, edges.col] = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * edges.data))
         all_pairs = floyd_warshall(dense)
         expected = np.minimum(all_pairs[0], all_pairs[1])
         finite = np.isfinite(expected)
@@ -130,17 +138,14 @@ def test_multi_source_equals_min_of_single_source():
 
 def test_distances_monotone_when_edge_lengthened():
     w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = 1.0
-    w[1, 2] = w[2, 1] = 1.0
+    w[0, 1] = w[1, 0] = _similarity(0.5)
+    w[1, 2] = w[2, 1] = _similarity(0.25)
     w[0, 0] = 1.0
-    dist = np.zeros((3, 3))
-    dist[0, 1] = dist[1, 0] = 0.5
-    dist[1, 2] = dist[2, 1] = 0.25
-    adj = _manual_adjacency(w, dist, n_proto=1)
+    adj = _manual_adjacency(w, n_proto=1)
     base = shortest_path_distances(adj, sources=[0])
-    longer = dist.copy()
-    longer[1, 2] = longer[2, 1] = 0.75
-    adj2 = _manual_adjacency(w, longer, n_proto=1)
+    longer = w.copy()
+    longer[1, 2] = longer[2, 1] = _similarity(0.75)
+    adj2 = _manual_adjacency(longer, n_proto=1)
     bumped = shortest_path_distances(adj2, sources=[0])
     assert (bumped >= base - 1e-12).all()
     np.testing.assert_allclose(base, [0.0, 0.5, 0.75], atol=1e-12)
@@ -152,9 +157,7 @@ def test_manifold_seeds_from_labeled_nodes_too():
     w = np.zeros((3, 3))
     w[0, 0] = 1.0  # prototype self-loop only
     w[1, 1] = 1.0
-    w[1, 2] = w[2, 1] = 0.9
-    dist = np.zeros((3, 3))
-    dist[1, 2] = dist[2, 1] = 0.125
-    adj = _manual_adjacency(w, dist, n_proto=1, n_labeled=1)
+    w[1, 2] = w[2, 1] = _similarity(0.125)
+    adj = _manual_adjacency(w, n_proto=1, n_labeled=1)
     scores = manifold_score(adj, BaselineConfig(epsilon=1e-9))
     assert scores[0] == pytest.approx(1.0 / (0.125 + 1e-9))

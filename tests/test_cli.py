@@ -190,6 +190,56 @@ def test_no_partial_artifacts_on_failure(tmp_path):
     assert not run_dir.exists()
 
 
+def _score_all(data_dir, manifest, run_dir):
+    path = data_dir / "edited_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return main(["score", "--manifest", str(path), "--method", "all",
+                 "--out", str(run_dir)])
+
+
+def test_prototype_class_gap_rejected_at_load(tmp_path, capsys):
+    data_dir = _synth_dataset(tmp_path)
+    classes = data_dir / "prototype_classes.json"
+    doc = json.loads(classes.read_text())
+    assert doc["class_of"] == [0, 1]
+    doc["class_of"] = [0, 2]
+    classes.write_text(json.dumps(doc), encoding="utf-8")
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    err = capsys.readouterr().err
+    assert "prototype_classes.json" in err and "class ids [1]" in err
+    assert not run_dir.exists()
+
+
+def test_prototype_class_count_checked_against_c_in(tmp_path, capsys):
+    data_dir = _synth_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest["C_in"] = 5
+    manifest["class_names"] = [f"class_{c}" for c in range(5)]
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    err = capsys.readouterr().err
+    assert "prototype_classes.json" in err and "2 classes" in err and "5" in err
+    assert not run_dir.exists()
+
+
+def test_short_flags_file_rejected_before_scoring(tmp_path, capsys):
+    data_dir = _synth_dataset(tmp_path)
+    lines = (data_dir / "flags.csv").read_text().splitlines()
+    (data_dir / "short_flags.csv").write_text("\n".join(lines[:-5]) + "\n",
+                                              encoding="utf-8")
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest["flags"] = "short_flags.csv"
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    n_unlabeled = np.load(data_dir / "unlabeled.npy").shape[0]
+    err = capsys.readouterr().err
+    assert "short_flags.csv" in err
+    assert f"{n_unlabeled - 5} flags" in err and f"{n_unlabeled} unlabeled" in err
+    assert not list(run_dir.glob("scores_*.npy"))
+
+
 def test_pool_manifest_pipeline(tmp_path):
     # manifest that supplies prompt pools instead of prebuilt prototypes
     pools = _write_pools(tmp_path, dim=16)

@@ -1,17 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphscore.baselines import manifold_score
 from graphscore.graph import (
-    DEGREE_FLOOR,
     BlockAdjacency,
-    GraphConfig,
     NodePartition,
+    _top_k,
     build_adjacency,
-    dump_graph,
-    knn_exact,
     normalize,
 )
 from graphscore.prompts import PrototypeSet
+from graphscore.propagation import run_gsp
 from graphscore.store import EmbeddingMatrix
 
 from oracles import brute_knn, dense_block_adjacency, random_unit_rows, spectral_norm
@@ -28,39 +32,44 @@ def _units(seed, n, d):
     return EmbeddingMatrix(random_unit_rows(np.random.default_rng(seed), n, d))
 
 
+def _dense(adj):
+    return adj.weights.toarray()
+
+
 # knn ------------------------------------------------------------------
 
 def test_knn_trivial():
-    queries = EmbeddingMatrix([[1.0, 0.0]])
-    corpus = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-    assert knn_exact(queries, corpus, k=1) == [(0, 0, 1.0)]
+    idx, sims = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                       k=1, exclude_self=False)
+    assert idx.tolist() == [[0]] and sims.tolist() == [[1.0]]
 
 
 def test_knn_k_too_large_with_self_exclusion():
-    m = _units(0, 4, 3)
-    with pytest.raises(ValueError, match="k too large"):
-        knn_exact(m, m, k=4, exclude_self=True)
+    # k = n_unlabeled fits the prototype block but not the intra-unlabeled
+    # block, which excludes each node itself
+    with pytest.warns(UserWarning, match="intra-unlabeled neighbors \\(3\\)"):
+        adj = build_adjacency(_protos([[1.0, 0.0, 0.0]]), None, _units(0, 4, 3), k=4)
+    assert (np.diag(_dense(adj))[1:] == 0).all()
 
 
 def test_knn_dim_mismatch():
-    with pytest.raises(ValueError, match="dim mismatch"):
-        knn_exact(_units(0, 2, 3), _units(1, 2, 4), k=1)
+    with pytest.raises(ValueError, match="share dim"):
+        build_adjacency(_protos([[1.0, 0.0, 0.0]]), None, _units(1, 2, 4), k=1)
 
 
 def test_knn_matches_brute_force_oracle():
-    corpus = _units(7, 50, 16)
-    got = knn_exact(corpus, corpus, k=5, exclude_self=True)
-    expected = [t for row in brute_knn(corpus.data, corpus.data, 5, True) for t in row]
-    assert [(q, c) for q, c, _ in got] == [(q, c) for q, c, _ in expected]
-    np.testing.assert_allclose([s for *_, s in got], [s for *_, s in expected],
+    corpus = _units(7, 50, 16).data
+    idx, sims = _top_k(corpus, corpus, k=5, exclude_self=True)
+    expected = brute_knn(corpus, corpus, 5, True)
+    assert idx.tolist() == [[c for _, c, _ in row] for row in expected]
+    np.testing.assert_allclose(sims, [[s for *_, s in row] for row in expected],
                                rtol=0, atol=1e-12)
 
 
 def test_knn_tie_breaks_to_lower_index():
-    queries = EmbeddingMatrix([[1.0, 0.0]])
-    corpus = EmbeddingMatrix([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-    got = knn_exact(queries, corpus, k=2)
-    assert [c for _, c, _ in got] == [1, 2]
+    idx, _ = _top_k(np.array([[1.0, 0.0]]),
+                    np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), k=2, exclude_self=False)
+    assert idx.tolist() == [[1, 2]]
 
 
 # adjacency ------------------------------------------------------------
@@ -68,7 +77,7 @@ def test_knn_tie_breaks_to_lower_index():
 def test_adjacency_single_pair():
     adj = build_adjacency(_protos([[1.0, 0.0]]), None,
                           EmbeddingMatrix([[1.0, 0.0]]), k=1)
-    np.testing.assert_array_equal(adj.to_dense(), [[1.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(_dense(adj), [[1.0, 1.0], [1.0, 0.0]])
 
 
 def test_proto_labeled_block_zero():
@@ -76,7 +85,7 @@ def test_proto_labeled_block_zero():
     labeled = _units(1, 4, 8)
     unlabeled = _units(2, 12, 8)
     adj = build_adjacency(protos, labeled, unlabeled, k=3)
-    dense = adj.to_dense()
+    dense = _dense(adj)
     assert (dense[:3, 3:7] == 0).all()
     assert (dense[3:7, :3] == 0).all()
     np.testing.assert_array_equal(dense[:3, :3], np.eye(3))
@@ -95,7 +104,7 @@ def test_adjacency_matches_dense_oracle():
         lab = labeled.data if labeled is not None else np.zeros((0, 8))
         expected = dense_block_adjacency(protos.vectors.data, lab,
                                          unlabeled.data, k=4)
-        np.testing.assert_allclose(adj.to_dense(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_dense(adj), expected, rtol=0, atol=1e-12)
 
 
 def test_adjacency_with_duplicate_rows_ties():
@@ -109,13 +118,14 @@ def test_adjacency_with_duplicate_rows_ties():
     adj = build_adjacency(protos, None, unlabeled, k=2)
     expected = dense_block_adjacency(protos.vectors.data, np.zeros((0, 5)),
                                      unlabeled.data, k=2)
-    np.testing.assert_allclose(adj.to_dense(), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_dense(adj), expected, rtol=0, atol=1e-12)
 
 
 def test_adjacency_symmetric_as_stored():
     adj = build_adjacency(_protos(random_unit_rows(np.random.default_rng(0), 2, 6)),
                           None, _units(1, 20, 6), k=3)
-    dense = adj.to_dense()
+    assert adj.weights.has_canonical_format
+    dense = _dense(adj)
     np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -146,8 +156,8 @@ def test_adjacency_permutation_equivariance():
     perm = np.random.default_rng(1).permutation(15)
     adj_p = build_adjacency(protos, None, EmbeddingMatrix(unlab_rows[perm]), k=3)
     full = np.concatenate([np.arange(2), 2 + perm])
-    np.testing.assert_allclose(adj_p.to_dense(),
-                               adj.to_dense()[np.ix_(full, full)],
+    np.testing.assert_allclose(_dense(adj_p),
+                               _dense(adj)[np.ix_(full, full)],
                                rtol=0, atol=1e-12)
 
 
@@ -157,19 +167,58 @@ def test_edge_distances_match_embeddings():
     unlabeled = EmbeddingMatrix(random_unit_rows(rng, 10, 6))
     adj = build_adjacency(protos, None, unlabeled, k=3)
     stacked = np.vstack([protos.vectors.data, unlabeled.data])
-    for i, j, dist in zip(adj.rows, adj.cols, adj.dists):
-        np.testing.assert_allclose(dist, np.linalg.norm(stacked[i] - stacked[j]),
-                                   rtol=0, atol=1e-9)
+    edges = adj.weights.tocoo()
+    derived = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * edges.data))
+    np.testing.assert_allclose(
+        derived, np.linalg.norm(stacked[edges.row] - stacked[edges.col], axis=1),
+        rtol=0, atol=1e-9)
+
+
+def test_block_adjacency_validation():
+    part = NodePartition(1, 0, 1)
+    with pytest.raises(ValueError, match="negative edge weight"):
+        BlockAdjacency(sp.csr_matrix([[1.0, -0.5], [-0.5, 0.0]]), part)
+    with pytest.raises(ValueError, match="does not match partition"):
+        BlockAdjacency(sp.csr_matrix(np.eye(3)), part)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 2), st.booleans(), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k_extra):
+    # duplicate rows, a prototype equal to an unlabeled row (zero-length
+    # edge), an optional node antipodal to everything else, and k >= n_u
+    rng = np.random.default_rng(seed)
+    axis = np.eye(4)[0]
+    # first coordinate stays positive, so every pair here has similarity > 0
+    cluster = axis + 0.3 * rng.uniform(-1.0, 1.0, (int(rng.integers(2, 8)), 4))
+    cluster[1] = cluster[0]
+    cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
+    unlab = np.vstack([cluster, -axis]) if antipodal else cluster
+    protos = _protos([axis, cluster[0]])
+    labeled = EmbeddingMatrix(cluster[rng.integers(0, len(cluster), n_l)]) if n_l else None
+    n_u = len(unlab)
+    with pytest.warns(UserWarning, match="clamping"):
+        adj = build_adjacency(protos, labeled, EmbeddingMatrix(unlab), k=n_u + k_extra)
+    w = adj.weights
+    assert w.has_canonical_format
+    assert (w != w.T).nnz == 0
+    off = 2 + n_l
+    np.testing.assert_array_equal(w[:off, :off].toarray(), np.eye(off))
+    if antipodal:
+        assert w[adj.partition.n_total - 1].nnz == 0
+    with pytest.warns(UserWarning, match="clamping"):
+        scores, _ = run_gsp(protos, labeled, EmbeddingMatrix(unlab), k=n_u + k_extra)
+    manifold = manifold_score(adj)
+    assert scores.shape == manifold.shape == (n_u,)
+    assert np.isfinite(scores).all() and np.isfinite(manifold).all()
 
 
 # normalization ----------------------------------------------------------
 
 def _manual_adjacency(w_dense, n_proto, n_labeled):
     n = w_dense.shape[0]
-    rows, cols = np.nonzero(w_dense)
     part = NodePartition(n_proto, n_labeled, n - n_proto - n_labeled)
-    return BlockAdjacency(rows=rows, cols=cols, weights=w_dense[rows, cols],
-                          dists=np.zeros(rows.size), partition=part, k=1)
+    return BlockAdjacency(sp.csr_matrix(w_dense), part)
 
 
 def test_normalize_hand_example():
@@ -177,7 +226,8 @@ def test_normalize_hand_example():
     norm = normalize(adj)
     expected = np.array([[0.5, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0.0]])
     np.testing.assert_allclose(norm.weights.toarray(), expected, atol=1e-12)
-    np.testing.assert_array_equal(norm.degree, [2.0, 1.0])
+    np.testing.assert_array_equal(norm.weights.indices, adj.weights.indices)
+    np.testing.assert_array_equal(norm.weights.indptr, adj.weights.indptr)
 
 
 def test_normalize_identity():
@@ -191,9 +241,12 @@ def test_normalize_isolated_node_floored():
     # negative similarity, so it stays isolated
     adj = build_adjacency(_protos([[1.0, 0.0]]), None,
                           EmbeddingMatrix([[-1.0, 0.0]]), k=1)
-    norm = normalize(adj)
-    assert norm.degree[1] == DEGREE_FLOOR
-    assert norm.weights.toarray()[1].sum() == 0.0
+    with warnings.catch_warnings():
+        # an unfloored zero degree would warn on the division
+        warnings.simplefilter("error")
+        norm = normalize(adj)
+    assert norm.weights[1].nnz == 0
+    assert np.isfinite(norm.weights.data).all()
 
 
 def test_normalized_symmetry_exact():
@@ -216,18 +269,8 @@ def test_spectral_bound_on_random_graphs():
 
 
 def test_graph_config_validation():
-    with pytest.raises(ValueError):
-        GraphConfig(k=0)
-    with pytest.raises(ValueError):
-        GraphConfig(weight_exponent=0.5)
-
-
-def test_weight_exponent():
-    protos = _protos([[1.0, 0.0]])
-    unlabeled = EmbeddingMatrix([[np.cos(0.5), np.sin(0.5)]])
-    adj = build_adjacency(protos, None, unlabeled, k=1, weight_exponent=2.0)
-    expected = np.cos(0.5) ** 2
-    np.testing.assert_allclose(adj.to_dense()[0, 1], expected, atol=1e-12)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        build_adjacency(_protos([[1.0, 0.0]]), None, EmbeddingMatrix([[1.0, 0.0]]), k=0)
 
 
 def test_partition_validation():
@@ -239,15 +282,3 @@ def test_partition_validation():
     assert part.n_total == 9
     assert part.unlabeled_slice == slice(5, 9)
 
-
-def test_dump_graph(tmp_path):
-    adj = build_adjacency(_protos([[1.0, 0.0]]), None,
-                          EmbeddingMatrix([[1.0, 0.0]]), k=1)
-    dump_graph(adj, tmp_path)
-    lines = (tmp_path / "edges.csv").read_text().strip().splitlines()
-    assert lines[0] == "row,col,weight"
-    assert len(lines) == 1 + adj.nnz
-    import json
-
-    header = json.loads((tmp_path / "graph.json").read_text())
-    assert header["n_proto"] == 1 and header["n_unlabeled"] == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,16 @@ def test_prototype_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.vectors.data, protos.vectors.data, atol=1e-12)
     np.testing.assert_array_equal(loaded.class_of, protos.class_of)
     assert loaded.clusters_per_class == 2
+
+
+def test_load_prototypes_checks_class_map(tmp_path):
+    save_matrix(EmbeddingMatrix(random_unit_rows(np.random.default_rng(3), 2, 4)),
+                tmp_path / "p.npy")
+    for doc, message in (({"class_of": [0, 2]}, "class ids \\[1\\]"),
+                         ({"clusters_per_class": 1}, "missing field 'class_of'")):
+        (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"p.json: .*{message}"):
+            load_prototypes(tmp_path / "p.npy", tmp_path / "p.json")
 
 
 def test_load_pools_per_class(tmp_path):
