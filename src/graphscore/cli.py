@@ -9,12 +9,13 @@ GRAPHSCORE_LOG (log level).
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import metrics, store, synth
@@ -54,36 +55,39 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS + ("all",):
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS + ('all',)}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.clusters < 1:
+            raise ValueError(f"clusters must be >= 1, got {self.clusters}")
+        # alpha, iterations, m_percent and tau are checked by the configs they feed
+        self.propagation()
+        self.baseline()
 
-    def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest, "method": self.method, "k": self.k,
-            "clusters": self.clusters, "alpha": self.alpha,
-            "iterations": self.iterations, "m_percent": self.m_percent,
-            "tau": self.tau, "seed": self.seed, "out": self.out,
-        }
+    def propagation(self) -> PropagationConfig:
+        return PropagationConfig(alpha=self.alpha, iterations=self.iterations,
+                                 m_percent=self.m_percent)
+
+    def baseline(self) -> BaselineConfig:
+        return BaselineConfig(temperature=self.tau)
 
 
 @dataclass
 class DatasetBundle:
     unlabeled: object
     labeled: object
-    labels: object
     pool: object
     prototypes: object
     flags: object
-    c_in: int
-    class_names: tuple
 
 
 def load_dataset(manifest_path) -> DatasetBundle:
     """Load and normalize everything a manifest references."""
     manifest = store.load_manifest(manifest_path)
     unlabeled = l2_normalize(load_matrix(manifest.unlabeled))
-    labeled = labels = None
+    labeled = None
     if manifest.labeled is not None:
         labeled = l2_normalize(load_matrix(manifest.labeled))
-        labels = load_labels(manifest.labels, labeled, manifest.c_in)
+        load_labels(manifest.labels, labeled, manifest.c_in)
     pool = prototypes = None
     if manifest.prompt_pools is not None:
         pool = load_prompt_pools(manifest.prompt_pools)
@@ -100,57 +104,64 @@ def load_dataset(manifest_path) -> DatasetBundle:
     if flags is not None and flags.size != unlabeled.count:
         raise ValueError(f"{manifest.flags}: {flags.size} flags but "
                          f"{unlabeled.count} unlabeled rows")
-    return DatasetBundle(unlabeled=unlabeled, labeled=labeled, labels=labels,
-                         pool=pool, prototypes=prototypes, flags=flags,
-                         c_in=manifest.c_in, class_names=manifest.class_names)
+    return DatasetBundle(unlabeled=unlabeled, labeled=labeled, pool=pool,
+                         prototypes=prototypes, flags=flags)
 
 
-def resolve_prototypes(bundle: DatasetBundle, method: str, clusters: int, seed: int):
-    """Prototypes for a method: clustered or averaged pools, or as supplied."""
-    if bundle.pool is None:
-        return bundle.prototypes
-    if method in _CLUSTERED and clusters > 1:
-        return cluster_prompts(bundle.pool, clusters, seed)
-    return mean_prototypes(bundle.pool)
+def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
+    """Score ``bundle`` with each method; returns (method, scores, diagnostics)
+    triples in ``methods`` order.
 
+    Each distinct prototype set and each KNN graph is made at most once per
+    call: clustered methods with a prompt pool and ``clusters > 1`` use
+    K-means prototypes, every other method the pool means (or the supplied
+    prototypes), and all methods on one prototype set share one graph.
+    """
 
-def compute_scores(method: str, prototypes, labeled, unlabeled, cfg: RunConfig):
-    """Dispatch one scoring method; returns (scores, diagnostics)."""
-    if method == "cosine":
+    @functools.cache
+    def prototypes(clustered):
+        if bundle.pool is None:
+            return bundle.prototypes
+        if clustered:
+            return cluster_prompts(bundle.pool, cfg.clusters, cfg.seed)
+        return mean_prototypes(bundle.pool)
+
+    @functools.cache
+    def graph(clustered):
         t0 = time.perf_counter()
-        scores = cosine_scores(unlabeled, prototypes, BaselineConfig(temperature=cfg.tau))
-        diag = {"method": method, "timing_s": {"total": time.perf_counter() - t0}}
-        return scores, diag
-    if method == "manifold":
-        t0 = time.perf_counter()
-        adj = build_adjacency(prototypes, labeled, unlabeled, k=cfg.k)
-        t1 = time.perf_counter()
-        scores = manifold_score(adj)
-        t2 = time.perf_counter()
-        diag = {
-            "method": method,
-            "timing_s": {"build_graph": t1 - t0, "dijkstra": t2 - t1, "total": t2 - t0},
-        }
-        return scores, diag
-    prop_cfg = PropagationConfig(alpha=cfg.alpha, iterations=cfg.iterations,
-                                 m_percent=cfg.m_percent)
-    scores, diag = run_gsp(prototypes, labeled, unlabeled, prop_cfg,
-                           k=cfg.k, self_train=method in _SELF_TRAIN)
-    diag["method"] = method
-    return scores, diag
+        adj = build_adjacency(prototypes(clustered), bundle.labeled, bundle.unlabeled, k=cfg.k)
+        return adj, time.perf_counter() - t0
+
+    results = []
+    for method in methods:
+        clustered = method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
+        if method == "cosine":
+            t0 = time.perf_counter()
+            scores = cosine_scores(bundle.unlabeled, prototypes(clustered), cfg.baseline())
+            diag = {"timing_s": {"total": time.perf_counter() - t0}}
+        else:
+            adj, build_s = graph(clustered)
+            if method == "manifold":
+                t0 = time.perf_counter()
+                scores = manifold_score(adj)
+                dijkstra_s = time.perf_counter() - t0
+                diag = {"timing_s": {"dijkstra": dijkstra_s, "total": dijkstra_s}}
+            else:
+                scores, diag = run_gsp(adj, cfg.propagation(), self_train=method in _SELF_TRAIN)
+            # the shared build is charged in full to every method that used it
+            timing = diag["timing_s"]
+            diag["timing_s"] = {"build_graph": build_s, **timing,
+                                "total": build_s + timing["total"]}
+        diag["method"] = method
+        diag["run_config"] = asdict(cfg)
+        results.append((method, scores, diag))
+        log.info("scored method=%s n=%d", method, len(scores))
+    return results
 
 
 def cmd_score(cfg: RunConfig) -> int:
     bundle = load_dataset(cfg.manifest)
-    methods = METHODS if cfg.method == "all" else (cfg.method,)
-    results = []
-    for method in methods:
-        prototypes = resolve_prototypes(bundle, method, cfg.clusters, cfg.seed)
-        scores, diag = compute_scores(method, prototypes, bundle.labeled,
-                                      bundle.unlabeled, cfg)
-        diag["run_config"] = cfg.to_dict()
-        results.append((method, scores, diag))
-        log.info("scored method=%s n=%d", method, len(scores))
+    results = compute_scores(bundle, METHODS if cfg.method == "all" else (cfg.method,), cfg)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,7 +173,7 @@ def cmd_score(cfg: RunConfig) -> int:
     if cfg.method == "all" and bundle.flags is not None:
         rows = []
         for method, scores, _ in results:
-            report = metrics.evaluate(scores, bundle.flags, method, cfg.to_dict())
+            report = metrics.evaluate(scores, bundle.flags, method, asdict(cfg))
             rows.append((method, report.auroc, report.fpr95))
         _write_report_csv(rows, out / "ablation.csv")
     return 0
@@ -191,7 +202,7 @@ def cmd_eval(scores_paths, flags_path, out_dir, names=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump([r.to_dict() for r in reports], f, indent=2)
+        json.dump([asdict(r) for r in reports], f, indent=2)
         f.write("\n")
     _write_report_csv([(r.method, r.auroc, r.fpr95) for r in reports], out / "report.csv")
     for r in reports:
@@ -273,15 +284,6 @@ def cmd_cluster_prompts(pool_paths, clusters, seed, out_dir) -> int:
     return 0
 
 
-def _merged(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphscore",
                                      description="Graph-based OOD scoring over embeddings")
@@ -323,43 +325,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     config = _load_json(args.config, "config") if args.config else {}
+    unknown = sorted(set(config) - set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown keys {unknown} for {args.command}")
+    # flags win over the config file
+    opts = {**config, **{key: v for key, v in vars(args).items() if v is not None}}
     if args.command == "score":
-        manifest = _merged(args, config, "manifest", None)
-        if manifest is None:
+        if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
-        cfg = RunConfig(
-            manifest=str(manifest),
-            method=_merged(args, config, "method", "gsp"),
-            k=int(_merged(args, config, "k", 10)),
-            clusters=int(_merged(args, config, "clusters", 3)),
-            alpha=float(_merged(args, config, "alpha", 0.5)),
-            iterations=int(_merged(args, config, "iterations", 5)),
-            m_percent=float(_merged(args, config, "m_percent", 5.0)),
-            tau=float(_merged(args, config, "tau", 1.0)),
-            seed=int(_merged(args, config, "seed", 0)),
-            out=str(_merged(args, config, "out", "runs")),
-        )
+        cfg = RunConfig(**{f.name: f.type(opts.get(f.name, f.default))
+                           for f in fields(RunConfig)})
         return cmd_score(cfg)
     if args.command == "eval":
-        scores = _merged(args, config, "scores", None)
-        flags = _merged(args, config, "flags", None)
-        if not scores or flags is None:
+        if not opts.get("scores") or opts.get("flags") is None:
             raise ValueError("eval needs --scores and --flags")
-        return cmd_eval(scores, flags, _merged(args, config, "out", "runs"),
-                        names=_merged(args, config, "names", None))
+        return cmd_eval(opts["scores"], opts["flags"], opts.get("out", "runs"),
+                        names=opts.get("names"))
     if args.command == "synth":
-        spec = _merged(args, config, "spec", None)
-        if spec is None:
+        if opts.get("spec") is None:
             raise ValueError("synth needs --spec")
-        return cmd_synth(spec, _merged(args, config, "out", "synth_out"))
+        return cmd_synth(opts["spec"], opts.get("out", "synth_out"))
     if args.command == "cluster-prompts":
-        pools = _merged(args, config, "pools", None)
-        if not pools:
+        if not opts.get("pools"):
             raise ValueError("cluster-prompts needs --pools")
-        clusters = _merged(args, config, "clusters", [3])
-        return cmd_cluster_prompts(pools, [int(c) for c in clusters],
-                                   int(_merged(args, config, "seed", 0)),
-                                   _merged(args, config, "out", "prototypes_out"))
+        return cmd_cluster_prompts(opts["pools"], [int(c) for c in opts.get("clusters", [3])],
+                                   int(opts.get("seed", 0)), opts.get("out", "prototypes_out"))
     raise ValueError(f"unknown command {args.command!r}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BlockAdjacency, NodePartition, build_adjacency, normalize
+from .graph import BlockAdjacency, NodePartition, normalize
 from .store import _lock
 
 
@@ -120,16 +120,9 @@ def select_pseudo_prompts(s_t: ScoreVector, m_percent: float) -> PseudoPromptSel
     order_desc = np.argsort(-unlab, kind="stable")
     order_asc = np.argsort(unlab, kind="stable")
     pos = order_desc[:q]
-    pos_set = set(int(i) for i in pos)
-    neg = []
-    for i in order_asc:
-        if int(i) not in pos_set:
-            neg.append(int(i))
-            if len(neg) == q:
-                break
-    if len(neg) < q:
+    neg = order_asc[~np.isin(order_asc, pos)][:q]
+    if neg.size < q:
         raise ValueError("not enough unlabeled nodes to fill both selections")
-    neg = np.array(neg, dtype=np.int64)
     offset = part.unlabeled_offset
     return PseudoPromptSelection(
         positives=pos.astype(np.int64) + offset,
@@ -153,22 +146,19 @@ def reinit_scores(s0: ScoreVector, sel: PseudoPromptSelection) -> ScoreVector:
     return ScoreVector(values, part)
 
 
-def run_gsp(prototypes, labeled, unlabeled, cfg: PropagationConfig = None,
-            k: int = 10, self_train: bool = True):
-    """Full graph-score-propagation pipeline.
+def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None,
+            self_train: bool = True):
+    """Full graph-score-propagation pipeline over a graph returned by
+    :func:`~graphscore.graph.build_adjacency`.
 
-    Builds the blockwise KNN graph, normalizes it, propagates the initial
-    scores, promotes pseudo prompts, re-initializes, and propagates again.
-    The graph is not rebuilt between passes. With ``self_train=False`` the
-    selection and second pass are skipped (the score-propagation-only
-    ablation). Returns ``(scores_on_unlabeled, diagnostics)``.
+    Normalizes the graph, propagates the initial scores, promotes pseudo
+    prompts, re-initializes, and propagates again. The graph is not rebuilt
+    between passes. With ``self_train=False`` the selection and second pass
+    are skipped (the score-propagation-only ablation). Returns
+    ``(scores_on_unlabeled, diagnostics)``.
     """
     cfg = cfg or PropagationConfig()
     timing = {}
-
-    t0 = time.perf_counter()
-    adj = build_adjacency(prototypes, labeled, unlabeled, k=k)
-    timing["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     norm = normalize(adj)
@@ -202,12 +192,11 @@ def run_gsp(prototypes, labeled, unlabeled, cfg: PropagationConfig = None,
             "n_labeled": adj.partition.n_labeled,
             "n_unlabeled": adj.partition.n_unlabeled,
         },
-        "graph": {"k": k, "edges": adj.nnz},
+        "graph": {"edges": adj.nnz},
         "config": {
             "alpha": cfg.alpha,
             "iterations": cfg.iterations,
             "m_percent": cfg.m_percent,
-            "k": k,
             "self_train": self_train,
         },
         "selection": None if selection is None else {

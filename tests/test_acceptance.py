@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphscore as gs
-from graphscore.cli import METHODS, RunConfig, compute_scores, main
+from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores, main
 from graphscore.prompts import PromptPool, _lloyd, cluster_prompts
 from graphscore.propagation import PropagationConfig, ScoreVector, propagate
 from graphscore.store import EmbeddingMatrix
@@ -181,9 +181,9 @@ def bridge_sweep():
     start = time.monotonic()
     for seed in range(100):
         data = gs.generate(gs.bridge_benchmark_spec(seed=seed))
-        for method in out:
-            scores, _ = compute_scores(method, data.prototypes, data.labeled,
-                                       data.unlabeled, cfg)
+        bundle = DatasetBundle(unlabeled=data.unlabeled, labeled=data.labeled,
+                               pool=None, prototypes=data.prototypes, flags=None)
+        for method, scores, _ in compute_scores(bundle, tuple(out), cfg):
             out[method].append(gs.auroc(scores, data.is_id))
     elapsed = time.monotonic() - start
     return {m: np.array(v) for m, v in out.items()}, elapsed
@@ -246,7 +246,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     data = gs.generate(gs.bridge_benchmark_spec(seed=12))
     paths = []
     for tag in ("a", "b"):
-        scores, _ = gs.run_gsp(data.prototypes, data.labeled, data.unlabeled)
+        scores, _ = gs.run_gsp(gs.build_adjacency(data.prototypes, data.labeled, data.unlabeled))
         path = tmp_path / f"scores_{tag}.npy"
         gs.save_vector(scores, path)
         paths.append(path)

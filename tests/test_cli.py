@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from graphscore.cli import main
+from graphscore import cli
+from graphscore.cli import METHODS, main
 from graphscore.prompts import load_prototypes, mean_prototypes
 from graphscore.store import (
     EmbeddingMatrix,
@@ -160,7 +161,7 @@ def test_cluster_prompts_sweep_emits_one_file_per_value(tmp_path):
         assert protos.clusters_per_class == min(v, 8)
 
 
-def test_config_file_with_flag_override(tmp_path):
+def test_config_file_with_flag_override(tmp_path, capsys):
     data_dir = _synth_dataset(tmp_path)
     cfg = {
         "manifest": str(data_dir / "manifest.json"),
@@ -176,6 +177,11 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["score", "--config", str(cfg_path), "--method",
                  "score_prop_only"]) == 0
     assert (tmp_path / "from_config" / "scores_score_prop_only.npy").exists()
+    # a misspelled key is an error that names the file and the key
+    cfg_path.write_text(json.dumps({**cfg, "iters": 3}), encoding="utf-8")
+    assert main(["score", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "run.json" in err and "'iters'" in err
 
 
 def test_no_partial_artifacts_on_failure(tmp_path):
@@ -240,7 +246,7 @@ def test_short_flags_file_rejected_before_scoring(tmp_path, capsys):
     assert not list(run_dir.glob("scores_*.npy"))
 
 
-def test_pool_manifest_pipeline(tmp_path):
+def test_pool_manifest_pipeline(tmp_path, monkeypatch):
     # manifest that supplies prompt pools instead of prebuilt prototypes
     pools = _write_pools(tmp_path, dim=16)
     data_dir = _synth_dataset(tmp_path)
@@ -253,6 +259,67 @@ def test_pool_manifest_pipeline(tmp_path):
     assert main(["score", "--manifest", str(pool_manifest), "--method", "gsp",
                  "--clusters", "3", "--out", str(run_dir)]) == 0
     assert (run_dir / "scores_gsp.npy").exists()
+
+    # --method all makes the clustered and the mean prototype sets once each,
+    # one graph per set, and matches every single-method run byte for byte
+    calls = _count_calls(monkeypatch, "build_adjacency", "cluster_prompts")
+    all_dir = tmp_path / "pool_all"
+    assert main(["score", "--manifest", str(pool_manifest), "--method", "all",
+                 "--clusters", "3", "--out", str(all_dir)]) == 0
+    assert calls == {"build_adjacency": 2, "cluster_prompts": 1}
+    for method in METHODS:
+        one_dir = tmp_path / f"pool_{method}"
+        assert main(["score", "--manifest", str(pool_manifest), "--method", method,
+                     "--clusters", "3", "--out", str(one_dir)]) == 0
+        assert ((all_dir / f"scores_{method}.npy").read_bytes()
+                == (one_dir / f"scores_{method}.npy").read_bytes())
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to functions that ``graphscore.cli`` imported by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_score_all_builds_one_graph_for_prebuilt_prototypes(tmp_path, monkeypatch):
+    data_dir = _synth_dataset(tmp_path)
+    calls = _count_calls(monkeypatch, "build_adjacency")
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(data_dir / "manifest.json"),
+                 "--method", "all", "--out", str(run_dir)]) == 0
+    assert calls == {"build_adjacency": 1}
+    # every graph method reports the one shared build
+    diags = [json.loads((run_dir / f"diagnostics_{m}.json").read_text())
+             for m in METHODS if m != "cosine"]
+    builds = {d["timing_s"]["build_graph"] for d in diags}
+    assert len(builds) == 1 and builds.pop() > 0.0
+
+
+@pytest.mark.parametrize("flag, message", [(["--k", "0"], "k must be >= 1"),
+                                           (["--alpha", "0"], "alpha must be in")])
+def test_bad_run_config_rejected_before_loading(tmp_path, capsys, flag, message):
+    data_dir = _synth_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(data_dir / "manifest.json"),
+                 "--method", "cosine", *flag, "--out", str(run_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_diagnostics_report_only_the_requested_k(tmp_path):
+    data_dir = _synth_dataset(tmp_path, seed=0)
+    run_dir = tmp_path / "run"
+    with pytest.warns(UserWarning, match="clamping"):
+        assert main(["score", "--manifest", str(data_dir / "manifest.json"),
+                     "--method", "gsp", "--k", "500", "--out", str(run_dir)]) == 0
+    text = (run_dir / "diagnostics_gsp.json").read_text()
+    assert json.loads(text)["run_config"]["k"] == 500
+    assert text.count('"k":') == 1
 
 
 def test_unknown_method_rejected_by_parser(tmp_path):

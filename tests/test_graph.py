@@ -207,7 +207,8 @@ def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k
     if antipodal:
         assert w[adj.partition.n_total - 1].nnz == 0
     with pytest.warns(UserWarning, match="clamping"):
-        scores, _ = run_gsp(protos, labeled, EmbeddingMatrix(unlab), k=n_u + k_extra)
+        scores, _ = run_gsp(build_adjacency(protos, labeled, EmbeddingMatrix(unlab),
+                                            k=n_u + k_extra))
     manifold = manifold_score(adj)
     assert scores.shape == manifold.shape == (n_u,)
     assert np.isfinite(scores).all() and np.isfinite(manifold).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphscore.baselines import cosine_scores
+from graphscore.graph import build_adjacency
 from graphscore.metrics import auroc
 from graphscore.propagation import run_gsp
 from graphscore.synth import (
@@ -57,7 +58,7 @@ def test_bridge_benchmark_gsp_beats_cosine():
     for seed in (0, 1, 2, 3, 4):
         data = generate(bridge_benchmark_spec(seed=seed))
         cos_auc = auroc(cosine_scores(data.unlabeled, data.prototypes), data.is_id)
-        gsp_scores, _ = run_gsp(data.prototypes, data.labeled, data.unlabeled)
+        gsp_scores, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
         assert auroc(gsp_scores, data.is_id) >= cos_auc + 0.05
 
 
@@ -67,7 +68,7 @@ def test_blob_ranking_holds_across_seeds():
     perfect = 0
     for seed in range(100):
         data = generate(blob_benchmark_spec(seed=seed))
-        scores, _ = run_gsp(data.prototypes, data.labeled, data.unlabeled)
+        scores, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
         perfect += auroc(scores, data.is_id) == 1.0
     assert perfect >= 95
 
