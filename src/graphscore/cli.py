@@ -323,6 +323,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value, typ, key, source):
+    """``value`` as ``typ``. Only whole numbers are integers and no value may
+    be null; anything else is an error naming ``source`` and ``key``."""
+    if typ is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (typ is float or float(value).is_integer()))
+    if not ok:
+        raise ValueError(f"{source}: key {key!r} must be {_TYPE_NAMES[typ]}, "
+                         f"got {json.dumps(value)}")
+    return typ(value)
+
+
 def _dispatch(args) -> int:
     config = _load_json(args.config, "config") if args.config else {}
     unknown = sorted(set(config) - set(vars(args)) - {"command", "config"})
@@ -333,8 +350,9 @@ def _dispatch(args) -> int:
     if args.command == "score":
         if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
-        cfg = RunConfig(**{f.name: f.type(opts.get(f.name, f.default))
-                           for f in fields(RunConfig)})
+        types = {f.name: f.type for f in fields(RunConfig)}
+        cfg = RunConfig(**{key: _typed(v, types[key], key, args.config)
+                           for key, v in opts.items() if key in types})
         return cmd_score(cfg)
     if args.command == "eval":
         if not opts.get("scores") or opts.get("flags") is None:
@@ -348,8 +366,13 @@ def _dispatch(args) -> int:
     if args.command == "cluster-prompts":
         if not opts.get("pools"):
             raise ValueError("cluster-prompts needs --pools")
-        return cmd_cluster_prompts(opts["pools"], [int(c) for c in opts.get("clusters", [3])],
-                                   int(opts.get("seed", 0)), opts.get("out", "prototypes_out"))
+        clusters = opts.get("clusters", [3])
+        if not isinstance(clusters, list):
+            raise ValueError(f"{args.config}: key 'clusters' must be a list of integers")
+        return cmd_cluster_prompts(opts["pools"],
+                                   [_typed(c, int, "clusters", args.config) for c in clusters],
+                                   _typed(opts.get("seed", 0), int, "seed", args.config),
+                                   opts.get("out", "prototypes_out"))
     raise ValueError(f"unknown command {args.command!r}")
 
 

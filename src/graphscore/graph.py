@@ -8,6 +8,11 @@ clamped cosine similarities and the result is symmetrized by elementwise
 max. The graph is one CSR matrix of those weights; on unit vectors the L2
 distance between an edge's endpoints is derived from its weight s as
 sqrt(2 - 2s) (used by the shortest-path baseline).
+
+Each node's k nearest neighbors are ordered by (-similarity, index): equal
+similarities go to the lower index. The similarity product of a query block
+is computed in one matrix product, not in row chunks, because a chunked
+product does not reproduce its bits; only the selection runs in row blocks.
 """
 
 import warnings
@@ -21,6 +26,8 @@ from .store import EmbeddingMatrix, _lock
 
 # degrees are floored before inversion so isolated nodes do not divide by zero
 DEGREE_FLOOR = 1e-12
+# rows per top-k selection block
+TOP_K_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,44 @@ class BlockAdjacency:
         return self.weights.nnz
 
 
+def _select_block(neg: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``neg``,
+    ordered by (value, index)."""
+    cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(neg, cand[:, k - 1:], axis=1)
+    reach = neg <= kth
+    tied = np.flatnonzero(reach.sum(axis=1) > k)
+    if tied.size:
+        # more than k entries reach the k-th value: keep those strictly below
+        # it, then the lowest-index ones equal to it
+        below = neg[tied] < kth[tied]
+        equal = reach[tied] & ~below
+        need = k - below.sum(axis=1, keepdims=True)
+        keep = below | (equal & (np.cumsum(equal, axis=1) <= need))
+        cand[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+    cand.sort(axis=1)
+    vals = np.take_along_axis(neg, cand, axis=1)
+    return np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+
+
 def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
+    """The k most similar corpus rows per query, ordered by (-sim, index).
+
+    The similarity product is computed whole; its rows are then selected in
+    blocks of TOP_K_BLOCK, so the extra memory is a few block x n arrays.
+    With ``exclude_self`` (queries is corpus) no row selects itself.
+    """
     sims = queries @ corpus.T
-    neg = -sims
-    if exclude_self:
-        np.fill_diagonal(neg, np.inf)
-    # stable sort on -sims: equal similarities resolve to the lower corpus index
-    order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    n_q = sims.shape[0]
+    order = np.empty((n_q, k), dtype=np.intp)
+    for lo in range(0, n_q, TOP_K_BLOCK):
+        hi = min(lo + TOP_K_BLOCK, n_q)
+        neg = -sims[lo:hi]
+        if exclude_self:
+            neg[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # a call, so the block's selection temporaries are freed before the
+        # next block is negated
+        order[lo:hi] = _select_block(neg, k)
     return order, np.take_along_axis(sims, order, axis=1)
 
 

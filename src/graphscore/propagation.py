@@ -185,6 +185,7 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None,
         timing["propagate_pass2"] = time.perf_counter() - t0
 
     final = pass2 if pass2 is not None else pass1
+    unlab1 = pass1.unlabeled_values
     timing["total"] = sum(timing.values())
     diagnostics = {
         "partition": {
@@ -205,8 +206,12 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None,
             "pos_threshold": selection.pos_threshold,
             "neg_threshold": selection.neg_threshold,
         },
-        "pass1_scores": [float(v) for v in pass1.values],
-        "pass2_scores": None if pass2 is None else [float(v) for v in pass2.values],
+        # unreached nodes score exactly 0 and decide the pseudo-negative ties
+        "pass1_unlabeled": {
+            "min": float(unlab1.min()),
+            "max": float(unlab1.max()),
+            "n_zero": int(np.count_nonzero(unlab1 == 0.0)),
+        },
         "timing_s": timing,
     }
     return final.unlabeled_values.copy(), diagnostics

@@ -182,6 +182,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert main(["score", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "run.json" in err and "'iters'" in err
+    # a null, non-integral or wrongly typed value is an error that names the
+    # file and the key, and nothing is scored
+    for bad in ({"k": 2.7}, {"k": None}, {"out": None}, {"alpha": "0.5"}, {"seed": True}):
+        cfg_path.write_text(json.dumps({**cfg, "out": str(tmp_path / "bad"), **bad}),
+                            encoding="utf-8")
+        assert main(["score", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.json" in err
+        assert f"'{next(iter(bad))}'" in err
+        assert not (tmp_path / "bad").exists()
+    # a whole number written as a float is still an integer
+    cfg_path.write_text(json.dumps({**cfg, "k": 3.0}), encoding="utf-8")
+    assert main(["score", "--config", str(cfg_path)]) == 0
 
 
 def test_no_partial_artifacts_on_failure(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphscore.baselines import manifold_score
 from graphscore.graph import (
+    TOP_K_BLOCK,
     BlockAdjacency,
     NodePartition,
     _top_k,
@@ -70,6 +72,53 @@ def test_knn_tie_breaks_to_lower_index():
     idx, _ = _top_k(np.array([[1.0, 0.0]]),
                     np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), k=2, exclude_self=False)
     assert idx.tolist() == [[1, 2]]
+
+
+def _top_k_full_sort(queries, corpus, k, exclude_self):
+    # the former selector: one stable argsort over every row of -sims
+    sims = queries @ corpus.T
+    neg = -sims
+    if exclude_self:
+        np.fill_diagonal(neg, np.inf)
+    order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(sims, order, axis=1)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([7, 40, 512, 513, 1100]),
+       st.integers(1, 6), st.integers(1, 12), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
+                                           other_queries):
+    # rows drawn from a few distinct directions (or all distinct), so that
+    # ties straddle the k-th value; n > TOP_K_BLOCK leaves a partial last block
+    rng = np.random.default_rng(seed)
+    if n_distinct == 6:
+        corpus = random_unit_rows(rng, n, 3)
+    else:
+        corpus = random_unit_rows(rng, n_distinct, 3)[rng.integers(0, n_distinct, n)]
+    queries = corpus
+    if other_queries and not exclude_self:
+        queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3)])
+    k = min(k, n - exclude_self)
+    idx, sims = _top_k(queries, corpus, k, exclude_self)
+    ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert sims.tobytes() == ref_sims.tobytes()
+
+
+def test_top_k_peak_memory_is_one_product():
+    # the similarity product plus a few TOP_K_BLOCK x n selection arrays; a
+    # full negated copy and an n x n sort order would add 2 n^2 x 8 bytes
+    n = 2048
+    corpus = random_unit_rows(np.random.default_rng(0), n, 16)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _top_k(corpus, corpus, 10, exclude_self=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 + 3 * TOP_K_BLOCK * n * 8
 
 
 # adjacency ------------------------------------------------------------
@@ -207,8 +256,10 @@ def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k
     if antipodal:
         assert w[adj.partition.n_total - 1].nnz == 0
     with pytest.warns(UserWarning, match="clamping"):
-        scores, _ = run_gsp(build_adjacency(protos, labeled, EmbeddingMatrix(unlab),
-                                            k=n_u + k_extra))
+        scores, diag = run_gsp(build_adjacency(protos, labeled, EmbeddingMatrix(unlab),
+                                               k=n_u + k_extra))
+    # only the isolated antipodal node is unreached by pass 1
+    assert diag["pass1_unlabeled"]["n_zero"] == int(antipodal)
     manifold = manifold_score(adj)
     assert scores.shape == manifold.shape == (n_u,)
     assert np.isfinite(scores).all() and np.isfinite(manifold).all()

@@ -272,9 +272,10 @@ def test_run_gsp_single_unlabeled_node():
                           class_of=[0], clusters_per_class=1)
     unlabeled = EmbeddingMatrix([[1.0, 0.0]])
     scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
-    pass1_unlab = diag["pass1_scores"][-1]
-    assert pass1_unlab > 0.0
-    assert scores[0] >= pass1_unlab  # degenerate case: final == pass 1
+    pass1_unlab = diag["pass1_unlabeled"]
+    assert pass1_unlab["min"] == pass1_unlab["max"] > 0.0
+    assert pass1_unlab["n_zero"] == 0
+    assert scores[0] >= pass1_unlab["max"]  # degenerate case: final == pass 1
 
 
 def test_run_gsp_ablation_direction_spot_check():
