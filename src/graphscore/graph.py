@@ -97,44 +97,58 @@ class BlockAdjacency:
         return self.weights.nnz
 
 
-def _select_block(neg: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of ``neg``,
-    ordered by (value, index)."""
-    cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(neg, cand[:, k - 1:], axis=1)
-    reach = neg <= kth
-    tied = np.flatnonzero(reach.sum(axis=1) > k)
-    if tied.size:
-        # more than k entries reach the k-th value: keep those strictly below
-        # it, then the lowest-index ones equal to it
-        below = neg[tied] < kth[tied]
-        equal = reach[tied] & ~below
-        need = k - below.sum(axis=1, keepdims=True)
-        keep = below | (equal & (np.cumsum(equal, axis=1) <= need))
-        cand[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
-    cand.sort(axis=1)
-    vals = np.take_along_axis(neg, cand, axis=1)
-    return np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+def _select_block(block: np.ndarray, k: int, self_col, part: np.ndarray,
+                  reach: np.ndarray) -> np.ndarray:
+    """Column indices of the k largest entries of each row of ``block``,
+    ordered by (-value, index). With ``self_col`` set, row i never selects
+    column ``self_col + i``. ``part`` and ``reach`` are scratch arrays of the
+    block's shape (float and bool); their contents are overwritten."""
+    m, n = block.shape
+    np.copyto(part, block)
+    if self_col is not None:
+        diag = (np.arange(m), np.arange(self_col, self_col + m))
+        part[diag] = -np.inf
+    # in place: each row's k-th largest value lands in column n - k
+    part.partition(n - k, axis=1)
+    kth = part[:, n - k:n - k + 1]
+    np.greater_equal(block, kth, out=reach)
+    if self_col is not None:
+        reach[diag] = False
+    flat = np.flatnonzero(reach)
+    if flat.size > m * k:
+        # more than k entries reach the k-th value in some rows: keep those
+        # strictly above it, then the lowest-index ones equal to it
+        tied = np.flatnonzero(np.bincount(flat // n, minlength=m) > k)
+        above = reach[tied] & (block[tied] > kth[tied])
+        equal = reach[tied] & ~above
+        need = k - above.sum(axis=1, keepdims=True)
+        reach[tied] = above | (equal & (np.cumsum(equal, axis=1) <= need))
+        flat = np.flatnonzero(reach)
+    # exactly k entries per row now, in ascending column order
+    cand = (flat % n).reshape(m, k)
+    vals = np.take_along_axis(block, cand, axis=1)
+    return np.take_along_axis(cand, np.argsort(-vals, axis=1, kind="stable"), axis=1)
 
 
 def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     """The k most similar corpus rows per query, ordered by (-sim, index).
 
     The similarity product is computed whole; its rows are then selected in
-    blocks of TOP_K_BLOCK, so the extra memory is a few block x n arrays.
-    With ``exclude_self`` (queries is corpus) no row selects itself.
+    blocks of TOP_K_BLOCK, through one block x n copy and one block x n mask
+    that every block reuses, so a call allocates the same few arrays however
+    many blocks it has. With ``exclude_self`` (queries is corpus) no row
+    selects itself.
     """
     sims = queries @ corpus.T
-    n_q = sims.shape[0]
+    n_q, n_c = sims.shape
+    rows = min(TOP_K_BLOCK, n_q)
+    part = np.empty((rows, n_c), dtype=sims.dtype)
+    reach = np.empty((rows, n_c), dtype=bool)
     order = np.empty((n_q, k), dtype=np.intp)
     for lo in range(0, n_q, TOP_K_BLOCK):
         hi = min(lo + TOP_K_BLOCK, n_q)
-        neg = -sims[lo:hi]
-        if exclude_self:
-            neg[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        # a call, so the block's selection temporaries are freed before the
-        # next block is negated
-        order[lo:hi] = _select_block(neg, k)
+        order[lo:hi] = _select_block(sims[lo:hi], k, lo if exclude_self else None,
+                                     part[:hi - lo], reach[:hi - lo])
     return order, np.take_along_axis(sims, order, axis=1)
 
 

@@ -107,7 +107,7 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
 
 
 def test_top_k_peak_memory_is_one_product():
-    # the similarity product plus a few TOP_K_BLOCK x n selection arrays; a
+    # the similarity product plus one reused TOP_K_BLOCK x n copy and mask; a
     # full negated copy and an n x n sort order would add 2 n^2 x 8 bytes
     n = 2048
     corpus = random_unit_rows(np.random.default_rng(0), n, 16)
@@ -118,7 +118,7 @@ def test_top_k_peak_memory_is_one_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8 + 3 * TOP_K_BLOCK * n * 8
+    assert peak < n * n * 8 + 2 * TOP_K_BLOCK * n * 8
 
 
 # adjacency ------------------------------------------------------------
