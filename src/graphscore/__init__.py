@@ -7,10 +7,7 @@ from .prompts import PromptPool, PrototypeSet, cluster_prompts, mean_prototypes
 from .propagation import (
     PropagationConfig,
     PseudoPromptSelection,
-    ScoreVector,
-    init_scores,
     propagate,
-    reinit_scores,
     run_gsp,
     select_pseudo_prompts,
 )
@@ -40,12 +37,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineConfig", "BlockAdjacency", "DatasetManifest", "EmbeddingMatrix",
     "EvalReport", "LabelTable", "NodePartition", "NpyFormatError", "PromptPool",
-    "PropagationConfig", "PrototypeSet", "PseudoPromptSelection", "ScoreVector",
-    "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
-    "bridge_benchmark_spec", "build_adjacency", "cluster_prompts",
-    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "init_scores",
-    "l2_normalize", "load_labels", "load_manifest", "load_matrix",
-    "load_vector", "manifold_score", "mean_prototypes", "normalize",
-    "propagate", "reinit_scores", "run_gsp", "save_matrix", "save_vector",
+    "PropagationConfig", "PrototypeSet", "PseudoPromptSelection", "SynthDataset",
+    "SynthSpec", "auroc", "blob_benchmark_spec", "bridge_benchmark_spec",
+    "build_adjacency", "cluster_prompts", "cosine_scores", "evaluate",
+    "fpr_at_tpr", "generate", "l2_normalize", "load_labels", "load_manifest",
+    "load_matrix", "load_vector", "manifold_score", "mean_prototypes",
+    "normalize", "propagate", "run_gsp", "save_matrix", "save_vector",
     "select_pseudo_prompts",
 ]

@@ -17,16 +17,17 @@ from .prompts import PrototypeSet
 from .store import EmbeddingMatrix
 
 
+# added to every shortest-path distance, so a zero-distance hit scores 1/EPSILON
+EPSILON = 1e-9
+
+
 @dataclass(frozen=True)
 class BaselineConfig:
     temperature: float = 1.0
-    epsilon: float = 1e-9
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def cosine_scores(samples, prototypes: PrototypeSet,
@@ -71,18 +72,17 @@ def shortest_path_distances(adj: BlockAdjacency, sources) -> np.ndarray:
     return dijkstra(graph, indices=sources, min_only=True)
 
 
-def manifold_score(adj: BlockAdjacency, cfg: BaselineConfig = None) -> np.ndarray:
+def manifold_score(adj: BlockAdjacency) -> np.ndarray:
     """Reciprocal shortest-path score for every unlabeled node.
 
     Paths start from any prototype or labeled node. Unreachable nodes score
-    0; zero-distance hits score 1/epsilon.
+    0; zero-distance hits score 1/EPSILON.
     """
-    cfg = cfg or BaselineConfig()
     part = adj.partition
     sources = range(part.unlabeled_offset)
     dist = shortest_path_distances(adj, sources)
     unlab = dist[part.unlabeled_slice]
     reachable = np.isfinite(unlab)
     scores = np.zeros(part.n_unlabeled)
-    scores[reachable] = 1.0 / (unlab[reachable] + cfg.epsilon)
+    scores[reachable] = 1.0 / (unlab[reachable] + EPSILON)
     return scores

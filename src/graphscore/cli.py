@@ -112,10 +112,11 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
     """Score ``bundle`` with each method; returns (method, scores, diagnostics)
     triples in ``methods`` order.
 
-    Each distinct prototype set and each KNN graph is made at most once per
-    call: clustered methods with a prompt pool and ``clusters > 1`` use
-    K-means prototypes, every other method the pool means (or the supplied
-    prototypes), and all methods on one prototype set share one graph.
+    Each distinct prototype set, KNN graph and propagation run is made at
+    most once per call: clustered methods with a prompt pool and
+    ``clusters > 1`` use K-means prototypes, every other method the pool
+    means (or the supplied prototypes), and all methods on one prototype set
+    share one graph and one :func:`run_gsp`.
     """
 
     @functools.cache
@@ -132,6 +133,10 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
         adj = build_adjacency(prototypes(clustered), bundle.labeled, bundle.unlabeled, k=cfg.k)
         return adj, time.perf_counter() - t0
 
+    @functools.cache
+    def gsp(clustered):
+        return run_gsp(graph(clustered)[0], cfg.propagation())
+
     results = []
     for method in methods:
         clustered = method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
@@ -147,8 +152,13 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
                 dijkstra_s = time.perf_counter() - t0
                 diag = {"timing_s": {"dijkstra": dijkstra_s, "total": dijkstra_s}}
             else:
-                scores, diag = run_gsp(adj, cfg.propagation(), self_train=method in _SELF_TRAIN)
-            # the shared build is charged in full to every method that used it
+                # one run per graph gives both passes: self-training methods
+                # report pass 2, the others pass 1
+                pass1, final, shared = gsp(clustered)
+                self_train = method in _SELF_TRAIN and shared["selection"] is not None
+                scores = final if self_train else pass1
+                diag = {**shared, "config": {**shared["config"], "self_train": self_train}}
+            # the shared build and run are charged in full to every method that used them
             timing = diag["timing_s"]
             diag["timing_s"] = {"build_graph": build_s, **timing,
                                 "total": build_s + timing["total"]}

@@ -52,14 +52,6 @@ class NodePartition:
         return self.n_proto + self.n_labeled + self.n_unlabeled
 
     @property
-    def proto_slice(self) -> slice:
-        return slice(0, self.n_proto)
-
-    @property
-    def labeled_slice(self) -> slice:
-        return slice(self.n_proto, self.n_proto + self.n_labeled)
-
-    @property
     def unlabeled_slice(self) -> slice:
         return slice(self.n_proto + self.n_labeled, self.n_total)
 

@@ -8,7 +8,6 @@ pairwise comparison bit for bit. FPR95 uses the largest threshold whose
 interpolation between observed score values.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,19 +30,6 @@ class EvalReport:
             raise ValueError(f"fpr95 out of range: {self.fpr95}")
         if self.n_id < 1 or self.n_ood < 1:
             raise ValueError("need at least one ID and one OOD sample")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-            "config": self.config,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _check_inputs(scores, is_id):

@@ -13,7 +13,7 @@ between passes.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,29 +37,6 @@ class PropagationConfig:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """Per-node propagation state, indexed like the node partition."""
-
-    values: np.ndarray
-    partition: NodePartition
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 1 or values.size != self.partition.n_total:
-            raise ValueError(
-                f"score vector length {values.size} does not match partition "
-                f"total {self.partition.n_total}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("score vector contains non-finite entries")
-        object.__setattr__(self, "values", _lock(values))
-
-    @property
-    def unlabeled_values(self) -> np.ndarray:
-        return self.values[self.partition.unlabeled_slice]
-
-
-@dataclass(frozen=True)
 class PseudoPromptSelection:
     """Unlabeled nodes promoted to pseudo prompts, as global node indices."""
 
@@ -77,26 +54,22 @@ class PseudoPromptSelection:
         object.__setattr__(self, "negatives", _lock(neg))
 
 
-def init_scores(partition: NodePartition) -> ScoreVector:
-    """+1 on every prototype and labeled node, 0 on every unlabeled node."""
-    values = np.zeros(partition.n_total)
-    values[: partition.unlabeled_offset] = 1.0
-    return ScoreVector(values, partition)
-
-
-def propagate(norm_adj: BlockAdjacency, s0: ScoreVector,
-              cfg: PropagationConfig = None) -> ScoreVector:
-    """Run the fixed-iteration propagation recurrence from ``s0`` over a
-    graph returned by :func:`normalize`."""
+def propagate(norm_adj: BlockAdjacency, s0: np.ndarray,
+              cfg: PropagationConfig = None) -> np.ndarray:
+    """Run the fixed-iteration propagation recurrence from ``s0``, a float64
+    vector indexed like the partition, over a graph returned by
+    :func:`normalize`."""
     cfg = cfg or PropagationConfig()
-    if norm_adj.partition.n_total != s0.partition.n_total:
-        raise ValueError("graph and score vector disagree on node count")
+    s0 = np.asarray(s0, dtype=np.float64)
+    if s0.shape != (norm_adj.partition.n_total,):
+        raise ValueError(f"score vector of shape {s0.shape} does not match "
+                         f"the graph's {norm_adj.partition.n_total} nodes")
     w = norm_adj.weights
-    base = cfg.alpha * s0.values
-    s = s0.values.copy()
+    base = cfg.alpha * s0
+    s = s0
     for _ in range(cfg.iterations):
         s = w @ s + base
-    return ScoreVector(s, s0.partition)
+    return s
 
 
 def pseudo_prompt_count(m_percent: float, n_unlabeled: int) -> int:
@@ -104,26 +77,31 @@ def pseudo_prompt_count(m_percent: float, n_unlabeled: int) -> int:
     return max(1, int(round(m_percent / 100.0 * n_unlabeled)))
 
 
-def select_pseudo_prompts(s_t: ScoreVector, m_percent: float) -> PseudoPromptSelection:
-    """Pick the q most and q least confident unlabeled nodes.
+def select_pseudo_prompts(scores: np.ndarray, partition: NodePartition,
+                          m_percent: float) -> PseudoPromptSelection:
+    """Pick the q most and q least confident unlabeled nodes of ``scores``
+    (indexed like ``partition``).
 
     Ties resolve toward the lower index; the low side skips any index
     already taken by the high side so the two sets never overlap.
     """
-    part = s_t.partition
     if not 0.0 < m_percent < 50.0:
         raise ValueError(f"m_percent must be in (0, 50), got {m_percent}")
-    if part.n_unlabeled < 2:
+    if partition.n_unlabeled < 2:
         raise ValueError("need at least two unlabeled nodes to select pseudo prompts")
-    unlab = s_t.unlabeled_values
-    q = pseudo_prompt_count(m_percent, part.n_unlabeled)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (partition.n_total,):
+        raise ValueError(f"score vector of shape {scores.shape} does not match "
+                         f"the partition's {partition.n_total} nodes")
+    unlab = scores[partition.unlabeled_slice]
+    q = pseudo_prompt_count(m_percent, partition.n_unlabeled)
     order_desc = np.argsort(-unlab, kind="stable")
     order_asc = np.argsort(unlab, kind="stable")
     pos = order_desc[:q]
     neg = order_asc[~np.isin(order_asc, pos)][:q]
     if neg.size < q:
         raise ValueError("not enough unlabeled nodes to fill both selections")
-    offset = part.unlabeled_offset
+    offset = partition.unlabeled_offset
     return PseudoPromptSelection(
         positives=pos.astype(np.int64) + offset,
         negatives=neg + offset,
@@ -132,80 +110,61 @@ def select_pseudo_prompts(s_t: ScoreVector, m_percent: float) -> PseudoPromptSel
     )
 
 
-def reinit_scores(s0: ScoreVector, sel: PseudoPromptSelection) -> ScoreVector:
-    """Rebuild initial scores with +1 at the selected positives and -1 at the
-    selected negatives; everything else keeps its ``s0`` value."""
-    part = s0.partition
-    lo, hi = part.unlabeled_offset, part.n_total
-    for name, idx in (("positives", sel.positives), ("negatives", sel.negatives)):
-        if idx.size and ((idx < lo) | (idx >= hi)).any():
-            raise ValueError(f"{name} contain indices outside the unlabeled segment")
-    values = s0.values.copy()
-    values[sel.positives] = 1.0
-    values[sel.negatives] = -1.0
-    return ScoreVector(values, part)
-
-
-def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None,
-            self_train: bool = True):
+def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
     """Full graph-score-propagation pipeline over a graph returned by
     :func:`~graphscore.graph.build_adjacency`.
 
-    Normalizes the graph, propagates the initial scores, promotes pseudo
-    prompts, re-initializes, and propagates again. The graph is not rebuilt
-    between passes. With ``self_train=False`` the selection and second pass
-    are skipped (the score-propagation-only ablation). Returns
-    ``(scores_on_unlabeled, diagnostics)``.
+    Normalizes the graph once, propagates the initial scores (pass 1),
+    promotes pseudo prompts, and propagates the +1/-1 re-initialized scores
+    over the same graph (pass 2). Pass 1 alone is the score-propagation-only
+    ablation. Returns ``(pass1, final, diagnostics)`` with both score vectors
+    on the unlabeled nodes; with a single unlabeled node, which cannot fill
+    both pseudo-prompt sets, ``final`` is ``pass1``.
     """
     cfg = cfg or PropagationConfig()
+    part = adj.partition
     timing = {}
 
     t0 = time.perf_counter()
     norm = normalize(adj)
     timing["normalize"] = time.perf_counter() - t0
 
-    s0 = init_scores(adj.partition)
+    # +1 on every prototype and labeled node, 0 on every unlabeled node
+    s0 = np.zeros(part.n_total)
+    s0[: part.unlabeled_offset] = 1.0
     t0 = time.perf_counter()
     pass1 = propagate(norm, s0, cfg)
     timing["propagate_pass1"] = time.perf_counter() - t0
+    unlab1 = pass1[part.unlabeled_slice]
 
     selection = None
-    pass2 = None
-    # a single unlabeled node cannot fill both pseudo-prompt sets; fall back
-    # to the first-pass scores
-    if self_train and adj.partition.n_unlabeled < 2:
-        self_train = False
-    if self_train:
+    final = pass1
+    if part.n_unlabeled >= 2:
         t0 = time.perf_counter()
-        selection = select_pseudo_prompts(pass1, cfg.m_percent)
+        sel = select_pseudo_prompts(pass1, part, cfg.m_percent)
         timing["select"] = time.perf_counter() - t0
-        s0b = reinit_scores(s0, selection)
+        # pass 2 starts from the pass-1 initial vector with the pseudo prompts at +1/-1
+        s0[sel.positives] = 1.0
+        s0[sel.negatives] = -1.0
         t0 = time.perf_counter()
-        pass2 = propagate(norm, s0b, cfg)
+        final = propagate(norm, s0, cfg)
         timing["propagate_pass2"] = time.perf_counter() - t0
+        selection = {
+            "q": int(sel.positives.size),
+            "pos_threshold": sel.pos_threshold,
+            "neg_threshold": sel.neg_threshold,
+            # unlabeled pass-1 scores equal to each threshold; the tie rule
+            # picks among these by node index
+            "pos_ties": int(np.count_nonzero(unlab1 == sel.pos_threshold)),
+            "neg_ties": int(np.count_nonzero(unlab1 == sel.neg_threshold)),
+        }
 
-    final = pass2 if pass2 is not None else pass1
-    unlab1 = pass1.unlabeled_values
     timing["total"] = sum(timing.values())
     diagnostics = {
-        "partition": {
-            "n_proto": adj.partition.n_proto,
-            "n_labeled": adj.partition.n_labeled,
-            "n_unlabeled": adj.partition.n_unlabeled,
-        },
+        "partition": asdict(part),
         "graph": {"edges": adj.nnz},
-        "config": {
-            "alpha": cfg.alpha,
-            "iterations": cfg.iterations,
-            "m_percent": cfg.m_percent,
-            "self_train": self_train,
-        },
-        "selection": None if selection is None else {
-            "positives": [int(i) for i in selection.positives],
-            "negatives": [int(i) for i in selection.negatives],
-            "pos_threshold": selection.pos_threshold,
-            "neg_threshold": selection.neg_threshold,
-        },
+        "config": asdict(cfg),
+        "selection": selection,
         # unreached nodes score exactly 0 and decide the pseudo-negative ties
         "pass1_unlabeled": {
             "min": float(unlab1.min()),
@@ -214,4 +173,4 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None,
         },
         "timing_s": timing,
     }
-    return final.unlabeled_values.copy(), diagnostics
+    return unlab1.copy(), final[part.unlabeled_slice].copy(), diagnostics

@@ -92,14 +92,6 @@ class LabelTable:
                 raise ValueError(f"label out of range: {c} (n_classes={self.n_classes})")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.entries], dtype=np.int64)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([c for _, c in self.entries], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class DatasetManifest:

@@ -78,8 +78,6 @@ def test_softmax_bounds():
 def test_temperature_validation():
     with pytest.raises(ValueError):
         BaselineConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(epsilon=0.0)
 
 
 # manifold ---------------------------------------------------------------
@@ -98,8 +96,7 @@ def _similarity(dist):
 def test_zero_distance_hit_scores_reciprocal_epsilon():
     adj = build_adjacency(_protos([[1.0, 0.0]]), None,
                           EmbeddingMatrix([[1.0, 0.0]]), k=1)
-    cfg = BaselineConfig(epsilon=1e-9)
-    scores = manifold_score(adj, cfg)
+    scores = manifold_score(adj)
     assert scores[0] == 1.0 / 1e-9
 
 
@@ -159,5 +156,5 @@ def test_manifold_seeds_from_labeled_nodes_too():
     w[1, 1] = 1.0
     w[1, 2] = w[2, 1] = _similarity(0.125)
     adj = _manual_adjacency(w, n_proto=1, n_labeled=1)
-    scores = manifold_score(adj, BaselineConfig(epsilon=1e-9))
+    scores = manifold_score(adj)
     assert scores[0] == pytest.approx(1.0 / (0.125 + 1e-9))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphscore import cli
+from graphscore import cli, propagation
 from graphscore.cli import METHODS, main
 from graphscore.prompts import load_prototypes, mean_prototypes
 from graphscore.store import (
@@ -274,12 +274,16 @@ def test_pool_manifest_pipeline(tmp_path, monkeypatch):
     assert (run_dir / "scores_gsp.npy").exists()
 
     # --method all makes the clustered and the mean prototype sets once each,
-    # one graph per set, and matches every single-method run byte for byte
-    calls = _count_calls(monkeypatch, "build_adjacency", "cluster_prompts")
+    # one graph and one propagation run per set, and matches every
+    # single-method run byte for byte
+    calls = _count_calls(monkeypatch, cli, "build_adjacency", "cluster_prompts")
+    prop_calls = _count_calls(monkeypatch, propagation,
+                              "normalize", "propagate", "select_pseudo_prompts")
     all_dir = tmp_path / "pool_all"
     assert main(["score", "--manifest", str(pool_manifest), "--method", "all",
                  "--clusters", "3", "--out", str(all_dir)]) == 0
     assert calls == {"build_adjacency": 2, "cluster_prompts": 1}
+    assert prop_calls == {"normalize": 2, "propagate": 4, "select_pseudo_prompts": 2}
     for method in METHODS:
         one_dir = tmp_path / f"pool_{method}"
         assert main(["score", "--manifest", str(pool_manifest), "--method", method,
@@ -288,29 +292,60 @@ def test_pool_manifest_pipeline(tmp_path, monkeypatch):
                 == (one_dir / f"scores_{method}.npy").read_bytes())
 
 
-def _count_calls(monkeypatch, *names):
-    """Count calls to functions that ``graphscore.cli`` imported by name."""
+def _count_calls(monkeypatch, module, *names):
+    """Count calls to functions that ``module`` defines or imported by name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_score_all_builds_one_graph_for_prebuilt_prototypes(tmp_path, monkeypatch):
     data_dir = _synth_dataset(tmp_path)
-    calls = _count_calls(monkeypatch, "build_adjacency")
+    manifest = str(data_dir / "manifest.json")
+    calls = _count_calls(monkeypatch, cli, "build_adjacency")
+    prop_calls = _count_calls(monkeypatch, propagation,
+                              "normalize", "propagate", "select_pseudo_prompts")
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", manifest, "--method", "all",
+                 "--out", str(run_dir)]) == 0
+    assert calls == {"build_adjacency": 1}
+    # one normalize and both passes serve all four propagation methods
+    assert prop_calls == {"normalize": 1, "propagate": 2, "select_pseudo_prompts": 1}
+    # every graph method reports the one shared build
+    diags = {m: json.loads((run_dir / f"diagnostics_{m}.json").read_text())
+             for m in METHODS if m != "cosine"}
+    builds = {d["timing_s"]["build_graph"] for d in diags.values()}
+    assert len(builds) == 1 and builds.pop() > 0.0
+    assert {m: d["config"]["self_train"] for m, d in diags.items() if m != "manifold"} == {
+        "gsp": True, "gsp_no_cluster": True, "score_prop_only": False, "gsp_no_neg": False}
+    # one prototype set: the self-trained pair and the pass-1 pair coincide
+    read = {m: (run_dir / f"scores_{m}.npy").read_bytes() for m in METHODS}
+    assert read["gsp"] == read["gsp_no_cluster"] != read["score_prop_only"] == read["gsp_no_neg"]
+    for method in METHODS:
+        one_dir = tmp_path / f"one_{method}"
+        assert main(["score", "--manifest", manifest, "--method", method,
+                     "--out", str(one_dir)]) == 0
+        assert read[method] == (one_dir / f"scores_{method}.npy").read_bytes()
+
+
+def test_diagnostics_hold_no_lists(tmp_path):
+    data_dir = _synth_dataset(tmp_path)
     run_dir = tmp_path / "run"
     assert main(["score", "--manifest", str(data_dir / "manifest.json"),
                  "--method", "all", "--out", str(run_dir)]) == 0
-    assert calls == {"build_adjacency": 1}
-    # every graph method reports the one shared build
-    diags = [json.loads((run_dir / f"diagnostics_{m}.json").read_text())
-             for m in METHODS if m != "cosine"]
-    builds = {d["timing_s"]["build_graph"] for d in diags}
-    assert len(builds) == 1 and builds.pop() > 0.0
+
+    def walk(value, path):
+        assert not isinstance(value, list), f"list at {path}"
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}")
+
+    for method in METHODS:
+        walk(json.loads((run_dir / f"diagnostics_{method}.json").read_text()), method)
 
 
 @pytest.mark.parametrize("flag, message", [(["--k", "0"], "k must be >= 1"),

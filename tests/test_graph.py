@@ -256,12 +256,13 @@ def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k
     if antipodal:
         assert w[adj.partition.n_total - 1].nnz == 0
     with pytest.warns(UserWarning, match="clamping"):
-        scores, diag = run_gsp(build_adjacency(protos, labeled, EmbeddingMatrix(unlab),
-                                               k=n_u + k_extra))
+        pass1, scores, diag = run_gsp(build_adjacency(protos, labeled, EmbeddingMatrix(unlab),
+                                                      k=n_u + k_extra))
     # only the isolated antipodal node is unreached by pass 1
     assert diag["pass1_unlabeled"]["n_zero"] == int(antipodal)
     manifold = manifold_score(adj)
     assert scores.shape == manifold.shape == (n_u,)
+    assert pass1.shape == (n_u,) and np.isfinite(pass1).all()
     assert np.isfinite(scores).all() and np.isfinite(manifold).all()
 
 

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphscore import propagation as propagation_module
 from graphscore.graph import (
     BlockAdjacency,
     NodePartition,
@@ -14,11 +15,8 @@ from graphscore.prompts import PrototypeSet
 from graphscore.propagation import (
     PropagationConfig,
     PseudoPromptSelection,
-    ScoreVector,
-    init_scores,
     propagate,
     pseudo_prompt_count,
-    reinit_scores,
     run_gsp,
     select_pseudo_prompts,
 )
@@ -48,50 +46,95 @@ def _random_graph(seed, max_nodes=64, k=5):
     return build_adjacency(protos, labeled, unlabeled, k=min(k, n_u - 1))
 
 
+def _init_vector(part):
+    """+1 on prototype and labeled nodes, 0 on unlabeled nodes."""
+    s0 = np.zeros(part.n_total)
+    s0[: part.unlabeled_offset] = 1.0
+    return s0
+
+
+def _start_vectors(monkeypatch, w_dense, part, cfg=None):
+    """The initial vector of each propagation pass that run_gsp makes."""
+    seen = []
+
+    def spy(norm, s0, cfg=None):
+        seen.append(np.array(s0, copy=True))
+        return propagate(norm, s0, cfg)  # the unpatched function
+
+    monkeypatch.setattr(propagation_module, "propagate", spy)
+    run_gsp(BlockAdjacency(sp.csr_matrix(w_dense), part), cfg)
+    return seen
+
+
+def _star(part):
+    # identity on the prototype/labeled block, every unlabeled node linked
+    # to node 0 with its own weight
+    w = np.zeros((part.n_total, part.n_total))
+    off = part.unlabeled_offset
+    w[:off, :off] = np.eye(off)
+    for j, u in enumerate(range(off, part.n_total)):
+        w[0, u] = w[u, 0] = 0.9 - 0.1 * j
+    return w
+
+
 # init -----------------------------------------------------------------
 
-def test_init_scores_layout():
-    np.testing.assert_array_equal(
-        init_scores(NodePartition(2, 0, 3)).values, [1, 1, 0, 0, 0])
-    np.testing.assert_array_equal(
-        init_scores(NodePartition(1, 2, 1)).values, [1, 1, 1, 0])
+def test_init_scores_layout(monkeypatch):
+    for part, expected in ((NodePartition(2, 0, 3), [1, 1, 0, 0, 0]),
+                           (NodePartition(1, 2, 1), [1, 1, 1, 0])):
+        first = _start_vectors(monkeypatch, _star(part), part)[0]
+        np.testing.assert_array_equal(first, expected)
 
 
-def test_init_scores_zero_vs_few_shot():
-    zero = init_scores(NodePartition(2, 0, 4))
-    few = init_scores(NodePartition(2, 3, 4))
+def test_init_scores_zero_vs_few_shot(monkeypatch):
+    zero_part, few_part = NodePartition(2, 0, 4), NodePartition(2, 3, 4)
+    zero = _start_vectors(monkeypatch, _star(zero_part), zero_part)[0]
+    few = _start_vectors(monkeypatch, _star(few_part), few_part)[0]
     # identical on prototypes and unlabeled; the few-shot vector adds ones
     # exactly on the labeled segment
-    np.testing.assert_array_equal(zero.values[:2], few.values[:2])
-    np.testing.assert_array_equal(few.values[2:5], [1, 1, 1])
-    np.testing.assert_array_equal(zero.values[2:], few.values[5:])
+    np.testing.assert_array_equal(zero[:2], few[:2])
+    np.testing.assert_array_equal(few[2:5], [1, 1, 1])
+    np.testing.assert_array_equal(zero[2:], few[5:])
+
+
+def test_reinit_example(monkeypatch):
+    # unlabeled node 1 scores highest and the isolated node 3 lowest (0);
+    # with q = 1 pass 2 starts from pass 1's vector with +1 / -1 there
+    w = np.zeros((4, 4))
+    w[0, 0] = 1.0
+    w[0, 1] = w[1, 0] = 0.9
+    w[0, 2] = w[2, 0] = 0.4
+    first, second = _start_vectors(monkeypatch, w, NodePartition(1, 0, 3),
+                                   PropagationConfig(m_percent=25.0))
+    np.testing.assert_array_equal(first, [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(second, [1.0, 1.0, 0.0, -1.0])
 
 
 # propagate ------------------------------------------------------------
 
 def test_propagate_zero_input_stays_zero():
     norm, part = _manual(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
-    out = propagate(norm, ScoreVector([0.0, 0.0], part))
-    np.testing.assert_array_equal(out.values, [0.0, 0.0])
+    out = propagate(norm, np.zeros(part.n_total))
+    np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
 def test_propagate_micro_case():
     norm, part = _manual(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
-    s5 = propagate(norm, init_scores(part),
+    s5 = propagate(norm, _init_vector(part),
                    PropagationConfig(alpha=0.5, iterations=5))
-    np.testing.assert_allclose(s5.values, [2.4375, 1.5026019], atol=1e-6)
+    np.testing.assert_allclose(s5, [2.4375, 1.5026019], atol=1e-6)
     dense = dense_propagation(np.array([[1.0, 1.0], [1.0, 0.0]]),
                               np.array([1.0, 0.0]), 0.5, 5)
-    np.testing.assert_allclose(s5.values, dense, atol=1e-12)
+    np.testing.assert_allclose(s5, dense, atol=1e-12)
 
 
 def test_propagate_matches_dense_oracle_16_nodes():
     adj = _random_graph(seed=123, max_nodes=16)
     norm = normalize(adj)
-    s0 = init_scores(adj.partition)
+    s0 = _init_vector(adj.partition)
     got = propagate(norm, s0, PropagationConfig(alpha=0.5, iterations=5))
-    expected = dense_propagation(adj.weights.toarray(), s0.values, 0.5, 5)
-    np.testing.assert_allclose(got.values, expected, atol=1e-9)
+    expected = dense_propagation(adj.weights.toarray(), s0, 0.5, 5)
+    np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
 @given(st.integers(0, 10_000), st.floats(0.1, 1.0))
@@ -103,10 +146,10 @@ def test_propagate_linearity_and_antisymmetry(seed, scale):
     rng = np.random.default_rng(seed)
     base = rng.standard_normal(part.n_total)
     cfg = PropagationConfig(alpha=0.5, iterations=5)
-    out = propagate(norm, ScoreVector(base, part), cfg).values
-    scaled = propagate(norm, ScoreVector(scale * base, part), cfg).values
+    out = propagate(norm, base, cfg)
+    scaled = propagate(norm, scale * base, cfg)
     np.testing.assert_allclose(scaled, scale * out, atol=1e-9)
-    negated = propagate(norm, ScoreVector(-base, part), cfg).values
+    negated = propagate(norm, -base, cfg)
     np.testing.assert_array_equal(negated, -out)
 
 
@@ -120,9 +163,8 @@ def test_propagate_superposition(seed):
     a = rng.standard_normal(part.n_total)
     b = rng.standard_normal(part.n_total)
     cfg = PropagationConfig(alpha=0.5, iterations=4)
-    combined = propagate(norm, ScoreVector(a + b, part), cfg).values
-    separate = (propagate(norm, ScoreVector(a, part), cfg).values
-                + propagate(norm, ScoreVector(b, part), cfg).values)
+    combined = propagate(norm, a + b, cfg)
+    separate = propagate(norm, a, cfg) + propagate(norm, b, cfg)
     np.testing.assert_allclose(combined, separate, atol=1e-9)
 
 
@@ -132,9 +174,9 @@ def test_isolated_node_keeps_zero_score():
     w[0, 0] = 1.0
     w[0, 1] = w[1, 0] = 0.8
     norm, part = _manual(w, 1)
-    out = propagate(norm, init_scores(part), PropagationConfig(iterations=5))
-    assert out.values[2] == 0.0
-    assert out.values[1] > 0.0
+    out = propagate(norm, _init_vector(part), PropagationConfig(iterations=5))
+    assert out[2] == 0.0
+    assert out[1] > 0.0
 
 
 @given(st.integers(0, 10_000))
@@ -143,8 +185,8 @@ def test_propagation_bound(seed):
     adj = _random_graph(seed=seed, max_nodes=32)
     norm = normalize(adj)
     cfg = PropagationConfig(alpha=0.5, iterations=5)
-    out = propagate(norm, init_scores(adj.partition), cfg)
-    assert np.abs(out.values).max() <= cfg.iterations * (1.0 + cfg.alpha)
+    out = propagate(norm, _init_vector(adj.partition), cfg)
+    assert np.abs(out).max() <= cfg.iterations * (1.0 + cfg.alpha)
 
 
 # selection ------------------------------------------------------------
@@ -152,12 +194,12 @@ def test_propagation_bound(seed):
 def _scores(unlab_values, n_proto=1):
     part = NodePartition(n_proto, 0, len(unlab_values))
     values = np.concatenate([np.ones(n_proto), unlab_values])
-    return ScoreVector(values, part), part
+    return values, part
 
 
 def test_select_trivial():
     s, part = _scores([0.9, 0.1, 0.5, 0.4])
-    sel = select_pseudo_prompts(s, m_percent=25.0)  # q = 1
+    sel = select_pseudo_prompts(s, part, m_percent=25.0)  # q = 1
     np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, [0])
     np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, [1])
     assert sel.pos_threshold == 0.9 and sel.neg_threshold == 0.1
@@ -165,7 +207,7 @@ def test_select_trivial():
 
 def test_select_all_equal_tie_rule():
     s, part = _scores([0.3, 0.3, 0.3, 0.3])
-    sel = select_pseudo_prompts(s, m_percent=25.0)
+    sel = select_pseudo_prompts(s, part, m_percent=25.0)
     np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, [0])
     # the low side skips index 0 (already positive) and takes the next tie
     np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, [1])
@@ -175,7 +217,7 @@ def test_select_matches_sort_oracle():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(200)
     s, part = _scores(values)
-    sel = select_pseudo_prompts(s, m_percent=5.0)
+    sel = select_pseudo_prompts(s, part, m_percent=5.0)
     assert pseudo_prompt_count(5.0, 200) == 10
     order = sorted(range(200), key=lambda i: (-values[i], i))
     np.testing.assert_array_equal(np.sort(sel.positives - part.unlabeled_offset),
@@ -185,23 +227,28 @@ def test_select_matches_sort_oracle():
                                   np.sort(order_low[:10]))
 
 
+def test_select_checks_vector_length():
+    s, part = _scores([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="does not match"):
+        select_pseudo_prompts(s[1:], part, m_percent=25.0)
+
+
 def test_select_needs_two_unlabeled():
     part = NodePartition(1, 0, 1)
-    s = ScoreVector([1.0, 0.5], part)
     with pytest.raises(ValueError, match="at least two"):
-        select_pseudo_prompts(s, m_percent=5.0)
+        select_pseudo_prompts(np.array([1.0, 0.5]), part, m_percent=5.0)
 
 
 def test_select_m_percent_range():
-    s, _ = _scores([0.1, 0.2, 0.3])
+    s, part = _scores([0.1, 0.2, 0.3])
     for bad in (0.0, 50.0, -1.0, 80.0):
         with pytest.raises(ValueError, match="m_percent"):
-            select_pseudo_prompts(s, m_percent=bad)
+            select_pseudo_prompts(s, part, m_percent=bad)
 
 
 def test_selection_sets_disjoint_under_heavy_ties():
-    s, _ = _scores(np.zeros(10))
-    sel = select_pseudo_prompts(s, m_percent=40.0)  # q = 4
+    s, part = _scores(np.zeros(10))
+    sel = select_pseudo_prompts(s, part, m_percent=40.0)  # q = 4
     assert np.intersect1d(sel.positives, sel.negatives).size == 0
     assert sel.positives.size == sel.negatives.size == 4
 
@@ -211,43 +258,14 @@ def test_selection_sets_disjoint_under_heavy_ties():
        st.floats(0.5, 49.5))
 def test_select_matches_loop_reference_under_ties(levels, m_percent):
     s, part = _scores(np.array(levels, dtype=float))
-    sel = select_pseudo_prompts(s, m_percent)
+    sel = select_pseudo_prompts(s, part, m_percent)
     q = pseudo_prompt_count(m_percent, len(levels))
+    unlab = s[part.unlabeled_slice]
     # reference: walk the ascending order and skip indices taken as positives
-    pos = list(np.argsort(-s.unlabeled_values, kind="stable")[:q])
-    neg = [i for i in np.argsort(s.unlabeled_values, kind="stable") if i not in pos][:q]
+    pos = list(np.argsort(-unlab, kind="stable")[:q])
+    neg = [i for i in np.argsort(unlab, kind="stable") if i not in pos][:q]
     np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, pos)
     np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, neg)
-
-
-# reinit ---------------------------------------------------------------
-
-def test_reinit_example():
-    part = NodePartition(1, 0, 3)
-    s0 = ScoreVector([1.0, 0.0, 0.0, 0.0], part)
-    sel = PseudoPromptSelection(positives=[1], negatives=[3],
-                                pos_threshold=0.0, neg_threshold=0.0)
-    out = reinit_scores(s0, sel)
-    np.testing.assert_array_equal(out.values, [1.0, 1.0, 0.0, -1.0])
-
-
-def test_reinit_idempotent():
-    part = NodePartition(1, 0, 3)
-    s0 = ScoreVector([1.0, 0.2, 0.0, 0.0], part)
-    sel = PseudoPromptSelection(positives=[1], negatives=[2],
-                                pos_threshold=0.0, neg_threshold=0.0)
-    once = reinit_scores(s0, sel)
-    twice = reinit_scores(once, sel)
-    np.testing.assert_array_equal(once.values, twice.values)
-
-
-def test_reinit_rejects_out_of_segment():
-    part = NodePartition(2, 0, 2)
-    s0 = init_scores(part)
-    sel = PseudoPromptSelection(positives=[0], negatives=[3],
-                                pos_threshold=0.0, neg_threshold=0.0)
-    with pytest.raises(ValueError, match="outside the unlabeled segment"):
-        reinit_scores(s0, sel)
 
 
 def test_selection_overlap_rejected():
@@ -258,9 +276,57 @@ def test_selection_overlap_rejected():
 
 # full pipeline ----------------------------------------------------------
 
+def test_run_gsp_passes_match_dense_oracle():
+    cfg = PropagationConfig(alpha=0.5, iterations=5, m_percent=10.0)
+    for seed in range(25):
+        adj = _random_graph(seed=900 + seed, max_nodes=48)
+        part = adj.partition
+        pass1, final, diag = run_gsp(adj, cfg)
+        dense = adj.weights.toarray()
+        unlab = part.unlabeled_slice
+        s0 = _init_vector(part)
+        np.testing.assert_allclose(pass1, dense_propagation(dense, s0, 0.5, 5)[unlab],
+                                   atol=1e-9)
+        # pass 2 starts from the same vector with the pseudo prompts at +1/-1
+        sel = select_pseudo_prompts(np.concatenate([s0[: part.unlabeled_offset], pass1]),
+                                    part, cfg.m_percent)
+        for idx in (sel.positives, sel.negatives):
+            assert ((idx >= part.unlabeled_offset) & (idx < part.n_total)).all()
+        s0[sel.positives] = 1.0
+        s0[sel.negatives] = -1.0
+        np.testing.assert_allclose(final, dense_propagation(dense, s0, 0.5, 5)[unlab],
+                                   atol=1e-9)
+        assert diag["selection"] == {
+            "q": pseudo_prompt_count(cfg.m_percent, part.n_unlabeled),
+            "pos_threshold": sel.pos_threshold,
+            "neg_threshold": sel.neg_threshold,
+            "pos_ties": int(np.count_nonzero(pass1 == sel.pos_threshold)),
+            "neg_ties": int(np.count_nonzero(pass1 == sel.neg_threshold)),
+        }
+
+
+def test_run_gsp_counts_threshold_ties():
+    # two prototype-linked pairs of equal score plus two unreached nodes:
+    # with q = 1 each threshold is shared by two unlabeled nodes
+    w = np.zeros((7, 7))
+    w[0, 0] = 1.0
+    for u in (1, 2):
+        w[0, u] = w[u, 0] = 0.9
+    for u in (3, 4):
+        w[0, u] = w[u, 0] = 0.4
+    part = NodePartition(1, 0, 6)
+    _, _, diag = run_gsp(BlockAdjacency(sp.csr_matrix(w), part),
+                         PropagationConfig(m_percent=10.0))
+    sel = diag["selection"]
+    assert sel["q"] == 1
+    assert sel["neg_threshold"] == 0.0 and sel["neg_ties"] == 2
+    assert sel["pos_threshold"] > 0.0 and sel["pos_ties"] == 2
+    assert diag["pass1_unlabeled"]["n_zero"] == 2
+
+
 def test_run_gsp_separates_blob_clusters():
     data = generate(blob_benchmark_spec(seed=1))
-    scores, diag = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
+    _, scores, diag = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
     assert scores[data.is_id].min() > scores[~data.is_id].max()
     assert diag["selection"] is not None
     assert set(diag["timing_s"]) >= {"normalize", "propagate_pass1",
@@ -271,11 +337,13 @@ def test_run_gsp_single_unlabeled_node():
     protos = PrototypeSet(vectors=EmbeddingMatrix([[1.0, 0.0]]),
                           class_of=[0], clusters_per_class=1)
     unlabeled = EmbeddingMatrix([[1.0, 0.0]])
-    scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
+    pass1, scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
     pass1_unlab = diag["pass1_unlabeled"]
-    assert pass1_unlab["min"] == pass1_unlab["max"] > 0.0
+    assert pass1_unlab["min"] == pass1_unlab["max"] == pass1[0] > 0.0
     assert pass1_unlab["n_zero"] == 0
-    assert scores[0] >= pass1_unlab["max"]  # degenerate case: final == pass 1
+    # degenerate case: no pseudo prompts, final == pass 1
+    assert diag["selection"] is None
+    assert scores.tobytes() == pass1.tobytes()
 
 
 def test_run_gsp_ablation_direction_spot_check():
@@ -287,10 +355,9 @@ def test_run_gsp_ablation_direction_spot_check():
         data = generate(bridge_benchmark_spec(seed=seed))
         aucs["cosine"].append(
             auroc(cosine_scores(data.unlabeled, data.prototypes), data.is_id))
-        single, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled),
-                            self_train=False)
+        single, full, _ = run_gsp(build_adjacency(data.prototypes, data.labeled,
+                                                  data.unlabeled))
         aucs["score_prop_only"].append(auroc(single, data.is_id))
-        full, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
         aucs["gsp"].append(auroc(full, data.is_id))
     means = {m: np.mean(v) for m, v in aucs.items()}
     assert means["cosine"] < means["score_prop_only"] < means["gsp"]
@@ -298,9 +365,9 @@ def test_run_gsp_ablation_direction_spot_check():
 
 def test_run_gsp_deterministic():
     data = generate(bridge_benchmark_spec(seed=5))
-    a, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
-    b, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
-    assert a.tobytes() == b.tobytes()
+    a = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
+    b = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 def test_run_gsp_few_shot_uses_labeled_nodes():
@@ -309,7 +376,7 @@ def test_run_gsp_few_shot_uses_labeled_nodes():
 
     data = generate(replace(spec, labeled_per_class=3))
     assert data.labeled is not None and data.labeled.count == 6
-    scores, diag = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
+    _, scores, diag = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
     assert diag["partition"]["n_labeled"] == 6
     assert scores[data.is_id].min() > scores[~data.is_id].max()
 
@@ -325,9 +392,8 @@ def test_propagation_config_validation():
         PropagationConfig(m_percent=50.0)
 
 
-def test_score_vector_validation():
-    part = NodePartition(1, 0, 2)
-    with pytest.raises(ValueError, match="length"):
-        ScoreVector([1.0], part)
-    with pytest.raises(ValueError, match="non-finite"):
-        ScoreVector([1.0, np.nan, 0.0], part)
+def test_propagate_checks_node_count():
+    norm, part = _manual(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
+    for bad in (np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="does not match"):
+            propagate(norm, bad)
