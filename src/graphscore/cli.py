@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics, store, synth
@@ -220,35 +220,23 @@ def cmd_eval(scores_paths, flags_path, out_dir, names=None) -> int:
     return 0
 
 
-def _load_json(path, what):
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-
-
 def cmd_synth(spec_path, out_dir) -> int:
-    doc = _load_json(spec_path, "synth spec")
-    preset = doc.pop("preset", None)
-    if preset is not None:
+    types = {"preset": str, **{f.name: f.type for f in fields(synth.SynthSpec)}}
+    doc = store.load_json(spec_path, "synth spec", types)
+    # the one tuple field, id_counts, holds integers
+    values = {key: store.typed_list(v, int, key, spec_path) if types[key] is tuple
+              else store.typed(v, types[key], key, spec_path) for key, v in doc.items()}
+    preset = values.pop("preset", None)
+    if preset is None:
+        spec = synth.SynthSpec(**values)
+    else:
         factories = {
             "blob_benchmark": synth.blob_benchmark_spec,
             "bridge_benchmark": synth.bridge_benchmark_spec,
         }
         if preset not in factories:
             raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(factories)}")
-        base = factories[preset](seed=int(doc.pop("seed", 0)))
-        spec = synth.SynthSpec(**{**base.__dict__, **doc})
-    else:
-        if "id_counts" in doc:
-            doc["id_counts"] = tuple(doc["id_counts"])
-        spec = synth.SynthSpec(**doc)
+        spec = replace(factories[preset](seed=values.pop("seed", 0)), **values)
     data = synth.generate(spec)
 
     out = Path(out_dir)
@@ -333,56 +321,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _typed(value, typ, key, source):
-    """``value`` as ``typ``. Only whole numbers are integers and no value may
-    be null; anything else is an error naming ``source`` and ``key``."""
-    if typ is str:
-        ok = isinstance(value, str)
-    else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (typ is float or float(value).is_integer()))
-    if not ok:
-        raise ValueError(f"{source}: key {key!r} must be {_TYPE_NAMES[typ]}, "
-                         f"got {json.dumps(value)}")
-    return typ(value)
-
-
 def _dispatch(args) -> int:
-    config = _load_json(args.config, "config") if args.config else {}
-    unknown = sorted(set(config) - set(vars(args)) - {"command", "config"})
-    if unknown:
-        raise ValueError(f"{args.config}: unknown keys {unknown} for {args.command}")
+    keys = set(vars(args)) - {"command", "config"}
+    config = store.load_json(args.config, "config", keys) if args.config else {}
     # flags win over the config file
     opts = {**config, **{key: v for key, v in vars(args).items() if v is not None}}
+
+    def opt(key, typ, default=None, many=False):
+        # flag values are typed by argparse, so only a config value can fail here
+        value = opts.get(key, default)
+        return (store.typed_list if many else store.typed)(value, typ, key, args.config)
+
     if args.command == "score":
         if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
         types = {f.name: f.type for f in fields(RunConfig)}
-        cfg = RunConfig(**{key: _typed(v, types[key], key, args.config)
-                           for key, v in opts.items() if key in types})
-        return cmd_score(cfg)
+        return cmd_score(RunConfig(**{key: opt(key, types[key]) for key in opts if key in types}))
     if args.command == "eval":
         if not opts.get("scores") or opts.get("flags") is None:
             raise ValueError("eval needs --scores and --flags")
-        return cmd_eval(opts["scores"], opts["flags"], opts.get("out", "runs"),
-                        names=opts.get("names"))
+        return cmd_eval(opt("scores", str, many=True), opt("flags", str), opt("out", str, "runs"),
+                        names=opt("names", str, many=True) if "names" in opts else None)
     if args.command == "synth":
         if opts.get("spec") is None:
             raise ValueError("synth needs --spec")
-        return cmd_synth(opts["spec"], opts.get("out", "synth_out"))
+        return cmd_synth(opt("spec", str), opt("out", str, "synth_out"))
     if args.command == "cluster-prompts":
         if not opts.get("pools"):
             raise ValueError("cluster-prompts needs --pools")
-        clusters = opts.get("clusters", [3])
-        if not isinstance(clusters, list):
-            raise ValueError(f"{args.config}: key 'clusters' must be a list of integers")
-        return cmd_cluster_prompts(opts["pools"],
-                                   [_typed(c, int, "clusters", args.config) for c in clusters],
-                                   _typed(opts.get("seed", 0), int, "seed", args.config),
-                                   opts.get("out", "prototypes_out"))
+        return cmd_cluster_prompts(opt("pools", str, many=True), opt("clusters", int, [3], many=True),
+                                   opt("seed", int, 0), opt("out", str, "prototypes_out"))
     raise ValueError(f"unknown command {args.command!r}")
 
 

@@ -17,7 +17,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .store import EmbeddingMatrix, _lock, l2_normalize, load_matrix, save_matrix
+from .store import (
+    EmbeddingMatrix,
+    _lock,
+    l2_normalize,
+    load_json,
+    load_matrix,
+    save_matrix,
+    typed,
+    typed_list,
+)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
@@ -242,10 +251,9 @@ def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
     The sidecar holds ``{"boundaries": [0, t, 2t, ..., n]}`` — row offsets
     delimiting each class's templates in the stacked matrix.
     """
+    doc = load_json(boundaries_path, "pool boundaries", ("boundaries",), required=("boundaries",))
+    bounds = typed_list(doc["boundaries"], int, "boundaries", boundaries_path)
     stacked = l2_normalize(load_matrix(matrix_path))
-    with open(boundaries_path, encoding="utf-8") as f:
-        doc = json.load(f)
-    bounds = [int(b) for b in doc.get("boundaries", [])]
     if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != stacked.count:
         raise ValueError(
             f"{boundaries_path}: boundaries must start at 0 and end at {stacked.count}"
@@ -260,17 +268,16 @@ def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:
     """Load a pre-built prototype matrix plus its JSON class map."""
+    doc = load_json(classes_path, "prototype class map", ("class_of", "clusters_per_class"),
+                    required=("class_of",))
+    class_of = typed_list(doc["class_of"], int, "class_of", classes_path)
+    clusters = typed(doc.get("clusters_per_class", 1), int, "clusters_per_class", classes_path)
     vectors = l2_normalize(load_matrix(matrix_path))
-    with open(classes_path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if "class_of" not in doc:
-        raise ValueError(f"{classes_path}: missing field 'class_of'")
-    class_of = np.array(doc["class_of"], dtype=np.int64)
     try:
         return PrototypeSet(
             vectors=vectors,
             class_of=class_of,
-            clusters_per_class=int(doc.get("clusters_per_class", 1)),
+            clusters_per_class=clusters,
         )
     except ValueError as exc:
         raise ValueError(f"{classes_path}: {exc}") from exc

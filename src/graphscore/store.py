@@ -1,23 +1,26 @@
 """Loading, validation, and persistence of embedding matrices, label tables,
-and dataset manifests.
+dataset manifests and their JSON sidecars. Every input file is parsed here.
 
-All on-disk arrays use a deliberately restricted NPY subset: version 1.0,
-little-endian float32/float64, C-order, 2-D for embedding matrices and 1-D
-for score vectors. Files written here are always ``'<f8'`` so that a
-save/load round trip is bit-exact. Everything is widened to float64 on load;
-normalization is a separate, explicit step.
+NPY files are read and written with ``numpy.lib.format``, restricted to a
+subset: version 1.0, little-endian float32/float64, C-order, no empty axis,
+2-D for embedding matrices and 1-D for score vectors. Files written here are
+always ``'<f8'`` so that a save/load round trip is bit-exact. Everything is
+widened to float64 on load; normalization is a separate, explicit step.
+
+JSON files are read by :func:`load_json` and each field is checked by
+:func:`typed`, so bad input fails at load time naming the file and the key.
 """
 
-import ast
 import csv
 import json
-import struct
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.lib.format as npy
 
-_MAGIC = b"\x93NUMPY"
 _SUPPORTED_DESCRS = ("<f4", "<f8")
 
 # Rows with L2 norm below this are rejected by l2_normalize.
@@ -97,10 +100,12 @@ class LabelTable:
 class DatasetManifest:
     """Paths and metadata describing one scoring run's inputs.
 
-    Exactly one of ``prompt_pools`` (one NPY per class, clustered at score
-    time) or ``prototypes`` + ``prototype_classes`` (pre-built prototype
-    matrix plus its class map) must be present. All paths are resolved
-    relative to the manifest's directory at load time.
+    Exactly one prototype source must be present: ``prompt_pools`` (one NPY
+    per class, clustered at score time), ``pool_matrix`` +
+    ``pool_boundaries`` (one stacked NPY plus its row offsets), or
+    ``prototypes`` + ``prototype_classes`` (pre-built prototype matrix plus
+    its class map). All paths are resolved relative to the manifest's
+    directory at load time.
     """
 
     root: Path
@@ -117,70 +122,40 @@ class DatasetManifest:
     flags: Path = None
 
 
-def _read_npy_header(f, path):
-    magic = f.read(6)
-    if magic != _MAGIC:
-        raise NpyFormatError(f"{path}: not an NPY file (bad magic)")
-    version = f.read(2)
-    if len(version) < 2:
-        raise NpyFormatError(f"{path}: truncated version field")
-    if (version[0], version[1]) != (1, 0):
-        raise NpyFormatError(f"{path}: unsupported NPY version {(version[0], version[1])}")
-    raw_len = f.read(2)
-    if len(raw_len) < 2:
-        raise NpyFormatError(f"{path}: truncated header length")
-    (header_len,) = struct.unpack("<H", raw_len)
-    header = f.read(header_len)
-    if len(header) < header_len:
-        raise NpyFormatError(f"{path}: truncated header")
-    try:
-        meta = ast.literal_eval(header.decode("latin1").strip())
-    except (ValueError, SyntaxError) as exc:
-        raise NpyFormatError(f"{path}: malformed header") from exc
-    if not isinstance(meta, dict) or set(meta) != {"descr", "fortran_order", "shape"}:
-        raise NpyFormatError(f"{path}: malformed header (unexpected keys)")
-    return meta
-
-
-def _read_npy_payload(path, expected_rank):
+def _read_npy(path, rank) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as f:
-        meta = _read_npy_header(f, path)
-        descr = meta["descr"]
-        if descr not in _SUPPORTED_DESCRS:
-            raise NpyFormatError(f"{path}: unsupported dtype {descr!r} (need '<f4' or '<f8')")
-        if meta["fortran_order"]:
+        try:
+            version = npy.read_magic(f)
+        except ValueError as exc:
+            raise NpyFormatError(f"{path}: not an NPY file (bad magic: {exc})") from None
+        if version != (1, 0):
+            raise NpyFormatError(f"{path}: unsupported NPY version {version}")
+        try:
+            shape, fortran_order, dtype = npy.read_array_header_1_0(f)
+        except ValueError as exc:
+            raise NpyFormatError(f"{path}: malformed header ({exc})") from None
+        if dtype.str not in _SUPPORTED_DESCRS:
+            raise NpyFormatError(f"{path}: unsupported dtype {dtype.str!r} (need '<f4' or '<f8')")
+        if fortran_order:
             raise NpyFormatError(f"{path}: unsupported layout (fortran_order=True)")
-        shape = meta["shape"]
-        if not isinstance(shape, tuple) or not all(isinstance(s, int) for s in shape):
-            raise NpyFormatError(f"{path}: malformed header (shape field)")
-        if len(shape) != expected_rank:
-            raise NpyFormatError(f"{path}: unsupported rank {len(shape)} (need {expected_rank}-D)")
+        if len(shape) != rank:
+            raise NpyFormatError(f"{path}: unsupported rank {len(shape)} (need {rank}-D)")
         if any(s < 1 for s in shape):
             raise NpyFormatError(f"{path}: empty axis in shape {shape}")
-        dtype = np.dtype(descr)
-        n_items = int(np.prod(shape))
-        expected = n_items * dtype.itemsize
-        payload = f.read(expected + 1)
-        if len(payload) < expected:
-            raise NpyFormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-        if len(payload) > expected:
+        # checked against the file size, so a bad shape allocates nothing
+        expected = math.prod(shape) * dtype.itemsize
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size < expected:
+            raise NpyFormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
+        if size > expected:
             raise NpyFormatError(f"{path}: trailing bytes after payload")
-        return np.frombuffer(payload, dtype=dtype).reshape(shape)
+        return np.frombuffer(f.read(expected), dtype=dtype).reshape(shape)
 
 
 def _write_npy(path, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    header = "{'descr': '<f8', 'fortran_order': False, 'shape': %s, }" % (arr.shape,)
-    # pad so the payload starts on a 64-byte boundary, newline-terminated
-    unpadded = len(_MAGIC) + 2 + 2 + len(header) + 1
-    header = header + " " * (-unpadded % 64) + "\n"
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(bytes([1, 0]))
-        f.write(struct.pack("<H", len(header)))
-        f.write(header.encode("latin1"))
-        f.write(arr.tobytes(order="C"))
+        npy.write_array(f, np.ascontiguousarray(arr, "<f8"), version=(1, 0))
 
 
 def load_matrix(path) -> EmbeddingMatrix:
@@ -190,7 +165,7 @@ def load_matrix(path) -> EmbeddingMatrix:
     :class:`NpyFormatError` for files outside the supported subset, and
     ``ValueError`` naming the first offending row for NaN/Inf payloads.
     """
-    arr = _read_npy_payload(path, expected_rank=2)
+    arr = _read_npy(path, rank=2)
     try:
         return EmbeddingMatrix(arr)
     except ValueError as exc:
@@ -204,7 +179,7 @@ def save_matrix(matrix: EmbeddingMatrix, path) -> None:
 
 def load_vector(path) -> np.ndarray:
     """Load a 1-D float NPY file (score vectors, etc.) as float64."""
-    arr = _read_npy_payload(path, expected_rank=1).astype(np.float64)
+    arr = _read_npy(path, rank=1).astype(np.float64)
     if not np.isfinite(arr).all():
         bad = int(np.nonzero(~np.isfinite(arr))[0][0])
         raise ValueError(f"{path}: entry {bad} is non-finite")
@@ -310,77 +285,108 @@ def save_flags(is_id, path) -> None:
             writer.writerow([i, int(flag)])
 
 
-def _resolve(root: Path, value):
-    if value is None:
-        return None
-    p = Path(value)
-    return p if p.is_absolute() else root / p
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def load_json(path, what, keys, required=()) -> dict:
+    """Read the JSON object in ``path``, a ``what`` file.
+
+    Malformed JSON, any other top-level value, a repeated key, a key outside
+    ``keys`` and a missing ``required`` key are errors naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+
+    def unique(pairs):
+        # json keeps the last of repeated keys; a repeat is an error instead
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated keys {repeated}")
+        return dict(pairs)
+
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f, object_pairs_hook=unique)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"{path}: unknown {what} keys {unknown}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    return doc
+
+
+def typed(value, typ, key, source):
+    """``value`` as ``typ``. Only whole numbers are integers and no value may
+    be null; anything else is an error naming ``source`` and ``key``."""
+    if typ is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (typ is float or float(value).is_integer()))
+    if not ok:
+        raise ValueError(f"{source}: key {key!r} must be {_TYPE_NAMES[typ]}, "
+                         f"got {json.dumps(value)}")
+    return typ(value)
+
+
+def typed_list(values, typ, key, source) -> list:
+    """``values``, a list, with each entry checked by :func:`typed`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{source}: key {key!r} must be a list, got {json.dumps(values)}")
+    return [typed(v, typ, f"{key}[{i}]", source) for i, v in enumerate(values)]
+
+
+# manifest keys naming one file each, resolved against the manifest's directory
+_MANIFEST_FILES = ("unlabeled", "pool_matrix", "pool_boundaries", "prototypes",
+                   "prototype_classes", "labeled", "labels", "flags")
 
 
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a JSON dataset manifest.
 
-    Checks that referenced files exist, that ``class_names`` matches
-    ``C_in``, and that exactly one prototype source (``prompt_pools`` or
-    ``prototypes``) is declared.
+    Checks the type of every field, that referenced files exist, that
+    ``class_names`` matches ``C_in``, and that exactly one prototype source
+    (``prompt_pools``, ``pool_matrix`` or ``prototypes``) is declared.
+    Unknown keys and null values are errors.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    root = path.parent
-    for key in ("unlabeled", "C_in", "class_names"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing required field {key!r}")
-    c_in = int(doc["C_in"])
-    class_names = tuple(str(n) for n in doc["class_names"])
+    doc = load_json(path, "manifest", ("C_in", "class_names", "prompt_pools", *_MANIFEST_FILES),
+                    required=("unlabeled", "C_in", "class_names"))
+    c_in = typed(doc["C_in"], int, "C_in", path)
+    class_names = tuple(typed_list(doc["class_names"], str, "class_names", path))
     if len(class_names) != c_in:
         raise ValueError(
             f"{path}: class_names has {len(class_names)} entries, C_in is {c_in}"
         )
-    pools = doc.get("prompt_pools")
-    pool_matrix = doc.get("pool_matrix")
-    protos = doc.get("prototypes")
-    n_sources = sum(x is not None for x in (pools, pool_matrix, protos))
-    if n_sources != 1:
+    files = {key: path.parent / typed(doc[key], str, key, path)
+             for key in _MANIFEST_FILES if key in doc}
+    if sum(key in doc for key in ("prompt_pools", "pool_matrix", "prototypes")) != 1:
         raise ValueError(
             f"{path}: exactly one of prompt_pools, pool_matrix, or prototypes required"
         )
-    if pools is not None:
+    pools = None
+    if "prompt_pools" in doc:
+        pools = tuple(path.parent / p
+                      for p in typed_list(doc["prompt_pools"], str, "prompt_pools", path))
         if len(pools) != c_in:
             raise ValueError(f"{path}: prompt_pools needs one file per class ({c_in})")
-        pools = tuple(_resolve(root, p) for p in pools)
-    if pool_matrix is not None and doc.get("pool_boundaries") is None:
-        raise ValueError(f"{path}: pool_matrix requires pool_boundaries")
-    if protos is not None and doc.get("prototype_classes") is None:
-        raise ValueError(f"{path}: prototypes requires prototype_classes")
-    manifest = DatasetManifest(
-        root=root,
-        unlabeled=_resolve(root, doc["unlabeled"]),
-        c_in=c_in,
-        class_names=class_names,
-        prompt_pools=pools,
-        pool_matrix=_resolve(root, pool_matrix),
-        pool_boundaries=_resolve(root, doc.get("pool_boundaries")),
-        prototypes=_resolve(root, protos),
-        prototype_classes=_resolve(root, doc.get("prototype_classes")),
-        labeled=_resolve(root, doc.get("labeled")),
-        labels=_resolve(root, doc.get("labels")),
-        flags=_resolve(root, doc.get("flags")),
-    )
-    if manifest.labeled is not None and manifest.labels is None:
-        raise ValueError(f"{path}: labeled embeddings require a labels file")
-    for name in ("unlabeled", "pool_matrix", "pool_boundaries", "prototypes",
-                 "prototype_classes", "labeled", "labels", "flags"):
-        p = getattr(manifest, name)
-        if p is not None and not Path(p).exists():
+    for needs, key in (("pool_matrix", "pool_boundaries"), ("prototypes", "prototype_classes"),
+                       ("labeled", "labels")):
+        if needs in files and key not in files:
+            raise ValueError(f"{path}: {needs} requires {key}")
+    for p in (*files.values(), *(pools or ())):
+        if not p.exists():
             raise FileNotFoundError(f"{path}: referenced file does not exist: {p}")
-    if manifest.prompt_pools is not None:
-        for p in manifest.prompt_pools:
-            if not Path(p).exists():
-                raise FileNotFoundError(f"{path}: referenced file does not exist: {p}")
-    return manifest
+    return DatasetManifest(root=path.parent, c_in=c_in, class_names=class_names,
+                           prompt_pools=pools, **files)

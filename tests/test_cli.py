@@ -1,4 +1,6 @@
 import json
+import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from graphscore import cli, propagation
 from graphscore.cli import METHODS, main
 from graphscore.prompts import load_prototypes, mean_prototypes
+from graphscore.synth import bridge_benchmark_spec
 from graphscore.store import (
     EmbeddingMatrix,
     load_vector,
@@ -374,3 +377,113 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["score", "--manifest", "x.json", "--method", "bogus"])
     assert exc.value.code == 2
+
+
+def _assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for name in names:
+        assert name in err, (name, err)
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"C_in": None}, "'C_in'"),
+    ({"C_in": "x"}, "'C_in'"),
+    ({"unlabeled": 5}, "'unlabeled'"),
+    ({"unlabeled": None}, "'unlabeled'"),
+    ({"flags": ["a"]}, "'flags'"),
+    ({"class_names": "ab"}, "'class_names'"),
+    ({"class_names": ["a", 3]}, "'class_names[1]'"),
+    ({"flag": "flags.csv"}, "'flag'"),
+    ({"prototypes": None, "prototype_classes": None, "prompt_pools": ["a.npy", 7]},
+     "'prompt_pools[1]'"),
+])
+def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
+    data_dir = _synth_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest.update(edit)
+    if "prompt_pools" in edit:
+        del manifest["prototypes"], manifest["prototype_classes"]
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(capsys, "edited_manifest.json", key)
+    assert not run_dir.exists()
+
+
+def _pool_matrix_dataset(tmp_path):
+    """The bridge preset with its prototypes replaced by a stacked pool."""
+    data_dir = _synth_dataset(tmp_path)
+    pools = [np.load(p) for p in _write_pools(tmp_path, dim=16)]
+    save_matrix(EmbeddingMatrix(np.vstack(pools)), data_dir / "pool.npy")
+    (data_dir / "pool_bounds.json").write_text('{"boundaries": [0, 8, 16]}', encoding="utf-8")
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["prototypes"], manifest["prototype_classes"]
+    manifest.update(pool_matrix="pool.npy", pool_boundaries="pool_bounds.json")
+    return data_dir, manifest
+
+
+@pytest.mark.parametrize("sidecar, text, names", [
+    ("prototype_classes.json", '{"class_of": [0, 1.5]}', ["'class_of[1]'"]),
+    ("prototype_classes.json", '{"class_of": null}', ["'class_of'"]),
+    ("prototype_classes.json", '{"class_of": [0, 1],\n"clusters_per_clas": 1}',
+     ["'clusters_per_clas'"]),
+    ("prototype_classes.json", '{"class_of": [0, 1]\n"clusters_per_class": 1}',
+     ["line 2 column 1"]),
+    ("pool_bounds.json", '{"boundaries": [0, 3.9, 16]}', ["'boundaries[1]'"]),
+    ("pool_bounds.json", '[0, 8, 16]', ["JSON object"]),
+    ("pool_bounds.json", '{"boundaries": [0, 8, 16]\n}}', ["line 2 column 2"]),
+])
+def test_bad_sidecar_named_before_scoring(tmp_path, capsys, sidecar, text, names):
+    data_dir, pool_manifest = _pool_matrix_dataset(tmp_path)
+    # the boundaries belong to the pool manifest, the class map to the synthetic one
+    manifest = (pool_manifest if sidecar == "pool_bounds.json"
+                else json.loads((data_dir / "manifest.json").read_text()))
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 0
+    (data_dir / sidecar).write_text(text, encoding="utf-8")
+    shutil.rmtree(run_dir)
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(capsys, sidecar, *names)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"preset": "bridge_benchmark", "bogus": 1}, "'bogus'"),
+    ({"preset": "bridge_benchmark", "seed": 1.5}, "'seed'"),
+    ({"preset": ["bridge_benchmark"]}, "'preset'"),
+    ({"seed": "1"}, "'seed'"),
+    ({"id_counts": [10, "a"]}, "'id_counts[1]'"),
+])
+def test_bad_synth_spec_key_named(tmp_path, capsys, spec, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 1
+    _assert_one_error_line(capsys, "spec.json", key)
+    assert not (tmp_path / "d").exists()
+
+
+def test_explicit_synth_spec_equals_its_preset(tmp_path):
+    preset = _synth_dataset(tmp_path / "preset", seed=5)
+    spec = asdict(bridge_benchmark_spec(seed=5))
+    spec["id_counts"] = list(spec["id_counts"])
+    spec_path = tmp_path / "explicit.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "explicit")]) == 0
+    for name in ("unlabeled.npy", "prototypes.npy", "flags.csv", "manifest.json"):
+        assert (preset / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("eval", {"scores": "s.npy", "flags": "f.csv"}, "'scores'"),
+    ("eval", {"scores": ["s.npy"], "flags": "f.csv", "names": [1]}, "'names[0]'"),
+    ("eval", {"scores": ["s.npy"], "flags": "f.csv", "out": 5}, "'out'"),
+    ("synth", {"spec": 3}, "'spec'"),
+    ("cluster-prompts", {"pools": "p.npy"}, "'pools'"),
+    ("cluster-prompts", {"pools": ["p.npy"], "clusters": [2, 2.5]}, "'clusters[1]'"),
+    ("cluster-prompts", {"pools": ["p.npy"], "out": None}, "'out'"),
+])
+def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path)]) == 1
+    _assert_one_error_line(capsys, "run.json", key)

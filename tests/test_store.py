@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +108,42 @@ def test_trailing_bytes(tmp_path):
         load_matrix(path)
 
 
+def _npy(header, payload=b""):
+    """Raw NPY v1.0 bytes with ``header`` padded as numpy pads it."""
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header.encode() + payload
+
+
+_HEADER_2X2 = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }"
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"\x93NUMPY\x01", id="seven_bytes"),
+    pytest.param(b"\x93NUMPY\x01\x00\x76", id="truncated_header_length"),
+    pytest.param(_npy(_HEADER_2X2)[:40], id="truncated_header"),
+    pytest.param(_npy("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), 'x': 1, }",
+                      bytes(32)), id="unexpected_header_key"),
+    pytest.param(_npy("{'descr': '<f8', 'fortran_order': False, 'shape': (2.0, 2), }",
+                      bytes(32)), id="non_integer_shape"),
+    pytest.param(_npy("{'descr': '<f8', 'fortran_order': False, 'shape': (0, 2), }"),
+                 id="empty_axis"),
+])
+def test_malformed_npy_names_the_file(tmp_path, raw):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(raw)
+    with pytest.raises(NpyFormatError, match=re.escape(str(path))):
+        load_matrix(path)
+
+
+def test_payload_length_checked_before_reading(tmp_path):
+    # a header claiming 160 GB is refused from the file size, not by reading
+    path = tmp_path / "m.npy"
+    path.write_bytes(_npy("{'descr': '<f8', 'fortran_order': False, 'shape': (200000, 100000), }",
+                          bytes(64)))
+    with pytest.raises(NpyFormatError, match="truncated payload \\(64 of 160000000000 bytes\\)"):
+        load_matrix(path)
+
+
 def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(17)
     data = rng.standard_normal((17, 8))
@@ -134,6 +173,29 @@ def test_save_one_by_one(tmp_path):
 def test_save_empty_path_errors():
     with pytest.raises(OSError):
         save_matrix(EmbeddingMatrix([[0.5]]), "")
+
+
+def test_save_writes_exactly_the_given_path(tmp_path):
+    save_matrix(EmbeddingMatrix([[0.5, 1.0]]), tmp_path / "protos")
+    save_vector(np.ones(3), tmp_path / "scores.bin")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["protos", "scores.bin"]
+    assert load_matrix(tmp_path / "protos").data.tolist() == [[0.5, 1.0]]
+    assert load_vector(tmp_path / "scores.bin").tolist() == [1.0, 1.0, 1.0]
+
+
+@given(st.one_of(st.tuples(st.integers(1, 100_000)),
+                 st.tuples(st.integers(1, 1000), st.integers(1, 1000))),
+       st.sampled_from(["<f4", "<f8"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_saved_bytes_equal_numpy_save(tmp_path_factory, shape, dtype, seed):
+    out = tmp_path_factory.mktemp("npy")
+    data = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    if data.ndim == 2:
+        save_matrix(EmbeddingMatrix(data), out / "ours.npy")
+    else:
+        save_vector(data, out / "ours.npy")
+    np.save(out / "numpy.npy", data.astype("<f8"))
+    assert (out / "ours.npy").read_bytes() == (out / "numpy.npy").read_bytes()
 
 
 def test_vector_round_trip(tmp_path):
@@ -332,3 +394,18 @@ def test_manifest_invalid_json_reports_position(tmp_path):
     path.write_text('{"unlabeled": }', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1 column 15"):
         load_manifest(path)
+
+
+def test_manifest_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"unlabeled": "\xff"}')
+    with pytest.raises(ValueError, match="manifest.json: not UTF-8 text"):
+        load_manifest(path)
+
+
+def test_manifest_repeated_key_names_the_file(tmp_path):
+    doc = _write_dataset(tmp_path)
+    text = json.dumps(doc).replace('"C_in": 2', '"C_in": 3, "C_in": 2')
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="manifest.json: repeated keys \\['C_in'\\]"):
+        load_manifest(tmp_path / "manifest.json")
