@@ -215,3 +215,153 @@ def test_load_pooled_matrix_with_boundaries(tmp_path):
     )
     with pytest.raises(ValueError, match="boundaries"):
         load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bad.json")
+
+
+# A verbatim copy of the per-class K-means that the batched implementation
+# replaced. Prototypes must match it byte for byte, including the rare
+# k-means++ and empty-cluster branches.
+
+def _ref_rng(seed: int, stream: int) -> np.random.Generator:
+    # one PCG64 stream per (seed, class) so classes cluster independently
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
+
+
+def _ref_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    chosen = [int(rng.integers(n))]
+    centers[0] = points[chosen[0]]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            # all remaining mass sits on already-chosen points; take the
+            # lowest-index point not yet used
+            rest = [i for i in range(n) if i not in chosen]
+            idx = rest[0]
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        chosen.append(idx)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _ref_assign(points: np.ndarray, centers: np.ndarray):
+    # squared distances; argmin breaks ties toward the lowest center index
+    d2 = (
+        np.sum(points ** 2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers ** 2, axis=1)[None, :]
+    )
+    return np.argmin(d2, axis=1), d2
+
+
+def _ref_repair_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
+    counts = np.bincount(assign, minlength=k)
+    for c in range(k):
+        if counts[c] > 0:
+            continue
+        own = d2[np.arange(assign.size), assign]
+        eligible = counts[assign] >= 2
+        if not eligible.any():  # cannot happen for k <= n, kept as a guard
+            raise RuntimeError("no donor point for empty cluster repair")
+        masked = np.where(eligible, own, -np.inf)
+        donor = int(np.argmax(masked))  # farthest point; argmax ties -> lowest index
+        counts[assign[donor]] -= 1
+        assign[donor] = c
+        counts[c] += 1
+    return assign
+
+
+def _ref_lloyd(points: np.ndarray, k: int, seed: int, stream: int):
+    n = points.shape[0]
+    if k == 1:
+        centers = points.mean(axis=0, keepdims=True)
+        obj = float(np.sum((points - centers[0]) ** 2))
+        return centers, np.zeros(n, dtype=np.int64), [obj]
+    rng = _ref_rng(seed, stream)
+    centers = _ref_kmeans_pp_init(points, k, rng)
+    history = []
+    for _ in range(100):
+        assign, d2 = _ref_assign(points, centers)
+        assign = _ref_repair_empty(assign, d2, k)
+        new_centers = np.empty_like(centers)
+        for c in range(k):
+            new_centers[c] = points[assign == c].mean(axis=0)
+        history.append(float(np.sum((points - new_centers[assign]) ** 2)))
+        movement = np.max(np.linalg.norm(new_centers - centers, axis=1))
+        centers = new_centers
+        if movement < 1e-6:
+            break
+    if len(history) > 1:
+        drift = np.diff(history)
+        if (drift > 1e-9).any():
+            raise RuntimeError("k-means objective increased between iterations")
+    order = np.lexsort(centers.T[::-1])
+    centers = centers[order]
+    assign, _ = _ref_assign(points, centers)
+    return centers, assign, history
+
+
+def _ref_cluster(stack: np.ndarray, n_c: int, seed: int) -> np.ndarray:
+    """Per-class clustering and normalization, as ``cluster_prompts`` did it."""
+    all_centers = []
+    for c, points in enumerate(stack):
+        centers, _, _ = _ref_lloyd(points, n_c, seed, stream=c)
+        norms = np.linalg.norm(centers, axis=1)
+        all_centers.append(centers / norms[:, None])
+    return np.vstack(all_centers)
+
+
+def _ref_means(stack: np.ndarray) -> np.ndarray:
+    """Per-class normalized means, as ``mean_prototypes`` computed them."""
+    centers = []
+    for points in stack:
+        mean = points.mean(axis=0, keepdims=True)
+        centers.append(mean / float(np.linalg.norm(mean)))
+    return np.vstack(centers)
+
+
+def _unit_stack(rng, n_classes, templates, dim):
+    return np.stack([random_unit_rows(rng, templates, dim) for _ in range(n_classes)])
+
+
+def _as_pool(stack):
+    return PromptPool(tuple(EmbeddingMatrix(points) for points in stack))
+
+
+def _assert_matches_reference(stack, n_c, seeds):
+    pool = _as_pool(stack)
+    for seed in seeds:
+        got = cluster_prompts(pool, n_c, seed).vectors.data
+        assert got.tobytes() == _ref_cluster(stack, n_c, seed).tobytes(), seed
+
+
+def test_duplicate_templates_match_reference():
+    # [a, a, a, b] with k=3: k-means++ runs out of mass (total == 0) and the
+    # duplicate center's cluster comes back empty and is repaired
+    rng = np.random.default_rng(21)
+    ab = _unit_stack(rng, 6, 2, 8)
+    stack = ab[:, [0, 0, 0, 1]]
+    _assert_matches_reference(stack, 3, seeds=range(8))
+
+
+def test_one_cluster_per_template_matches_reference():
+    stack = _unit_stack(np.random.default_rng(22), 5, 6, 4)
+    _assert_matches_reference(stack, 6, seeds=(0, 3))
+
+
+def test_clamped_cluster_count_matches_reference():
+    stack = _unit_stack(np.random.default_rng(23), 4, 5, 6)
+    with pytest.warns(UserWarning, match="clamping"):
+        got = cluster_prompts(_as_pool(stack), 8, seed=2).vectors.data
+    assert got.tobytes() == _ref_cluster(stack, 5, 2).tobytes()
+
+
+def test_means_match_reference():
+    stack = _unit_stack(np.random.default_rng(24), 30, 80, 512)
+    got = mean_prototypes(_as_pool(stack)).vectors.data
+    assert got.tobytes() == _ref_means(stack).tobytes()
