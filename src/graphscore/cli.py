@@ -21,14 +21,8 @@ from pathlib import Path
 from . import metrics, store, synth
 from .baselines import BaselineConfig, cosine_scores, manifold_score
 from .graph import build_adjacency
-from .prompts import (
-    cluster_prompts,
-    load_pooled_matrix,
-    load_prompt_pools,
-    load_prototypes,
-    mean_prototypes,
-    save_prototypes,
-)
+from .prompts import (cluster_prompts, load_pooled_matrix, load_prompt_pools, load_prototypes,
+                      mean_prototypes, save_prototypes)
 from .propagation import PropagationConfig, run_gsp
 from .store import l2_normalize, load_labels, load_matrix
 
@@ -268,10 +262,7 @@ def cmd_cluster_prompts(pool_paths, clusters, seed, out_dir) -> int:
     if any(n_c < 1 for n_c in clusters):
         raise ValueError(f"cluster counts must be >= 1, got {clusters}")
     pool = load_prompt_pools(pool_paths)
-    results = [
-        (n_c, cluster_prompts(pool, n_c, seed) if n_c > 1 else mean_prototypes(pool))
-        for n_c in clusters
-    ]
+    results = [(n_c, cluster_prompts(pool, n_c, seed)) for n_c in clusters]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     many = len(clusters) > 1

@@ -68,6 +68,9 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
+
 
 @dataclass(frozen=True)
 class LabelTable:
@@ -200,12 +203,16 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     Raises ``ValueError`` naming the first row whose norm is (numerically)
     zero. Idempotent up to ~1e-16 per entry.
     """
-    norms = np.linalg.norm(matrix.data, axis=1)
+    return EmbeddingMatrix(matrix.data / row_norms(matrix.data)[:, None])
+
+
+def row_norms(data: np.ndarray) -> np.ndarray:
+    """Row L2 norms of ``data``; a (numerically) zero norm is an error naming its row."""
+    norms = np.linalg.norm(data, axis=1)
     small = norms < _NORM_EPS
     if small.any():
-        row = int(np.nonzero(small)[0][0])
-        raise ValueError(f"zero-norm row {row}")
-    return EmbeddingMatrix(matrix.data / norms[:, None])
+        raise ValueError(f"zero-norm row {int(np.argmax(small))}")
+    return norms
 
 
 def load_labels(path, matrix: EmbeddingMatrix, c_in: int) -> LabelTable:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graphscore import prompts
 from graphscore.prompts import (
     PromptPool,
     PrototypeSet,
@@ -42,12 +43,14 @@ def _two_bundles(rng, dim=6, per_bundle=4, spread=0.03):
 
 def test_single_cluster_equals_mean():
     rng = np.random.default_rng(0)
-    pool = _pool(rng)
-    for seed in (0, 1, 17):
-        clustered = cluster_prompts(pool, 1, seed)
+    # d=512 as well: a per-row norm(axis=1) differs from the mean's dot-product
+    # norm in the last bit of about one row in five
+    for pool in (_pool(rng), PromptPool(_unit_stack(rng, 50, 80, 512))):
         averaged = mean_prototypes(pool)
-        np.testing.assert_array_equal(clustered.vectors.data, averaged.vectors.data)
-        np.testing.assert_array_equal(clustered.class_of, averaged.class_of)
+        for seed in (0, 1, 17):
+            clustered = cluster_prompts(pool, 1, seed)
+            assert clustered.vectors.data.tobytes() == averaged.vectors.data.tobytes()
+            np.testing.assert_array_equal(clustered.class_of, averaged.class_of)
 
 
 def test_mean_prototype_is_normalized_mean():
@@ -147,14 +150,27 @@ def test_empty_pool_rejected():
         PromptPool(())
 
 
-def test_pool_shape_validation():
-    a = EmbeddingMatrix(random_unit_rows(np.random.default_rng(0), 4, 3))
-    b = EmbeddingMatrix(random_unit_rows(np.random.default_rng(1), 5, 3))
-    with pytest.raises(ValueError, match="template count"):
-        PromptPool((a, b))
-    c = EmbeddingMatrix(random_unit_rows(np.random.default_rng(2), 4, 6))
-    with pytest.raises(ValueError, match="dim"):
-        PromptPool((a, c))
+def test_pool_shape_validation(tmp_path):
+    stack = _unit_stack(np.random.default_rng(0), 2, 4, 3)
+    assert PromptPool(stack).data.shape == (2, 4, 3)
+    with pytest.raises(ValueError, match="got \\(4, 3\\)"):
+        PromptPool(stack[0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PromptPool(np.where(np.arange(6).reshape(1, 2, 3) == 4, bad, 1.0))
+    rng = np.random.default_rng(1)
+    save_matrix(EmbeddingMatrix(stack[0]), tmp_path / "first.npy")
+    save_matrix(EmbeddingMatrix(random_unit_rows(rng, 5, 3)), tmp_path / "more.npy")
+    save_matrix(EmbeddingMatrix(random_unit_rows(rng, 4, 6)), tmp_path / "wider.npy")
+    first = tmp_path / "first.npy"
+    with pytest.raises(ValueError, match=r"more\.npy: shape \(5, 3\) differs from .*first\.npy: \(4, 3\)"):
+        load_prompt_pools([first, tmp_path / "more.npy"])
+    with pytest.raises(ValueError, match=r"wider\.npy: shape \(4, 6\) differs"):
+        load_prompt_pools([first, tmp_path / "wider.npy"])
+    zero = np.vstack([stack[1][:2], np.zeros((1, 3)), stack[1][3:]])
+    save_matrix(EmbeddingMatrix(zero), tmp_path / "zero.npy")
+    with pytest.raises(ValueError, match=r"zero\.npy: zero-norm row 2"):
+        load_prompt_pools([first, tmp_path / "zero.npy"])
 
 
 def test_prototype_set_requires_unit_rows():
@@ -192,11 +208,9 @@ def test_load_pools_per_class(tmp_path):
         save_matrix(EmbeddingMatrix(2.0 * random_unit_rows(rng, 5, 4)), p)
         paths.append(p)
     pool = load_prompt_pools(paths)
-    assert pool.n_classes == 3 and pool.template_count == 5
+    assert pool.data.shape == (3, 5, 4)
     # loader normalizes rows
-    np.testing.assert_allclose(
-        np.linalg.norm(pool.per_class[0].data, axis=1), 1.0, atol=1e-12
-    )
+    np.testing.assert_allclose(np.linalg.norm(pool.data, axis=2), 1.0, atol=1e-12)
 
 
 def test_load_pooled_matrix_with_boundaries(tmp_path):
@@ -209,12 +223,17 @@ def test_load_pooled_matrix_with_boundaries(tmp_path):
         json.dumps({"boundaries": [0, 6, 12]}), encoding="utf-8"
     )
     pool = load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bounds.json")
-    assert pool.n_classes == 2 and pool.template_count == 6
+    assert pool.data.shape == (2, 6, 4)
     (tmp_path / "bad.json").write_text(
         json.dumps({"boundaries": [0, 5, 11]}), encoding="utf-8"
     )
     with pytest.raises(ValueError, match="boundaries"):
         load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bad.json")
+    (tmp_path / "uneven.json").write_text(
+        json.dumps({"boundaries": [0, 5, 12]}), encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"uneven\.json: .*hold \[5, 7\] templates"):
+        load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "uneven.json")
 
 
 # A verbatim copy of the per-class K-means that the batched implementation
@@ -338,6 +357,14 @@ def _assert_matches_reference(stack, n_c, seeds):
     for seed in seeds:
         got = cluster_prompts(pool, n_c, seed).vectors.data
         assert got.tobytes() == _ref_cluster(stack, n_c, seed).tobytes(), seed
+        centers, assign, histories = _lloyd(stack, n_c, seed, stream=0)
+        for c, points in enumerate(stack):
+            ref_centers, ref_assign, ref_history = _ref_lloyd(points, n_c, seed, c)
+            assert centers[c].tobytes() == ref_centers.tobytes()
+            assert assign[c].tobytes() == ref_assign.tobytes()
+            # the same objectives, summed in another order: float64 rounding
+            # over a few hundred terms of size <= 4
+            np.testing.assert_allclose(histories[c], ref_history, rtol=1e-12, atol=1e-12)
 
 
 def test_duplicate_templates_match_reference():
@@ -365,3 +392,21 @@ def test_means_match_reference():
     stack = _unit_stack(np.random.default_rng(24), 30, 80, 512)
     got = mean_prototypes(_as_pool(stack)).vectors.data
     assert got.tobytes() == _ref_means(stack).tobytes()
+
+
+def test_blocks_of_classes_match_reference():
+    # one block and three classes more, clustered from noisy bundles whose
+    # spread grows with the class, so classes settle after different numbers
+    # of Lloyd iterations
+    rng = np.random.default_rng(25)
+    n_t, dim, k = 80, 512, 3
+    n_classes = prompts.LLOYD_BLOCK_BYTES // (n_t * dim * 8) + 3
+    stack = np.empty((n_classes, n_t, dim))
+    for c in range(n_classes):
+        centers = random_unit_rows(rng, k, dim)
+        noise = (1.5 + 0.15 * c) / np.sqrt(dim) * rng.standard_normal((n_t, dim))
+        rows = centers[rng.integers(k, size=n_t)] + noise
+        stack[c] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    iterations = {len(_ref_lloyd(points, k, 0, c)[2]) for c, points in enumerate(stack)}
+    assert len(iterations) > 2, iterations
+    _assert_matches_reference(stack, k, seeds=(0,))
