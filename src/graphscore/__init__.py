@@ -1,12 +1,11 @@
 """Training-free out-of-distribution scoring over embedding KNN graphs."""
 
-from .baselines import BaselineConfig, cosine_scores, manifold_score
+from .baselines import cosine_scores, manifold_score
 from .graph import BlockAdjacency, NodePartition, build_adjacency, normalize
 from .metrics import EvalReport, auroc, evaluate, fpr_at_tpr
 from .prompts import PromptPool, PrototypeSet, cluster_prompts, mean_prototypes
 from .propagation import (
     PropagationConfig,
-    PseudoPromptSelection,
     propagate,
     run_gsp,
     select_pseudo_prompts,
@@ -16,13 +15,14 @@ from .store import (
     EmbeddingMatrix,
     LabelTable,
     NpyFormatError,
-    l2_normalize,
     load_labels,
     load_manifest,
     load_matrix,
+    load_unit_matrix,
     load_vector,
     save_matrix,
     save_vector,
+    unit_rows,
 )
 from .synth import (
     SynthDataset,
@@ -35,13 +35,12 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig", "BlockAdjacency", "DatasetManifest", "EmbeddingMatrix",
-    "EvalReport", "LabelTable", "NodePartition", "NpyFormatError", "PromptPool",
-    "PropagationConfig", "PrototypeSet", "PseudoPromptSelection", "SynthDataset",
-    "SynthSpec", "auroc", "blob_benchmark_spec", "bridge_benchmark_spec",
-    "build_adjacency", "cluster_prompts", "cosine_scores", "evaluate",
-    "fpr_at_tpr", "generate", "l2_normalize", "load_labels", "load_manifest",
-    "load_matrix", "load_vector", "manifold_score", "mean_prototypes",
-    "normalize", "propagate", "run_gsp", "save_matrix", "save_vector",
-    "select_pseudo_prompts",
+    "BlockAdjacency", "DatasetManifest", "EmbeddingMatrix", "EvalReport",
+    "LabelTable", "NodePartition", "NpyFormatError", "PromptPool",
+    "PropagationConfig", "PrototypeSet", "SynthDataset", "SynthSpec", "auroc",
+    "blob_benchmark_spec", "bridge_benchmark_spec", "build_adjacency",
+    "cluster_prompts", "cosine_scores", "evaluate", "fpr_at_tpr", "generate",
+    "load_labels", "load_manifest", "load_matrix", "load_unit_matrix",
+    "load_vector", "manifold_score", "mean_prototypes", "normalize", "propagate",
+    "run_gsp", "save_matrix", "save_vector", "select_pseudo_prompts", "unit_rows",
 ]

@@ -7,47 +7,33 @@ labeled node over the graph's L2 edge distances and scores each unlabeled
 node by the reciprocal of its shortest-path distance.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import BlockAdjacency
 from .prompts import PrototypeSet
-from .store import EmbeddingMatrix
 
 
 # added to every shortest-path distance, so a zero-distance hit scores 1/EPSILON
 EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-
-
-def cosine_scores(samples, prototypes: PrototypeSet,
-                  cfg: BaselineConfig = None) -> np.ndarray:
+def cosine_scores(samples, prototypes: PrototypeSet, temperature: float = 1.0) -> np.ndarray:
     """Max-softmax cosine score for each sample row.
 
     Per class, distance is 1 minus the best cosine similarity over that
     class's prototypes; the returned score is the largest softmax weight of
     exp(-distance / temperature) across classes, in (0, 1].
     """
-    cfg = cfg or BaselineConfig()
-    if prototypes.count < 1:
-        raise ValueError("empty prototype set")
-    data = samples.data if isinstance(samples, EmbeddingMatrix) else np.asarray(samples, dtype=np.float64)
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    data = np.asarray(samples, dtype=np.float64)
     sims = data @ prototypes.vectors.data.T
     n_classes = prototypes.n_classes
     class_best = np.empty((data.shape[0], n_classes))
     for c, members in enumerate(prototypes.class_members):
         class_best[:, c] = sims[:, members].max(axis=1)
-    logits = -(1.0 - class_best) / cfg.temperature
+    logits = -(1.0 - class_best) / temperature
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)

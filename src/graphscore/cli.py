@@ -19,12 +19,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics, store, synth
-from .baselines import BaselineConfig, cosine_scores, manifold_score
+from .baselines import cosine_scores, manifold_score
 from .graph import build_adjacency
 from .prompts import (cluster_prompts, load_pooled_matrix, load_prompt_pools, load_prototypes,
                       mean_prototypes, save_prototypes)
 from .propagation import PropagationConfig, run_gsp
-from .store import l2_normalize, load_labels, load_matrix
+from .store import load_labels, load_unit_matrix
 
 log = logging.getLogger("graphscore")
 
@@ -53,16 +53,14 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
-        # alpha, iterations, m_percent and tau are checked by the configs they feed
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        # alpha, iterations and m_percent are checked by the config they feed
         self.propagation()
-        self.baseline()
 
     def propagation(self) -> PropagationConfig:
         return PropagationConfig(alpha=self.alpha, iterations=self.iterations,
                                  m_percent=self.m_percent)
-
-    def baseline(self) -> BaselineConfig:
-        return BaselineConfig(temperature=self.tau)
 
 
 @dataclass
@@ -77,10 +75,10 @@ class DatasetBundle:
 def load_dataset(manifest_path) -> DatasetBundle:
     """Load and normalize everything a manifest references."""
     manifest = store.load_manifest(manifest_path)
-    unlabeled = l2_normalize(load_matrix(manifest.unlabeled))
+    unlabeled = load_unit_matrix(manifest.unlabeled)
     labeled = None
     if manifest.labeled is not None:
-        labeled = l2_normalize(load_matrix(manifest.labeled))
+        labeled = load_unit_matrix(manifest.labeled)
         load_labels(manifest.labels, labeled, manifest.c_in)
     pool = prototypes = None
     if manifest.prompt_pools is not None:
@@ -136,7 +134,7 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
         clustered = method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
         if method == "cosine":
             t0 = time.perf_counter()
-            scores = cosine_scores(bundle.unlabeled, prototypes(clustered), cfg.baseline())
+            scores = cosine_scores(bundle.unlabeled, prototypes(clustered), cfg.tau)
             diag = {"timing_s": {"total": time.perf_counter() - t0}}
         else:
             adj, build_s = graph(clustered)
@@ -177,7 +175,7 @@ def cmd_score(cfg: RunConfig) -> int:
     if cfg.method == "all" and bundle.flags is not None:
         rows = []
         for method, scores, _ in results:
-            report = metrics.evaluate(scores, bundle.flags, method, asdict(cfg))
+            report = metrics.evaluate(scores, bundle.flags, method)
             rows.append((method, report.auroc, report.fpr95))
         _write_report_csv(rows, out / "ablation.csv")
     return 0

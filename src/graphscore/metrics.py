@@ -9,7 +9,7 @@ interpolation between observed score values.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class EvalReport:
     n_id: int
     n_ood: int
     method: str = ""
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.auroc <= 1.0:
@@ -78,9 +77,8 @@ def fpr_at_tpr(scores, is_id, tpr_target: float = 0.95) -> float:
     return float(np.count_nonzero(scores[~is_id] >= threshold)) / n_ood
 
 
-def evaluate(scores, is_id, method: str = "", config: dict = None,
-             tpr_target: float = 0.95) -> EvalReport:
-    """Bundle both metrics into a report with a config echo."""
+def evaluate(scores, is_id, method: str = "", tpr_target: float = 0.95) -> EvalReport:
+    """Bundle both metrics into a report."""
     scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
     return EvalReport(
         auroc=auroc(scores, is_id),
@@ -88,5 +86,4 @@ def evaluate(scores, is_id, method: str = "", config: dict = None,
         n_id=n_id,
         n_ood=n_ood,
         method=method,
-        config=dict(config or {}),
     )

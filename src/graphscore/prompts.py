@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .store import (EmbeddingMatrix, _lock, l2_normalize, load_json, load_matrix, row_norms,
-                    save_matrix, typed, typed_list)
+from .store import (EmbeddingMatrix, _lock, load_json, load_matrix, load_unit_matrix,
+                    save_matrix, typed, typed_list, unit_rows)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
@@ -236,14 +236,6 @@ def mean_prototypes(pool: PromptPool) -> PrototypeSet:
                         class_of=np.arange(len(means)), clusters_per_class=1)
 
 
-def _normalize_into(out: np.ndarray, rows: np.ndarray, path) -> None:
-    # store.l2_normalize's norm and divide, written into a slot of the stack
-    try:
-        np.divide(rows, row_norms(rows)[:, None], out=out)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def load_prompt_pools(paths) -> PromptPool:
     """Build a pool from one NPY file per class; rows are L2-normalized."""
     paths = list(paths)
@@ -255,7 +247,7 @@ def load_prompt_pools(paths) -> PromptPool:
         elif rows.shape != stack.shape[1:]:
             raise ValueError(f"{path}: shape {rows.shape} differs from "
                              f"{paths[0]}: {stack.shape[1:]}")
-        _normalize_into(stack[c], rows, path)
+        unit_rows(rows, path, out=stack[c])
     return PromptPool(stack)
 
 
@@ -273,7 +265,7 @@ def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
         raise ValueError(f"{boundaries_path}: boundaries must run from 0 to {rows.shape[0]} in "
                          f"equal steps; the classes hold {sizes} templates")
     stack = np.empty((len(bounds) - 1, sizes[0], rows.shape[1]))
-    _normalize_into(stack.reshape(rows.shape), rows, matrix_path)
+    unit_rows(rows, matrix_path, out=stack.reshape(rows.shape))
     return PromptPool(stack)
 
 
@@ -283,7 +275,7 @@ def load_prototypes(matrix_path, classes_path) -> PrototypeSet:
                     required=("class_of",))
     class_of = typed_list(doc["class_of"], int, "class_of", classes_path)
     clusters = typed(doc.get("clusters_per_class", 1), int, "clusters_per_class", classes_path)
-    vectors = l2_normalize(load_matrix(matrix_path))
+    vectors = load_unit_matrix(matrix_path)
     try:
         return PrototypeSet(vectors=vectors, class_of=class_of, clusters_per_class=clusters)
     except ValueError as exc:

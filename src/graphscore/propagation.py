@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import BlockAdjacency, NodePartition, normalize
-from .store import _lock
 
 
 @dataclass(frozen=True)
@@ -34,24 +33,6 @@ class PropagationConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.m_percent < 50.0:
             raise ValueError(f"m_percent must be in (0, 50), got {self.m_percent}")
-
-
-@dataclass(frozen=True)
-class PseudoPromptSelection:
-    """Unlabeled nodes promoted to pseudo prompts, as global node indices."""
-
-    positives: np.ndarray
-    negatives: np.ndarray
-    pos_threshold: float
-    neg_threshold: float
-
-    def __post_init__(self):
-        pos = np.array(self.positives, dtype=np.int64, copy=True)
-        neg = np.array(self.negatives, dtype=np.int64, copy=True)
-        if np.intersect1d(pos, neg).size:
-            raise ValueError("positive and negative selections overlap")
-        object.__setattr__(self, "positives", _lock(pos))
-        object.__setattr__(self, "negatives", _lock(neg))
 
 
 def propagate(norm_adj: BlockAdjacency, s0: np.ndarray,
@@ -72,15 +53,12 @@ def propagate(norm_adj: BlockAdjacency, s0: np.ndarray,
     return s
 
 
-def pseudo_prompt_count(m_percent: float, n_unlabeled: int) -> int:
-    """Number of nodes promoted per side: round(m% of n), at least 1."""
-    return max(1, int(round(m_percent / 100.0 * n_unlabeled)))
-
-
 def select_pseudo_prompts(scores: np.ndarray, partition: NodePartition,
-                          m_percent: float) -> PseudoPromptSelection:
+                          m_percent: float):
     """Pick the q most and q least confident unlabeled nodes of ``scores``
-    (indexed like ``partition``).
+    (indexed like ``partition``), q being round(m% of the unlabeled count)
+    and at least 1. Returns ``(positives, negatives)``, global node indices
+    in selection order, so each side's last entry holds its threshold.
 
     Ties resolve toward the lower index; the low side skips any index
     already taken by the high side so the two sets never overlap.
@@ -94,20 +72,14 @@ def select_pseudo_prompts(scores: np.ndarray, partition: NodePartition,
         raise ValueError(f"score vector of shape {scores.shape} does not match "
                          f"the partition's {partition.n_total} nodes")
     unlab = scores[partition.unlabeled_slice]
-    q = pseudo_prompt_count(m_percent, partition.n_unlabeled)
+    q = max(1, int(round(m_percent / 100.0 * partition.n_unlabeled)))
     order_desc = np.argsort(-unlab, kind="stable")
     order_asc = np.argsort(unlab, kind="stable")
     pos = order_desc[:q]
     neg = order_asc[~np.isin(order_asc, pos)][:q]
     if neg.size < q:
         raise ValueError("not enough unlabeled nodes to fill both selections")
-    offset = partition.unlabeled_offset
-    return PseudoPromptSelection(
-        positives=pos.astype(np.int64) + offset,
-        negatives=neg + offset,
-        pos_threshold=float(unlab[pos[-1]]),
-        neg_threshold=float(unlab[neg[-1]]),
-    )
+    return pos + partition.unlabeled_offset, neg + partition.unlabeled_offset
 
 
 def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
@@ -141,22 +113,23 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
     final = pass1
     if part.n_unlabeled >= 2:
         t0 = time.perf_counter()
-        sel = select_pseudo_prompts(pass1, part, cfg.m_percent)
+        pos, neg = select_pseudo_prompts(pass1, part, cfg.m_percent)
         timing["select"] = time.perf_counter() - t0
         # pass 2 starts from the pass-1 initial vector with the pseudo prompts at +1/-1
-        s0[sel.positives] = 1.0
-        s0[sel.negatives] = -1.0
+        s0[pos] = 1.0
+        s0[neg] = -1.0
         t0 = time.perf_counter()
         final = propagate(norm, s0, cfg)
         timing["propagate_pass2"] = time.perf_counter() - t0
+        pos_threshold, neg_threshold = float(pass1[pos[-1]]), float(pass1[neg[-1]])
         selection = {
-            "q": int(sel.positives.size),
-            "pos_threshold": sel.pos_threshold,
-            "neg_threshold": sel.neg_threshold,
+            "q": int(pos.size),
+            "pos_threshold": pos_threshold,
+            "neg_threshold": neg_threshold,
             # unlabeled pass-1 scores equal to each threshold; the tie rule
             # picks among these by node index
-            "pos_ties": int(np.count_nonzero(unlab1 == sel.pos_threshold)),
-            "neg_ties": int(np.count_nonzero(unlab1 == sel.neg_threshold)),
+            "pos_ties": int(np.count_nonzero(unlab1 == pos_threshold)),
+            "neg_ties": int(np.count_nonzero(unlab1 == neg_threshold)),
         }
 
     timing["total"] = sum(timing.values())

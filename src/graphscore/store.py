@@ -23,7 +23,7 @@ import numpy.lib.format as npy
 
 _SUPPORTED_DESCRS = ("<f4", "<f8")
 
-# Rows with L2 norm below this are rejected by l2_normalize.
+# Rows with L2 norm below this are rejected by unit_rows.
 _NORM_EPS = 1e-12
 
 
@@ -40,23 +40,22 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 class EmbeddingMatrix:
     """Dense matrix of feature vectors, one sample per row.
 
-    The payload is copied to a contiguous float64 array and frozen on
-    construction, so instances are safe to share across threads. Rows are
-    validated to be finite; unit norm is only guaranteed after
-    :func:`l2_normalize`.
+    A float64 C-order array is adopted without a copy and made read-only, so
+    the caller's array is frozen too; anything else numpy can convert is
+    copied first. Rows are validated to be finite; unit norm is only
+    guaranteed for rows from :func:`unit_rows` or :func:`load_unit_matrix`.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        data = np.asarray(self.data, dtype=np.float64, order="C")
         if data.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got rank {data.ndim}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"embedding matrix must be at least 1x1, got shape {data.shape}")
-        bad = ~np.isfinite(data)
-        if bad.any():
-            row = int(np.nonzero(bad.any(axis=1))[0][0])
+        if not np.isfinite([data.max(), data.min()]).all():  # NaN and inf reach one of them
+            row = int(np.nonzero(~np.isfinite(data).all(axis=1))[0][0])
             raise ValueError(f"row {row} contains non-finite values")
         object.__setattr__(self, "data", _lock(data))
 
@@ -197,48 +196,50 @@ def save_vector(values, path) -> None:
     _write_npy(path, values)
 
 
-def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Return a copy of ``matrix`` with every row scaled to unit L2 norm.
-
-    Raises ``ValueError`` naming the first row whose norm is (numerically)
-    zero. Idempotent up to ~1e-16 per entry.
-    """
-    return EmbeddingMatrix(matrix.data / row_norms(matrix.data)[:, None])
-
-
-def row_norms(data: np.ndarray) -> np.ndarray:
-    """Row L2 norms of ``data``; a (numerically) zero norm is an error naming its row."""
-    norms = np.linalg.norm(data, axis=1)
+def unit_rows(rows: np.ndarray, source, out=None) -> np.ndarray:
+    """``rows`` with every row scaled to unit L2 norm, written into ``out``
+    if given. A (numerically) zero-norm row is an error naming ``source``
+    and the row."""
+    norms = np.linalg.norm(rows, axis=1)
     small = norms < _NORM_EPS
     if small.any():
-        raise ValueError(f"zero-norm row {int(np.argmax(small))}")
-    return norms
+        raise ValueError(f"{source}: zero-norm row {int(np.argmax(small))}")
+    return np.divide(rows, norms[:, None], out=out)
 
 
-def load_labels(path, matrix: EmbeddingMatrix, c_in: int) -> LabelTable:
-    """Load a label CSV (header exactly ``index,label``) and validate it
-    against the matrix row count and the class count."""
-    path = Path(path)
+def load_unit_matrix(path) -> EmbeddingMatrix:
+    """:func:`load_matrix` with every row scaled to unit L2 norm by :func:`unit_rows`."""
+    return EmbeddingMatrix(unit_rows(load_matrix(path).data, path))
+
+
+def _read_int_pairs(path, header) -> list:
+    """The ``(line number, first, second)`` integer rows of a two-column CSV
+    whose first line is ``header``; blank lines are skipped."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty label file") from None
-        if header != ["index", "label"]:
-            raise ValueError(f"{path}: expected header 'index,label', got {','.join(header)!r}")
-        entries = []
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, "
+                             f"got {','.join(first or [])!r}")
+        pairs = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
             try:
-                entries.append((int(row[0]), int(row[1])))
+                pairs.append((lineno, int(row[0]), int(row[1])))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer entry") from None
+    return pairs
+
+
+def load_labels(path, matrix: EmbeddingMatrix, c_in: int) -> LabelTable:
+    """Load a label CSV (header exactly ``index,label``) and validate it
+    against the matrix row count and the class count."""
+    entries = tuple((i, c) for _, i, c in _read_int_pairs(path, ["index", "label"]))
     try:
-        return LabelTable(tuple(entries), count=matrix.count, n_classes=c_in)
+        return LabelTable(entries, count=matrix.count, n_classes=c_in)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -256,25 +257,13 @@ def load_flags(path) -> np.ndarray:
     Indices must cover 0..n-1 exactly once; returns a boolean array where
     True marks in-distribution samples.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["index", "is_id"]:
-            raise ValueError(f"{path}: expected header 'index,is_id'")
-        pairs = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx, val = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: malformed row") from None
-            if idx in pairs:
-                raise ValueError(f"{path}: duplicate index {idx}")
-            if val not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
-            pairs[idx] = bool(val)
+    pairs = {}
+    for lineno, idx, val in _read_int_pairs(path, ["index", "is_id"]):
+        if idx in pairs:
+            raise ValueError(f"{path}: duplicate index {idx}")
+        if val not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
+        pairs[idx] = bool(val)
     n = len(pairs)
     if n == 0:
         raise ValueError(f"{path}: no flag rows")

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from graphscore.baselines import (
-    BaselineConfig,
     cosine_scores,
     manifold_score,
     shortest_path_distances,
@@ -76,8 +75,18 @@ def test_softmax_bounds():
 
 
 def test_temperature_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(temperature=0.0)
+    protos = _protos([[1.0, 0.0]])
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            cosine_scores(np.array([[1.0, 0.0]]), protos, temperature=bad)
+
+
+def test_temperature_sharpens_softmax():
+    protos = _protos([[1.0, 0.0], [0.0, 1.0]])
+    sample = np.array([[1.0, 0.0]])
+    scores = [float(cosine_scores(sample, protos, temperature=t)[0]) for t in (2.0, 1.0, 0.5)]
+    assert scores[0] < scores[1] < scores[2]
+    assert abs(scores[2] - 1.0 / (1.0 + math.exp(-2.0))) < 1e-12
 
 
 # manifold ---------------------------------------------------------------

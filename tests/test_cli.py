@@ -352,7 +352,8 @@ def test_diagnostics_hold_no_lists(tmp_path):
 
 
 @pytest.mark.parametrize("flag, message", [(["--k", "0"], "k must be >= 1"),
-                                           (["--alpha", "0"], "alpha must be in")])
+                                           (["--alpha", "0"], "alpha must be in"),
+                                           (["--tau", "0"], "tau must be positive")])
 def test_bad_run_config_rejected_before_loading(tmp_path, capsys, flag, message):
     data_dir = _synth_dataset(tmp_path)
     run_dir = tmp_path / "run"
@@ -407,6 +408,24 @@ def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 1
     _assert_one_error_line(capsys, "edited_manifest.json", key)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("name, row", [("unlabeled", 3), ("labeled", 2), ("prototypes", 1)])
+def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"preset": "bridge_benchmark", "labeled_per_class": 2}),
+                         encoding="utf-8")
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+    rows = np.load(data_dir / f"{name}.npy")
+    rows[row] = 0.0
+    save_matrix(EmbeddingMatrix(rows), data_dir / f"{name}.npy")
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(data_dir / "manifest.json"), "--method", "all",
+                 "--out", str(run_dir)]) == 1
+    _assert_one_error_line(capsys, f"{name}.npy", f"zero-norm row {row}")
     assert not run_dir.exists()
 
 

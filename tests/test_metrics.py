@@ -139,12 +139,11 @@ def test_single_class_inputs_rejected():
 def test_evaluate_bundles_report():
     scores = np.array([0.9, 0.8, 0.1, 0.2])
     is_id = np.array([True, True, False, False])
-    report = evaluate(scores, is_id, method="demo", config={"k": 10})
+    report = evaluate(scores, is_id, method="demo")
     assert report.auroc == 1.0 and report.fpr95 == 0.0
     assert report.n_id == 2 and report.n_ood == 2
-    doc = asdict(report)
-    assert doc["method"] == "demo" and doc["config"] == {"k": 10}
-    assert doc["auroc"] == 1.0
+    assert asdict(report) == {"auroc": 1.0, "fpr95": 0.0, "n_id": 2, "n_ood": 2,
+                              "method": "demo"}
 
 
 def test_evaluate_inverted_scores():

@@ -14,9 +14,7 @@ from graphscore.graph import (
 from graphscore.prompts import PrototypeSet
 from graphscore.propagation import (
     PropagationConfig,
-    PseudoPromptSelection,
     propagate,
-    pseudo_prompt_count,
     run_gsp,
     select_pseudo_prompts,
 )
@@ -199,31 +197,30 @@ def _scores(unlab_values, n_proto=1):
 
 def test_select_trivial():
     s, part = _scores([0.9, 0.1, 0.5, 0.4])
-    sel = select_pseudo_prompts(s, part, m_percent=25.0)  # q = 1
-    np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, [0])
-    np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, [1])
-    assert sel.pos_threshold == 0.9 and sel.neg_threshold == 0.1
+    pos, neg = select_pseudo_prompts(s, part, m_percent=25.0)  # q = 1
+    np.testing.assert_array_equal(pos - part.unlabeled_offset, [0])
+    np.testing.assert_array_equal(neg - part.unlabeled_offset, [1])
+    assert s[pos[-1]] == 0.9 and s[neg[-1]] == 0.1
 
 
 def test_select_all_equal_tie_rule():
     s, part = _scores([0.3, 0.3, 0.3, 0.3])
-    sel = select_pseudo_prompts(s, part, m_percent=25.0)
-    np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, [0])
+    pos, neg = select_pseudo_prompts(s, part, m_percent=25.0)
+    np.testing.assert_array_equal(pos - part.unlabeled_offset, [0])
     # the low side skips index 0 (already positive) and takes the next tie
-    np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, [1])
+    np.testing.assert_array_equal(neg - part.unlabeled_offset, [1])
 
 
 def test_select_matches_sort_oracle():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(200)
     s, part = _scores(values)
-    sel = select_pseudo_prompts(s, part, m_percent=5.0)
-    assert pseudo_prompt_count(5.0, 200) == 10
+    pos, neg = select_pseudo_prompts(s, part, m_percent=5.0)
+    assert pos.size == neg.size == 10
     order = sorted(range(200), key=lambda i: (-values[i], i))
-    np.testing.assert_array_equal(np.sort(sel.positives - part.unlabeled_offset),
-                                  np.sort(order[:10]))
+    np.testing.assert_array_equal(np.sort(pos - part.unlabeled_offset), np.sort(order[:10]))
     order_low = sorted(range(200), key=lambda i: (values[i], i))
-    np.testing.assert_array_equal(np.sort(sel.negatives - part.unlabeled_offset),
+    np.testing.assert_array_equal(np.sort(neg - part.unlabeled_offset),
                                   np.sort(order_low[:10]))
 
 
@@ -248,9 +245,9 @@ def test_select_m_percent_range():
 
 def test_selection_sets_disjoint_under_heavy_ties():
     s, part = _scores(np.zeros(10))
-    sel = select_pseudo_prompts(s, part, m_percent=40.0)  # q = 4
-    assert np.intersect1d(sel.positives, sel.negatives).size == 0
-    assert sel.positives.size == sel.negatives.size == 4
+    pos, neg = select_pseudo_prompts(s, part, m_percent=40.0)  # q = 4
+    assert np.intersect1d(pos, neg).size == 0
+    assert pos.size == neg.size == 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,20 +255,14 @@ def test_selection_sets_disjoint_under_heavy_ties():
        st.floats(0.5, 49.5))
 def test_select_matches_loop_reference_under_ties(levels, m_percent):
     s, part = _scores(np.array(levels, dtype=float))
-    sel = select_pseudo_prompts(s, part, m_percent)
-    q = pseudo_prompt_count(m_percent, len(levels))
+    got_pos, got_neg = select_pseudo_prompts(s, part, m_percent)
+    q = max(1, int(round(m_percent / 100.0 * len(levels))))
     unlab = s[part.unlabeled_slice]
     # reference: walk the ascending order and skip indices taken as positives
     pos = list(np.argsort(-unlab, kind="stable")[:q])
     neg = [i for i in np.argsort(unlab, kind="stable") if i not in pos][:q]
-    np.testing.assert_array_equal(sel.positives - part.unlabeled_offset, pos)
-    np.testing.assert_array_equal(sel.negatives - part.unlabeled_offset, neg)
-
-
-def test_selection_overlap_rejected():
-    with pytest.raises(ValueError, match="overlap"):
-        PseudoPromptSelection(positives=[3], negatives=[3],
-                              pos_threshold=0.0, neg_threshold=0.0)
+    np.testing.assert_array_equal(got_pos - part.unlabeled_offset, pos)
+    np.testing.assert_array_equal(got_neg - part.unlabeled_offset, neg)
 
 
 # full pipeline ----------------------------------------------------------
@@ -288,20 +279,22 @@ def test_run_gsp_passes_match_dense_oracle():
         np.testing.assert_allclose(pass1, dense_propagation(dense, s0, 0.5, 5)[unlab],
                                    atol=1e-9)
         # pass 2 starts from the same vector with the pseudo prompts at +1/-1
-        sel = select_pseudo_prompts(np.concatenate([s0[: part.unlabeled_offset], pass1]),
-                                    part, cfg.m_percent)
-        for idx in (sel.positives, sel.negatives):
+        pos, neg = select_pseudo_prompts(np.concatenate([s0[: part.unlabeled_offset], pass1]),
+                                         part, cfg.m_percent)
+        for idx in (pos, neg):
             assert ((idx >= part.unlabeled_offset) & (idx < part.n_total)).all()
-        s0[sel.positives] = 1.0
-        s0[sel.negatives] = -1.0
+        s0[pos] = 1.0
+        s0[neg] = -1.0
         np.testing.assert_allclose(final, dense_propagation(dense, s0, 0.5, 5)[unlab],
                                    atol=1e-9)
+        pos_threshold = pass1[pos[-1] - part.unlabeled_offset]
+        neg_threshold = pass1[neg[-1] - part.unlabeled_offset]
         assert diag["selection"] == {
-            "q": pseudo_prompt_count(cfg.m_percent, part.n_unlabeled),
-            "pos_threshold": sel.pos_threshold,
-            "neg_threshold": sel.neg_threshold,
-            "pos_ties": int(np.count_nonzero(pass1 == sel.pos_threshold)),
-            "neg_ties": int(np.count_nonzero(pass1 == sel.neg_threshold)),
+            "q": max(1, int(round(cfg.m_percent / 100.0 * part.n_unlabeled))),
+            "pos_threshold": pos_threshold,
+            "neg_threshold": neg_threshold,
+            "pos_ties": int(np.count_nonzero(pass1 == pos_threshold)),
+            "neg_ties": int(np.count_nonzero(pass1 == neg_threshold)),
         }
 
 
@@ -361,6 +354,35 @@ def test_run_gsp_ablation_direction_spot_check():
         aucs["gsp"].append(auroc(full, data.is_id))
     means = {m: np.mean(v) for m, v in aucs.items()}
     assert means["cosine"] < means["score_prop_only"] < means["gsp"]
+
+
+def _rotated(matrix, rotation):
+    return None if matrix is None else EmbeddingMatrix(matrix.data @ rotation.T)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_scores_invariant_under_rotation(data_seed, rotation_seed, few_shot):
+    from dataclasses import replace
+
+    from graphscore.baselines import cosine_scores, manifold_score
+
+    spec = bridge_benchmark_spec(seed=data_seed)
+    data = generate(replace(spec, labeled_per_class=2) if few_shot else spec)
+    rng = np.random.default_rng(rotation_seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((spec.dim, spec.dim)))
+    protos = data.prototypes
+    turned = PrototypeSet(vectors=_rotated(protos.vectors, rotation), class_of=protos.class_of,
+                          clusters_per_class=protos.clusters_per_class)
+    results = []
+    for prototypes, labeled, unlabeled in (
+            (protos, data.labeled, data.unlabeled),
+            (turned, _rotated(data.labeled, rotation), _rotated(data.unlabeled, rotation))):
+        adj = build_adjacency(prototypes, labeled, unlabeled)
+        results.append((*run_gsp(adj)[:2], manifold_score(adj),
+                        cosine_scores(unlabeled, prototypes)))
+    for base, turned_scores in zip(*results):
+        np.testing.assert_allclose(turned_scores, base, rtol=0, atol=1e-9)
 
 
 def test_run_gsp_deterministic():

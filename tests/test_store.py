@@ -10,16 +10,17 @@ from graphscore.store import (
     EmbeddingMatrix,
     LabelTable,
     NpyFormatError,
-    l2_normalize,
     load_flags,
     load_labels,
     load_manifest,
     load_matrix,
+    load_unit_matrix,
     load_vector,
     save_flags,
     save_labels,
     save_matrix,
     save_vector,
+    unit_rows,
 )
 
 from oracles import random_unit_rows
@@ -216,27 +217,44 @@ def test_load_vector_rejects_matrix(tmp_path):
 
 
 def test_l2_normalize_345():
-    m = l2_normalize(EmbeddingMatrix([[3.0, 4.0]]))
-    np.testing.assert_allclose(m.data, [[0.6, 0.8]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(unit_rows(np.array([[3.0, 4.0]]), "m"), [[0.6, 0.8]],
+                               rtol=0, atol=1e-15)
 
 
 def test_l2_normalize_zero_row():
-    with pytest.raises(ValueError, match="zero-norm row 0"):
-        l2_normalize(EmbeddingMatrix([[0.0, 0.0]]))
+    with pytest.raises(ValueError, match="m.npy: zero-norm row 0"):
+        unit_rows(np.array([[0.0, 0.0]]), "m.npy")
 
 
-def test_l2_normalize_names_offender():
-    with pytest.raises(ValueError, match="zero-norm row 2"):
-        l2_normalize(EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+def test_l2_normalize_names_offender(tmp_path):
+    path = tmp_path / "rows.npy"
+    save_matrix(EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), path)
+    with pytest.raises(ValueError, match=r"rows\.npy: zero-norm row 2"):
+        load_unit_matrix(path)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_l2_normalize_idempotent(seed):
     rng = np.random.default_rng(seed)
-    m = l2_normalize(EmbeddingMatrix(rng.standard_normal((6, 5)) + 0.1))
-    again = l2_normalize(m)
-    assert np.abs(again.data - m.data).max() < 1e-12
+    once = unit_rows(rng.standard_normal((6, 5)) + 0.1, "m")
+    assert np.abs(unit_rows(once, "m") - once).max() < 1e-12
+
+
+def test_unit_rows_writes_into_out():
+    rows = np.array([[3.0, 4.0], [0.0, 2.0]])
+    out = np.empty((2, 2))
+    assert unit_rows(rows, "m", out=out) is out
+    assert out.tobytes() == (rows / np.linalg.norm(rows, axis=1)[:, None]).tobytes()
+
+
+def test_load_unit_matrix_equals_normalized_load(tmp_path):
+    path = tmp_path / "m.npy"
+    raw = np.random.default_rng(2).standard_normal((7, 5)).astype(np.float32)
+    np.save(path, raw)
+    got = load_unit_matrix(path).data
+    wide = raw.astype(np.float64)
+    assert got.tobytes() == (wide / np.linalg.norm(wide, axis=1)[:, None]).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -245,8 +263,8 @@ def test_normalized_dot_equals_explicit_cosine(seed):
     rng = np.random.default_rng(seed)
     raw_a = rng.standard_normal((5, 7)) + 0.05
     raw_b = rng.standard_normal((4, 7)) + 0.05
-    unit_a = l2_normalize(EmbeddingMatrix(raw_a)).data
-    unit_b = l2_normalize(EmbeddingMatrix(raw_b)).data
+    unit_a = unit_rows(raw_a, "a")
+    unit_b = unit_rows(raw_b, "b")
     dots = unit_a @ unit_b.T
     explicit = (raw_a @ raw_b.T) / np.outer(
         np.linalg.norm(raw_a, axis=1), np.linalg.norm(raw_b, axis=1)
@@ -259,9 +277,21 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix(np.zeros(3))
     with pytest.raises(ValueError, match="row 0"):
         EmbeddingMatrix([[np.inf, 0.0]])
+    with pytest.raises(ValueError, match="row 1 contains non-finite"):
+        EmbeddingMatrix([[0.0, 1.0], [np.nan, 0.0]])
     m = EmbeddingMatrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0  # frozen payload
+
+
+def test_embedding_matrix_adopts_float64_c_order():
+    rows = np.ones((3, 2))
+    m = EmbeddingMatrix(rows)
+    assert m.data is rows and not rows.flags.writeable
+    for other in (np.ones((3, 2), dtype=np.float32), np.asfortranarray(np.ones((3, 2))),
+                  [[1.0, 1.0]]):
+        converted = EmbeddingMatrix(other).data
+        assert converted is not other and converted.flags.c_contiguous
 
 
 # labels ---------------------------------------------------------------
@@ -317,6 +347,28 @@ def test_flags_round_trip(tmp_path):
     path = tmp_path / "flags.csv"
     save_flags(flags, path)
     np.testing.assert_array_equal(load_flags(path), flags)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("index,is_id\n0,1,junk\n", "flags.csv:2: expected two fields, got 3"),
+    ("index,is_id\n0\n", "flags.csv:2: expected two fields, got 1"),
+    ("index,is_id\n0,x\n", "flags.csv:2: non-integer entry"),
+    ("index,is_id\n0,2\n", "flags.csv:2: is_id must be 0 or 1"),
+    ("index,is_id\n", "flags.csv: no flag rows"),
+    ("", "flags.csv: expected header 'index,is_id'"),
+])
+def test_flags_malformed_rows_named(tmp_path, text, message):
+    path = tmp_path / "flags.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_flags(path)
+
+
+def test_labels_extra_field_named(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("index,label\n0,1\n1,0,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("labels.csv:3: expected two fields, got 3")):
+        load_labels(path, _matrix(), c_in=3)
 
 
 def test_flags_incomplete(tmp_path):
