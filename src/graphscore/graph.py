@@ -10,9 +10,9 @@ distance between an edge's endpoints is derived from its weight s as
 sqrt(2 - 2s) (used by the shortest-path baseline).
 
 Each node's k nearest neighbors are ordered by (-similarity, index): equal
-similarities go to the lower index. The similarity product of a query block
-is computed in one matrix product, not in row chunks, because a chunked
-product does not reproduce its bits; only the selection runs in row blocks.
+similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
+query strips, so KNN memory is a few TOP_K_BLOCK x n buffers, and each pair
+of unlabeled nodes has its similarity computed once.
 """
 
 import warnings
@@ -26,7 +26,7 @@ from .store import EmbeddingMatrix, _lock
 
 # degrees are floored before inversion so isolated nodes do not divide by zero
 DEGREE_FLOOR = 1e-12
-# rows per top-k selection block
+# query rows per similarity strip
 TOP_K_BLOCK = 512
 
 
@@ -89,23 +89,17 @@ class BlockAdjacency:
         return self.weights.nnz
 
 
-def _select_block(block: np.ndarray, k: int, self_col, part: np.ndarray,
-                  reach: np.ndarray) -> np.ndarray:
-    """Column indices of the k largest entries of each row of ``block``,
-    ordered by (-value, index). With ``self_col`` set, row i never selects
-    column ``self_col + i``. ``part`` and ``reach`` are scratch arrays of the
-    block's shape (float and bool); their contents are overwritten."""
+def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray):
+    """Column indices, ascending, and values of the k largest entries of each
+    row of ``block`` under the (-value, index) order. ``block`` may be a
+    strided view; ``part`` and ``reach`` are scratch arrays of its shape
+    (float and bool) whose contents are overwritten."""
     m, n = block.shape
     np.copyto(part, block)
-    if self_col is not None:
-        diag = (np.arange(m), np.arange(self_col, self_col + m))
-        part[diag] = -np.inf
     # in place: each row's k-th largest value lands in column n - k
     part.partition(n - k, axis=1)
     kth = part[:, n - k:n - k + 1]
     np.greater_equal(block, kth, out=reach)
-    if self_col is not None:
-        reach[diag] = False
     flat = np.flatnonzero(reach)
     if flat.size > m * k:
         # more than k entries reach the k-th value in some rows: keep those
@@ -118,30 +112,49 @@ def _select_block(block: np.ndarray, k: int, self_col, part: np.ndarray,
         flat = np.flatnonzero(reach)
     # exactly k entries per row now, in ascending column order
     cand = (flat % n).reshape(m, k)
-    vals = np.take_along_axis(block, cand, axis=1)
-    return np.take_along_axis(cand, np.argsort(-vals, axis=1, kind="stable"), axis=1)
+    return cand, np.take_along_axis(block, cand, axis=1)
 
 
 def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     """The k most similar corpus rows per query, ordered by (-sim, index).
 
-    The similarity product is computed whole; its rows are then selected in
-    blocks of TOP_K_BLOCK, through one block x n copy and one block x n mask
-    that every block reuses, so a call allocates the same few arrays however
-    many blocks it has. With ``exclude_self`` (queries is corpus) no row
-    selects itself.
+    Queries run in strips of TOP_K_BLOCK rows whose candidates merge into a
+    running (n_q, k) best list; every strip reuses the same few flat
+    TOP_K_BLOCK x n buffers. With ``exclude_self`` (queries is corpus) no row
+    selects itself, and a strip computes only its upper trapezoid
+    ``u[lo:hi] @ u[lo:].T``, whose columns past the strip, transposed, give
+    each later row its candidates among the strip's rows, so sim(i, j) and
+    sim(j, i) are one value.
     """
-    sims = queries @ corpus.T
-    n_q, n_c = sims.shape
-    rows = min(TOP_K_BLOCK, n_q)
-    part = np.empty((rows, n_c), dtype=sims.dtype)
-    reach = np.empty((rows, n_c), dtype=bool)
-    order = np.empty((n_q, k), dtype=np.intp)
+    n_q, n_c = queries.shape[0], corpus.shape[0]
+    # sentinel entries sort after every real candidate
+    idx, sim = np.full((n_q, k), n_c), np.full((n_q, k), -np.inf)
+    size = min(TOP_K_BLOCK, n_q) * n_c
+    prod, part, reach = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+    def merge(block, k_sel, rows, offset):
+        # the first k of each row's list and its k_sel best in ``block``;
+        # strips run in order, so a list holds only lower indices than the
+        # new candidates and a stable sort by -sim keeps the index order
+        scratch = (buf[:block.size].reshape(block.shape) for buf in (part, reach))
+        cand, vals = _select_block(block, k_sel, *scratch)
+        all_idx = np.concatenate([idx[rows], cand + offset], axis=1)
+        all_sim = np.concatenate([sim[rows], vals], axis=1)
+        order = np.argsort(-all_sim, axis=1, kind="stable")[:, :k]
+        idx[rows], sim[rows] = (np.take_along_axis(a, order, axis=1) for a in (all_idx, all_sim))
+
     for lo in range(0, n_q, TOP_K_BLOCK):
         hi = min(lo + TOP_K_BLOCK, n_q)
-        order[lo:hi] = _select_block(sims[lo:hi], k, lo if exclude_self else None,
-                                     part[:hi - lo], reach[:hi - lo])
-    return order, np.take_along_axis(sims, order, axis=1)
+        first = lo if exclude_self else 0
+        tile = prod[:(hi - lo) * (n_c - first)].reshape(hi - lo, n_c - first)
+        np.matmul(queries[lo:hi], corpus[first:].T, out=tile)
+        if exclude_self:
+            np.fill_diagonal(tile, -np.inf)  # each row's own column
+            if hi < n_q:
+                merge(tile[:, hi - lo:].T, min(k, hi - lo), slice(hi, n_q), lo)
+        if n_c - first > exclude_self:
+            merge(tile, min(k, n_c - first - exclude_self), slice(lo, hi), first)
+    return idx, sim
 
 
 def _clamp_k(k: int, available: int, what: str) -> int:

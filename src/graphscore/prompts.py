@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .store import (EmbeddingMatrix, _lock, load_json, load_matrix, load_unit_matrix,
-                    save_matrix, typed, typed_list, unit_rows)
+from .store import (EmbeddingMatrix, _lock, load_json, load_unit_matrix, read_npy, save_matrix,
+                    typed, typed_list, unit_rows)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
@@ -237,11 +237,12 @@ def mean_prototypes(pool: PromptPool) -> PrototypeSet:
 
 
 def load_prompt_pools(paths) -> PromptPool:
-    """Build a pool from one NPY file per class; rows are L2-normalized."""
+    """Build a pool from one NPY file per class; rows are L2-normalized by
+    :func:`unit_rows`, which names the file and row of a NaN or inf."""
     paths = list(paths)
     stack = np.empty(0)
     for c, path in enumerate(paths):
-        rows = load_matrix(path).data
+        rows = read_npy(path, rank=2)
         if c == 0:
             stack = np.empty((len(paths), *rows.shape))
         elif rows.shape != stack.shape[1:]:
@@ -259,7 +260,7 @@ def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
     """
     doc = load_json(boundaries_path, "pool boundaries", ("boundaries",), required=("boundaries",))
     bounds = typed_list(doc["boundaries"], int, "boundaries", boundaries_path)
-    rows = load_matrix(matrix_path).data
+    rows = read_npy(matrix_path, rank=2)
     sizes = sorted(set(np.diff(bounds).tolist()))
     if bounds[:1] != [0] or bounds[-1:] != [rows.shape[0]] or len(sizes) != 1 or sizes[0] < 1:
         raise ValueError(f"{boundaries_path}: boundaries must run from 0 to {rows.shape[0]} in "

@@ -124,7 +124,8 @@ class DatasetManifest:
     flags: Path = None
 
 
-def _read_npy(path, rank) -> np.ndarray:
+def read_npy(path, rank) -> np.ndarray:
+    """A ``rank``-D NPY file in the supported subset as float64, values unchecked."""
     path = Path(path)
     with open(path, "rb") as f:
         try:
@@ -152,7 +153,8 @@ def _read_npy(path, rank) -> np.ndarray:
             raise NpyFormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
         if size > expected:
             raise NpyFormatError(f"{path}: trailing bytes after payload")
-        return np.frombuffer(f.read(expected), dtype=dtype).reshape(shape)
+        return np.frombuffer(f.read(expected), dtype=dtype).reshape(shape).astype(
+            np.float64, copy=False)
 
 
 def _write_npy(path, arr: np.ndarray):
@@ -167,7 +169,7 @@ def load_matrix(path) -> EmbeddingMatrix:
     :class:`NpyFormatError` for files outside the supported subset, and
     ``ValueError`` naming the first offending row for NaN/Inf payloads.
     """
-    arr = _read_npy(path, rank=2)
+    arr = read_npy(path, rank=2)
     try:
         return EmbeddingMatrix(arr)
     except ValueError as exc:
@@ -181,7 +183,7 @@ def save_matrix(matrix: EmbeddingMatrix, path) -> None:
 
 def load_vector(path) -> np.ndarray:
     """Load a 1-D float NPY file (score vectors, etc.) as float64."""
-    arr = _read_npy(path, rank=1).astype(np.float64)
+    arr = read_npy(path, rank=1).copy()
     if not np.isfinite(arr).all():
         bad = int(np.nonzero(~np.isfinite(arr))[0][0])
         raise ValueError(f"{path}: entry {bad} is non-finite")
@@ -197,10 +199,14 @@ def save_vector(values, path) -> None:
 
 
 def unit_rows(rows: np.ndarray, source, out=None) -> np.ndarray:
-    """``rows`` with every row scaled to unit L2 norm, written into ``out``
-    if given. A (numerically) zero-norm row is an error naming ``source``
-    and the row."""
-    norms = np.linalg.norm(rows, axis=1)
+    """``rows`` with every row scaled to unit L2 norm, written into ``out`` if
+    given. A row whose norm is (numerically) zero or not finite, from a NaN,
+    an inf or an overflowing sum of squares, is an error naming ``source`` and the row."""
+    with np.errstate(over="ignore"):  # an overflowing row is reported below
+        norms = np.linalg.norm(rows, axis=1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise ValueError(f"{source}: non-finite norm in row {int(np.argmax(bad))}")
     small = norms < _NORM_EPS
     if small.any():
         raise ValueError(f"{source}: zero-norm row {int(np.argmax(small))}")
@@ -208,8 +214,8 @@ def unit_rows(rows: np.ndarray, source, out=None) -> np.ndarray:
 
 
 def load_unit_matrix(path) -> EmbeddingMatrix:
-    """:func:`load_matrix` with every row scaled to unit L2 norm by :func:`unit_rows`."""
-    return EmbeddingMatrix(unit_rows(load_matrix(path).data, path))
+    """The matrix in ``path`` with every row scaled to unit L2 norm by :func:`unit_rows`."""
+    return EmbeddingMatrix(unit_rows(read_npy(path, rank=2), path))
 
 
 def _read_int_pairs(path, header) -> list:

@@ -74,9 +74,22 @@ def test_knn_tie_breaks_to_lower_index():
     assert idx.tolist() == [[1, 2]]
 
 
+def _strip_product(queries, corpus, exclude_self):
+    # the similarity product as _top_k defines it: TOP_K_BLOCK-row strips,
+    # and with exclude_self each strip's upper trapezoid, mirrored below it
+    sims = np.empty((len(queries), len(corpus)))
+    for lo in range(0, len(queries), TOP_K_BLOCK):
+        hi = lo + TOP_K_BLOCK
+        first = lo if exclude_self else 0
+        sims[lo:hi, first:] = queries[lo:hi] @ corpus[first:].T
+        if exclude_self:
+            sims[hi:, lo:hi] = sims[lo:hi, hi:].T
+    return sims
+
+
 def _top_k_full_sort(queries, corpus, k, exclude_self):
     # the former selector: one stable argsort over every row of -sims
-    sims = queries @ corpus.T
+    sims = _strip_product(queries, corpus, exclude_self)
     neg = -sims
     if exclude_self:
         np.fill_diagonal(neg, np.inf)
@@ -104,12 +117,15 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
     ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
+    # strips may round the last bit differently from one whole product
+    whole = np.take_along_axis(queries @ corpus.T, idx, axis=1)
+    assert np.abs(sims - whole).max() <= 1e-15
 
 
 def test_top_k_peak_memory_is_one_product():
-    # the similarity product plus one reused TOP_K_BLOCK x n copy and mask; a
-    # full negated copy and an n x n sort order would add 2 n^2 x 8 bytes
-    n = 2048
+    # one reused TOP_K_BLOCK x n strip product, selection copy and mask, and
+    # the (n, k) running lists; the n x n product alone is 2.7x the bound
+    n = 4096
     corpus = random_unit_rows(np.random.default_rng(0), n, 16)
     tracemalloc.start()
     try:
@@ -118,7 +134,7 @@ def test_top_k_peak_memory_is_one_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8 + 2 * TOP_K_BLOCK * n * 8
+    assert peak < 3 * TOP_K_BLOCK * n * 8
 
 
 # adjacency ------------------------------------------------------------
@@ -154,6 +170,23 @@ def test_adjacency_matches_dense_oracle():
         expected = dense_block_adjacency(protos.vectors.data, lab,
                                          unlabeled.data, k=4)
         np.testing.assert_allclose(_dense(adj), expected, rtol=0, atol=1e-12)
+
+
+def test_adjacency_matches_dense_oracle_across_strips():
+    # unlabeled and labeled queries both span several TOP_K_BLOCK strips, and
+    # runs of exact duplicate rows straddle every strip boundary, so ties at
+    # the k-th value are settled across strips and by the running merge
+    rng = np.random.default_rng(21)
+    n_u, d = 2 * TOP_K_BLOCK + 77, 8
+    unlab = random_unit_rows(rng, n_u, d)
+    lab = random_unit_rows(rng, TOP_K_BLOCK + 9, d)
+    for b in (TOP_K_BLOCK, 2 * TOP_K_BLOCK):
+        unlab[b - 3:b + 3] = unlab[b - 3]
+    lab[TOP_K_BLOCK - 2:TOP_K_BLOCK + 2] = unlab[TOP_K_BLOCK]
+    protos = _protos(np.vstack([unlab[TOP_K_BLOCK], random_unit_rows(rng, 2, d)]))
+    adj = build_adjacency(protos, EmbeddingMatrix(lab), EmbeddingMatrix(unlab), k=4)
+    expected = dense_block_adjacency(protos.vectors.data, lab, unlab, k=4)
+    np.testing.assert_allclose(_dense(adj), expected, rtol=0, atol=1e-12)
 
 
 def test_adjacency_with_duplicate_rows_ties():

@@ -213,6 +213,20 @@ def test_load_pools_per_class(tmp_path):
     np.testing.assert_allclose(np.linalg.norm(pool.data, axis=2), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
+    # the loaders leave the value check to the pool itself; a NaN, an inf or
+    # an overflowing row is still reported with its file and row
+    rows = np.where(np.arange(12).reshape(4, 3) == 4, bad, 1.0)
+    np.save(tmp_path / "first.npy", np.ones((4, 3)))
+    np.save(tmp_path / "bad.npy", rows)
+    with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
+        load_prompt_pools([tmp_path / "first.npy", tmp_path / "bad.npy"])
+    (tmp_path / "bounds.json").write_text('{"boundaries": [0, 2, 4]}', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
+        load_pooled_matrix(tmp_path / "bad.npy", tmp_path / "bounds.json")
+
+
 def test_load_pooled_matrix_with_boundaries(tmp_path):
     import json
 

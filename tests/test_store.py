@@ -233,6 +233,17 @@ def test_l2_normalize_names_offender(tmp_path):
         load_unit_matrix(path)
 
 
+def test_unit_rows_rejects_non_finite_norm(tmp_path):
+    # [1e200, 1e200] is finite, but its sum of squares overflows: scaling by
+    # an inf norm would turn it into a zero "unit" row
+    with pytest.raises(ValueError, match=r"m\.npy: non-finite norm in row 1"):
+        unit_rows(np.array([[1.0, 0.0], [1e200, 1e200]]), "m.npy")
+    path = tmp_path / "rows.npy"
+    np.save(path, np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match=r"rows\.npy: non-finite norm in row 2"):
+        load_unit_matrix(path)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_l2_normalize_idempotent(seed):
