@@ -11,13 +11,10 @@ from .propagation import (
     select_pseudo_prompts,
 )
 from .store import (
-    DatasetManifest,
     EmbeddingMatrix,
     LabelTable,
     NpyFormatError,
     load_labels,
-    load_manifest,
-    load_matrix,
     load_unit_matrix,
     load_vector,
     save_matrix,
@@ -35,12 +32,12 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockAdjacency", "DatasetManifest", "EmbeddingMatrix", "EvalReport",
-    "LabelTable", "NodePartition", "NpyFormatError", "PromptPool",
-    "PropagationConfig", "PrototypeSet", "SynthDataset", "SynthSpec", "auroc",
-    "blob_benchmark_spec", "bridge_benchmark_spec", "build_adjacency",
-    "cluster_prompts", "cosine_scores", "evaluate", "fpr_at_tpr", "generate",
-    "load_labels", "load_manifest", "load_matrix", "load_unit_matrix",
-    "load_vector", "manifold_score", "mean_prototypes", "normalize", "propagate",
-    "run_gsp", "save_matrix", "save_vector", "select_pseudo_prompts", "unit_rows",
+    "BlockAdjacency", "EmbeddingMatrix", "EvalReport", "LabelTable",
+    "NodePartition", "NpyFormatError", "PromptPool", "PropagationConfig",
+    "PrototypeSet", "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
+    "bridge_benchmark_spec", "build_adjacency", "cluster_prompts",
+    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "load_labels",
+    "load_unit_matrix", "load_vector", "manifold_score", "mean_prototypes",
+    "normalize", "propagate", "run_gsp", "save_matrix", "save_vector",
+    "select_pseudo_prompts", "unit_rows",
 ]

@@ -1,6 +1,7 @@
-"""Command-line pipeline driver.
+"""Command-line pipeline driver and the dataset manifest schema.
 
-Subcommands: ``score`` (run a scoring method over a dataset manifest),
+:func:`load_dataset` parses a manifest and loads every file it names in one
+pass. Subcommands: ``score`` (run a scoring method over a dataset manifest),
 ``eval`` (AUROC/FPR95 reports from score files), ``synth`` (write a
 synthetic dataset), and ``cluster-prompts`` (reduce prompt pools to
 prototype files). Every subcommand accepts ``--config <json>`` plus
@@ -72,29 +73,80 @@ class DatasetBundle:
     flags: object
 
 
+# each file of a pair is only valid beside the other; unlabeled and flags stand alone
+_PARTNER = {"pool_matrix": "pool_boundaries", "prototypes": "prototype_classes",
+            "labeled": "labels"}
+_PARTNER.update({second: first for first, second in _PARTNER.items()})
+# manifest keys naming one file each, resolved against the manifest's directory
+_MANIFEST_FILES = ("unlabeled", "flags", *_PARTNER)
+
+
 def load_dataset(manifest_path) -> DatasetBundle:
-    """Load and normalize everything a manifest references."""
-    manifest = store.load_manifest(manifest_path)
-    unlabeled = load_unit_matrix(manifest.unlabeled)
+    """Parse the JSON manifest in ``manifest_path``, then load, normalize and
+    cross-check every file it references.
+
+    Exactly one prototype source is required: ``prompt_pools`` (one NPY per
+    class), ``pool_matrix`` + ``pool_boundaries`` (one stacked NPY plus its
+    row offsets) or ``prototypes`` + ``prototype_classes`` (a pre-built
+    prototype matrix plus its class map). Every referenced file is checked to
+    exist before any is read, and every embedding file must have the
+    dimension of ``unlabeled``. Unknown keys and null values are errors.
+    """
+    path = Path(manifest_path)
+    doc = store.load_json(path, "manifest", ("C_in", "class_names", "prompt_pools",
+                                             *_MANIFEST_FILES),
+                          required=("unlabeled", "C_in", "class_names"))
+    c_in = store.typed(doc["C_in"], int, "C_in", path)
+    n_names = len(store.typed_list(doc["class_names"], str, "class_names", path))
+    if n_names != c_in:
+        raise ValueError(f"{path}: class_names has {n_names} entries, C_in is {c_in}")
+    files = {key: path.parent / store.typed(doc[key], str, key, path)
+             for key in _MANIFEST_FILES if key in doc}
+    if sum(key in doc for key in ("prompt_pools", "pool_matrix", "prototypes")) != 1:
+        raise ValueError(
+            f"{path}: exactly one of prompt_pools, pool_matrix, or prototypes required")
+    pools = []
+    if "prompt_pools" in doc:
+        pools = [path.parent / p
+                 for p in store.typed_list(doc["prompt_pools"], str, "prompt_pools", path)]
+        if len(pools) != c_in:
+            raise ValueError(f"{path}: prompt_pools needs one file per class ({c_in})")
+    for key in files:
+        if _PARTNER.get(key, key) not in files:
+            raise ValueError(f"{path}: {key} requires {_PARTNER[key]}")
+    for p in (*files.values(), *pools):
+        if not p.exists():
+            raise FileNotFoundError(f"{path}: referenced file does not exist: {p}")
+
+    unlabeled = load_unit_matrix(files["unlabeled"])
+
+    def check_dim(source, dim):
+        if dim != unlabeled.dim:
+            raise ValueError(f"{source}: dimension {dim}, but {files['unlabeled']} "
+                             f"has dimension {unlabeled.dim}")
+
     labeled = None
-    if manifest.labeled is not None:
-        labeled = load_unit_matrix(manifest.labeled)
-        load_labels(manifest.labels, labeled, manifest.c_in)
+    if "labeled" in files:
+        labeled = load_unit_matrix(files["labeled"])
+        check_dim(files["labeled"], labeled.dim)
+        load_labels(files["labels"], labeled, c_in)
     pool = prototypes = None
-    if manifest.prompt_pools is not None:
-        pool = load_prompt_pools(manifest.prompt_pools)
-    elif manifest.pool_matrix is not None:
-        pool = load_pooled_matrix(manifest.pool_matrix, manifest.pool_boundaries)
+    # ``counted`` is the file that fixes the class count
+    if "prompt_pools" in doc:
+        pool, source, counted = load_prompt_pools(pools), pools[0], path
+    elif "pool_matrix" in files:
+        pool = load_pooled_matrix(files["pool_matrix"], files["pool_boundaries"])
+        source, counted = files["pool_matrix"], files["pool_boundaries"]
     else:
-        prototypes = load_prototypes(manifest.prototypes, manifest.prototype_classes)
-    flags = store.load_flags(manifest.flags) if manifest.flags is not None else None
-    if pool is not None and pool.n_classes != manifest.c_in:
-        raise ValueError(f"prompt pool has {pool.n_classes} classes, manifest says {manifest.c_in}")
-    if prototypes is not None and prototypes.n_classes != manifest.c_in:
-        raise ValueError(f"{manifest.prototype_classes}: prototypes cover "
-                         f"{prototypes.n_classes} classes, manifest says {manifest.c_in}")
+        prototypes = load_prototypes(files["prototypes"], files["prototype_classes"])
+        source, counted = files["prototypes"], files["prototype_classes"]
+    check_dim(source, pool.data.shape[2] if pool is not None else prototypes.vectors.dim)
+    n_classes = pool.n_classes if pool is not None else prototypes.n_classes
+    if n_classes != c_in:
+        raise ValueError(f"{counted}: {n_classes} classes, but {path} says C_in is {c_in}")
+    flags = store.load_flags(files["flags"]) if "flags" in files else None
     if flags is not None and flags.size != unlabeled.count:
-        raise ValueError(f"{manifest.flags}: {flags.size} flags but "
+        raise ValueError(f"{files['flags']}: {flags.size} flags but "
                          f"{unlabeled.count} unlabeled rows")
     return DatasetBundle(unlabeled=unlabeled, labeled=labeled, pool=pool,
                          prototypes=prototypes, flags=flags)
@@ -173,19 +225,16 @@ def cmd_score(cfg: RunConfig) -> int:
             json.dump(diag, f, indent=2)
             f.write("\n")
     if cfg.method == "all" and bundle.flags is not None:
-        rows = []
-        for method, scores, _ in results:
-            report = metrics.evaluate(scores, bundle.flags, method)
-            rows.append((method, report.auroc, report.fpr95))
-        _write_report_csv(rows, out / "ablation.csv")
+        _write_report_csv([metrics.evaluate(scores, bundle.flags, method)
+                           for method, scores, _ in results], out / "ablation.csv")
     return 0
 
 
-def _write_report_csv(rows, path):
+def _write_report_csv(reports, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write("method,auroc,fpr95\n")
-        for method, auc, fpr in rows:
-            f.write(f"{method},{auc:.6f},{fpr:.6f}\n")
+        for r in reports:
+            f.write(f"{r.method},{r.auroc:.6f},{r.fpr95:.6f}\n")
 
 
 def cmd_eval(scores_paths, flags_path, out_dir, names=None) -> int:
@@ -206,7 +255,7 @@ def cmd_eval(scores_paths, flags_path, out_dir, names=None) -> int:
     with open(out / "report.json", "w", encoding="utf-8") as f:
         json.dump([asdict(r) for r in reports], f, indent=2)
         f.write("\n")
-    _write_report_csv([(r.method, r.auroc, r.fpr95) for r in reports], out / "report.csv")
+    _write_report_csv(reports, out / "report.csv")
     for r in reports:
         print(f"{r.method}: auroc={r.auroc:.4f} fpr95={r.fpr95:.4f}")
     return 0

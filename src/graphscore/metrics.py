@@ -4,7 +4,7 @@ Conventions: in-distribution is the positive class and higher scores mean
 more in-distribution. AUROC is the Mann-Whitney statistic with ties counted
 as half, computed from integer pair counts so it matches an exhaustive
 pairwise comparison bit for bit. FPR95 uses the largest threshold whose
-"score >= threshold" rule keeps ID recall at or above the target, with no
+"score >= threshold" rule keeps ID recall at or above 95%, with no
 interpolation between observed score values.
 """
 
@@ -63,26 +63,23 @@ def auroc(scores, is_id) -> float:
     return (wins + 0.5 * ties) / (n_id * n_ood)
 
 
-def fpr_at_tpr(scores, is_id, tpr_target: float = 0.95) -> float:
-    """False positive rate at the largest threshold keeping ID recall >= target."""
+def fpr_at_tpr(scores, is_id) -> float:
+    """False positive rate at the largest threshold keeping ID recall >= 95%."""
     scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
-    if not 0.0 < tpr_target <= 1.0:
-        raise ValueError(f"tpr_target must be in (0, 1], got {tpr_target}")
     id_scores = np.sort(scores[is_id])
-    # smallest ID count whose recall reaches the target; the tiny slack keeps
-    # exact products like 0.95 * 100 from rounding up past the true ceiling
-    need = math.ceil(tpr_target * n_id - 1e-9)
-    need = min(max(need, 1), n_id)
+    # smallest ID count whose recall reaches 95%, in 1..n_id; the tiny slack
+    # keeps exact products like 0.95 * 100 from rounding up past the ceiling
+    need = math.ceil(0.95 * n_id - 1e-9)
     threshold = id_scores[n_id - need]
     return float(np.count_nonzero(scores[~is_id] >= threshold)) / n_ood
 
 
-def evaluate(scores, is_id, method: str = "", tpr_target: float = 0.95) -> EvalReport:
+def evaluate(scores, is_id, method: str = "") -> EvalReport:
     """Bundle both metrics into a report."""
     scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
     return EvalReport(
         auroc=auroc(scores, is_id),
-        fpr95=fpr_at_tpr(scores, is_id, tpr_target),
+        fpr95=fpr_at_tpr(scores, is_id),
         n_id=n_id,
         n_ood=n_ood,
         method=method,

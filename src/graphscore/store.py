@@ -1,5 +1,7 @@
-"""Loading, validation, and persistence of embedding matrices, label tables,
-dataset manifests and their JSON sidecars. Every input file is parsed here.
+"""Loading, validation, and persistence of embedding matrices, label and
+flag tables, and JSON files. Every input file is read here; which files make
+up one dataset, and how they must agree, is the manifest schema in
+:func:`graphscore.cli.load_dataset`.
 
 NPY files are read and written with ``numpy.lib.format``, restricted to a
 subset: version 1.0, little-endian float32/float64, C-order, no empty axis,
@@ -98,32 +100,6 @@ class LabelTable:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Paths and metadata describing one scoring run's inputs.
-
-    Exactly one prototype source must be present: ``prompt_pools`` (one NPY
-    per class, clustered at score time), ``pool_matrix`` +
-    ``pool_boundaries`` (one stacked NPY plus its row offsets), or
-    ``prototypes`` + ``prototype_classes`` (pre-built prototype matrix plus
-    its class map). All paths are resolved relative to the manifest's
-    directory at load time.
-    """
-
-    root: Path
-    unlabeled: Path
-    c_in: int
-    class_names: tuple
-    prompt_pools: tuple = None
-    pool_matrix: Path = None
-    pool_boundaries: Path = None
-    prototypes: Path = None
-    prototype_classes: Path = None
-    labeled: Path = None
-    labels: Path = None
-    flags: Path = None
-
-
 def read_npy(path, rank) -> np.ndarray:
     """A ``rank``-D NPY file in the supported subset as float64, values unchecked."""
     path = Path(path)
@@ -160,20 +136,6 @@ def read_npy(path, rank) -> np.ndarray:
 def _write_npy(path, arr: np.ndarray):
     with open(path, "wb") as f:
         npy.write_array(f, np.ascontiguousarray(arr, "<f8"), version=(1, 0))
-
-
-def load_matrix(path) -> EmbeddingMatrix:
-    """Load a 2-D embedding matrix from an NPY v1.0 file.
-
-    Values are widened to float64; no normalization is applied. Raises
-    :class:`NpyFormatError` for files outside the supported subset, and
-    ``ValueError`` naming the first offending row for NaN/Inf payloads.
-    """
-    arr = read_npy(path, rank=2)
-    try:
-        return EmbeddingMatrix(arr)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_matrix(matrix: EmbeddingMatrix, path) -> None:
@@ -347,48 +309,3 @@ def typed_list(values, typ, key, source) -> list:
     if not isinstance(values, list):
         raise ValueError(f"{source}: key {key!r} must be a list, got {json.dumps(values)}")
     return [typed(v, typ, f"{key}[{i}]", source) for i, v in enumerate(values)]
-
-
-# manifest keys naming one file each, resolved against the manifest's directory
-_MANIFEST_FILES = ("unlabeled", "pool_matrix", "pool_boundaries", "prototypes",
-                   "prototype_classes", "labeled", "labels", "flags")
-
-
-def load_manifest(path) -> DatasetManifest:
-    """Parse and validate a JSON dataset manifest.
-
-    Checks the type of every field, that referenced files exist, that
-    ``class_names`` matches ``C_in``, and that exactly one prototype source
-    (``prompt_pools``, ``pool_matrix`` or ``prototypes``) is declared.
-    Unknown keys and null values are errors.
-    """
-    path = Path(path)
-    doc = load_json(path, "manifest", ("C_in", "class_names", "prompt_pools", *_MANIFEST_FILES),
-                    required=("unlabeled", "C_in", "class_names"))
-    c_in = typed(doc["C_in"], int, "C_in", path)
-    class_names = tuple(typed_list(doc["class_names"], str, "class_names", path))
-    if len(class_names) != c_in:
-        raise ValueError(
-            f"{path}: class_names has {len(class_names)} entries, C_in is {c_in}"
-        )
-    files = {key: path.parent / typed(doc[key], str, key, path)
-             for key in _MANIFEST_FILES if key in doc}
-    if sum(key in doc for key in ("prompt_pools", "pool_matrix", "prototypes")) != 1:
-        raise ValueError(
-            f"{path}: exactly one of prompt_pools, pool_matrix, or prototypes required"
-        )
-    pools = None
-    if "prompt_pools" in doc:
-        pools = tuple(path.parent / p
-                      for p in typed_list(doc["prompt_pools"], str, "prompt_pools", path))
-        if len(pools) != c_in:
-            raise ValueError(f"{path}: prompt_pools needs one file per class ({c_in})")
-    for needs, key in (("pool_matrix", "pool_boundaries"), ("prototypes", "prototype_classes"),
-                       ("labeled", "labels")):
-        if needs in files and key not in files:
-            raise ValueError(f"{path}: {needs} requires {key}")
-    for p in (*files.values(), *(pools or ())):
-        if not p.exists():
-            raise FileNotFoundError(f"{path}: referenced file does not exist: {p}")
-    return DatasetManifest(root=path.parent, c_in=c_in, class_names=class_names,
-                           prompt_pools=pools, **files)

@@ -411,13 +411,19 @@ def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("name, row", [("unlabeled", 3), ("labeled", 2), ("prototypes", 1)])
-def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
+def _labeled_dataset(tmp_path):
+    """The bridge preset with two labeled samples per class."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"preset": "bridge_benchmark", "labeled_per_class": 2}),
                          encoding="utf-8")
     data_dir = tmp_path / "data"
     assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+    return data_dir
+
+
+@pytest.mark.parametrize("name, row", [("unlabeled", 3), ("labeled", 2), ("prototypes", 1)])
+def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
+    data_dir = _labeled_dataset(tmp_path)
     rows = np.load(data_dir / f"{name}.npy")
     rows[row] = 0.0
     save_matrix(EmbeddingMatrix(rows), data_dir / f"{name}.npy")
@@ -463,6 +469,65 @@ def test_bad_sidecar_named_before_scoring(tmp_path, capsys, sidecar, text, names
     shutil.rmtree(run_dir)
     assert _score_all(data_dir, manifest, run_dir) == 1
     _assert_one_error_line(capsys, sidecar, *names)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("method", ["cosine", "gsp"])
+@pytest.mark.parametrize("source", ["labeled", "prototypes", "prompt_pools", "pool_matrix"])
+def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, method):
+    data_dir = _labeled_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    if source in ("labeled", "prototypes"):
+        rows = np.load(data_dir / f"{source}.npy")
+        save_matrix(EmbeddingMatrix(np.hstack([rows, np.ones((len(rows), 4))])),
+                    data_dir / f"{source}.npy")
+        bad = f"{source}.npy"
+    else:
+        del manifest["prototypes"], manifest["prototype_classes"]
+        pools = _write_pools(tmp_path, dim=20)
+        if source == "prompt_pools":
+            manifest["prompt_pools"], bad = pools, "pool0.npy"
+        else:
+            save_matrix(EmbeddingMatrix(np.vstack([np.load(p) for p in pools])),
+                        data_dir / "pool.npy")
+            (data_dir / "bounds.json").write_text('{"boundaries": [0, 8, 16]}', encoding="utf-8")
+            manifest.update(pool_matrix="pool.npy", pool_boundaries="bounds.json")
+            bad = "pool.npy"
+    path = data_dir / "edited_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(path), "--method", method,
+                 "--out", str(run_dir)]) == 1
+    _assert_one_error_line(capsys, f"{bad}: dimension 20", "unlabeled.npy has dimension 16")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("orphan, partner, edit", [
+    ("labels", "labeled", {"labels": "labels.csv"}),
+    ("prototype_classes", "prototypes", {"prototype_classes": "prototype_classes.json"}),
+    ("pool_boundaries", "pool_matrix", {"pool_matrix": None, "prototypes": "prototypes.npy",
+                                        "prototype_classes": "prototype_classes.json"}),
+])
+def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
+    data_dir, manifest = _pool_matrix_dataset(tmp_path)
+    (data_dir / "labels.csv").write_text("index,label\n0,0\n", encoding="utf-8")
+    manifest = {key: v for key, v in {**manifest, **edit}.items() if v is not None}
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(capsys, f"edited_manifest.json: {orphan} requires {partner}")
+    assert not run_dir.exists()
+
+
+def test_pool_class_count_names_boundaries_and_manifest(tmp_path, capsys):
+    data_dir, manifest = _pool_matrix_dataset(tmp_path)
+    pools = [np.load(p) for p in _write_pools(tmp_path, n_classes=3, dim=16)]
+    save_matrix(EmbeddingMatrix(np.vstack(pools)), data_dir / "pool.npy")
+    (data_dir / "pool_bounds.json").write_text('{"boundaries": [0, 8, 16, 24]}',
+                                               encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(capsys, "pool_bounds.json: 3 classes", "edited_manifest.json",
+                           "C_in is 2")
     assert not run_dir.exists()
 
 

@@ -68,13 +68,6 @@ def test_fpr_matches_sweep_oracle_exactly():
         assert fpr_at_tpr(scores, is_id) == sweep_fpr(scores, is_id)
 
 
-def test_fpr_target_validation():
-    scores = np.array([0.1, 0.9])
-    is_id = np.array([True, False])
-    with pytest.raises(ValueError, match="tpr_target"):
-        fpr_at_tpr(scores, is_id, tpr_target=0.0)
-
-
 def test_fpr_nonincreasing_under_id_shift():
     rng = np.random.default_rng(7)
     scores = rng.standard_normal(80)

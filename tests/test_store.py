@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphscore.cli import load_dataset
 from graphscore.store import (
     EmbeddingMatrix,
     LabelTable,
     NpyFormatError,
     load_flags,
     load_labels,
-    load_manifest,
-    load_matrix,
     load_unit_matrix,
     load_vector,
     save_flags,
     save_labels,
     save_matrix,
+    read_npy,
     save_vector,
     unit_rows,
 )
@@ -29,7 +29,7 @@ from oracles import random_unit_rows
 def test_load_trivial_matrix(tmp_path):
     path = tmp_path / "m.npy"
     np.save(path, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    m = load_matrix(path)
+    m = load_unit_matrix(path)
     assert m.count == 2 and m.dim == 3
     assert m.data.dtype == np.float64
     np.testing.assert_array_equal(m.data, [[1, 0, 0], [0, 1, 0]])
@@ -38,23 +38,23 @@ def test_load_trivial_matrix(tmp_path):
 def test_float32_widened(tmp_path):
     path = tmp_path / "m.npy"
     np.save(path, np.array([[0.5, 0.25]], dtype=np.float32))
-    m = load_matrix(path)
-    assert m.data.dtype == np.float64
-    np.testing.assert_array_equal(m.data, [[0.5, 0.25]])
+    m = read_npy(path, rank=2)
+    assert m.dtype == np.float64
+    np.testing.assert_array_equal(m, [[0.5, 0.25]])
 
 
 def test_fortran_order_rejected(tmp_path):
     path = tmp_path / "m.npy"
     np.save(path, np.asfortranarray(np.random.default_rng(0).random((3, 4))))
     with pytest.raises(NpyFormatError, match="unsupported layout"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.npy"
     path.write_bytes(b"NOTNPY" + b"\x00" * 64)
     with pytest.raises(NpyFormatError, match="bad magic"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_unsupported_version(tmp_path):
@@ -62,7 +62,7 @@ def test_unsupported_version(tmp_path):
     with open(path, "wb") as f:
         np.lib.format.write_array(f, np.zeros((2, 2)), version=(2, 0))
     with pytest.raises(NpyFormatError, match="unsupported NPY version"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float16, ">f8"])
@@ -70,17 +70,17 @@ def test_unsupported_dtype(tmp_path, dtype):
     path = tmp_path / "m.npy"
     np.save(path, np.ones((2, 2), dtype=dtype))
     with pytest.raises(NpyFormatError, match="unsupported dtype"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_unsupported_rank(tmp_path):
     path = tmp_path / "m.npy"
     np.save(path, np.zeros(5))
     with pytest.raises(NpyFormatError, match="unsupported rank"):
-        load_matrix(path)
+        read_npy(path, rank=2)
     np.save(path, np.zeros((2, 2, 2)))
     with pytest.raises(NpyFormatError, match="unsupported rank"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_nan_payload_names_row(tmp_path):
@@ -88,8 +88,8 @@ def test_nan_payload_names_row(tmp_path):
     data = np.ones((4, 2))
     data[2, 1] = np.nan
     np.save(path, data)
-    with pytest.raises(ValueError, match="row 2"):
-        load_matrix(path)
+    with pytest.raises(ValueError, match=r"m\.npy: non-finite norm in row 2"):
+        load_unit_matrix(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -98,7 +98,7 @@ def test_truncated_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(NpyFormatError, match="truncated payload"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_trailing_bytes(tmp_path):
@@ -106,7 +106,7 @@ def test_trailing_bytes(tmp_path):
     np.save(path, np.ones((2, 2)))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(NpyFormatError, match="trailing bytes"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def _npy(header, payload=b""):
@@ -133,7 +133,7 @@ def test_malformed_npy_names_the_file(tmp_path, raw):
     path = tmp_path / "bad.npy"
     path.write_bytes(raw)
     with pytest.raises(NpyFormatError, match=re.escape(str(path))):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_payload_length_checked_before_reading(tmp_path):
@@ -142,7 +142,7 @@ def test_payload_length_checked_before_reading(tmp_path):
     path.write_bytes(_npy("{'descr': '<f8', 'fortran_order': False, 'shape': (200000, 100000), }",
                           bytes(64)))
     with pytest.raises(NpyFormatError, match="truncated payload \\(64 of 160000000000 bytes\\)"):
-        load_matrix(path)
+        read_npy(path, rank=2)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -150,8 +150,7 @@ def test_round_trip_bitwise(tmp_path):
     data = rng.standard_normal((17, 8))
     path = tmp_path / "m.npy"
     save_matrix(EmbeddingMatrix(data), path)
-    loaded = load_matrix(path)
-    assert loaded.data.tobytes() == data.tobytes()
+    assert read_npy(path, rank=2).tobytes() == data.tobytes()
     # files written here load through numpy too
     np.testing.assert_array_equal(np.load(path), data)
 
@@ -161,14 +160,13 @@ def test_round_trip_large(tmp_path):
     data = rng.standard_normal((100, 16))
     path = tmp_path / "m.npy"
     save_matrix(EmbeddingMatrix(data), path)
-    assert load_matrix(path).data.tobytes() == data.tobytes()
+    assert read_npy(path, rank=2).tobytes() == data.tobytes()
 
 
 def test_save_one_by_one(tmp_path):
     path = tmp_path / "m.npy"
     save_matrix(EmbeddingMatrix([[0.5]]), path)
-    m = load_matrix(path)
-    assert m.count == 1 and m.dim == 1 and m.data[0, 0] == 0.5
+    assert read_npy(path, rank=2).tolist() == [[0.5]]
 
 
 def test_save_empty_path_errors():
@@ -180,7 +178,7 @@ def test_save_writes_exactly_the_given_path(tmp_path):
     save_matrix(EmbeddingMatrix([[0.5, 1.0]]), tmp_path / "protos")
     save_vector(np.ones(3), tmp_path / "scores.bin")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["protos", "scores.bin"]
-    assert load_matrix(tmp_path / "protos").data.tolist() == [[0.5, 1.0]]
+    assert read_npy(tmp_path / "protos", rank=2).tolist() == [[0.5, 1.0]]
     assert load_vector(tmp_path / "scores.bin").tolist() == [1.0, 1.0, 1.0]
 
 
@@ -389,7 +387,7 @@ def test_flags_incomplete(tmp_path):
         load_flags(path)
 
 
-# manifests ------------------------------------------------------------
+# manifests, parsed by cli.load_dataset ---------------------------------
 
 def _write_dataset(tmp_path, with_pools=True):
     rng = np.random.default_rng(5)
@@ -412,15 +410,15 @@ def test_manifest_good(tmp_path):
 
     doc = _write_dataset(tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
-    manifest = load_manifest(tmp_path / "manifest.json")
-    assert manifest.c_in == 2
-    assert manifest.class_names == ("a", "b")
-    assert len(manifest.prompt_pools) == 2
+    bundle = load_dataset(tmp_path / "manifest.json")
+    assert bundle.unlabeled.count == 6 and bundle.unlabeled.dim == 4
+    assert bundle.pool.data.shape == (2, 5, 4)
+    assert bundle.labeled is None and bundle.prototypes is None and bundle.flags is None
 
 
 def test_manifest_missing_file():
     with pytest.raises(FileNotFoundError, match="manifest not found"):
-        load_manifest("/nonexistent/manifest.json")
+        load_dataset("/nonexistent/manifest.json")
 
 
 def test_manifest_class_names_mismatch(tmp_path):
@@ -430,7 +428,7 @@ def test_manifest_class_names_mismatch(tmp_path):
     doc["class_names"] = ["a"]
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="class_names"):
-        load_manifest(tmp_path / "manifest.json")
+        load_dataset(tmp_path / "manifest.json")
 
 
 def test_manifest_needs_exactly_one_prototype_source(tmp_path):
@@ -439,7 +437,7 @@ def test_manifest_needs_exactly_one_prototype_source(tmp_path):
     doc = _write_dataset(tmp_path, with_pools=False)
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="exactly one"):
-        load_manifest(tmp_path / "manifest.json")
+        load_dataset(tmp_path / "manifest.json")
 
 
 def test_manifest_missing_referenced_file(tmp_path):
@@ -449,21 +447,21 @@ def test_manifest_missing_referenced_file(tmp_path):
     doc["prompt_pools"] = ["pool0.npy", "missing.npy"]
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FileNotFoundError, match="missing.npy"):
-        load_manifest(tmp_path / "manifest.json")
+        load_dataset(tmp_path / "manifest.json")
 
 
 def test_manifest_invalid_json_reports_position(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text('{"unlabeled": }', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1 column 15"):
-        load_manifest(path)
+        load_dataset(path)
 
 
 def test_manifest_not_utf8_names_the_file(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_bytes(b'{"unlabeled": "\xff"}')
     with pytest.raises(ValueError, match="manifest.json: not UTF-8 text"):
-        load_manifest(path)
+        load_dataset(path)
 
 
 def test_manifest_repeated_key_names_the_file(tmp_path):
@@ -471,4 +469,4 @@ def test_manifest_repeated_key_names_the_file(tmp_path):
     text = json.dumps(doc).replace('"C_in": 2', '"C_in": 3, "C_in": 2')
     (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="manifest.json: repeated keys \\['C_in'\\]"):
-        load_manifest(tmp_path / "manifest.json")
+        load_dataset(tmp_path / "manifest.json")
