@@ -97,6 +97,8 @@ def load_dataset(manifest_path) -> DatasetBundle:
                                              *_MANIFEST_FILES),
                           required=("unlabeled", "C_in", "class_names"))
     c_in = store.typed(doc["C_in"], int, "C_in", path)
+    if c_in < 1:
+        raise ValueError(f"{path}: key 'C_in' must be >= 1, got {c_in}")
     n_names = len(store.typed_list(doc["class_names"], str, "class_names", path))
     if n_names != c_in:
         raise ValueError(f"{path}: class_names has {n_names} entries, C_in is {c_in}")

@@ -11,11 +11,16 @@ sqrt(2 - 2s) (used by the shortest-path baseline).
 
 Each node's k nearest neighbors are ordered by (-similarity, index): equal
 similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
-query strips, so KNN memory is a few TOP_K_BLOCK x n buffers, and each pair
-of unlabeled nodes has its similarity computed once.
+query strips, and each pair of unlabeled nodes has its similarity computed
+once. KNN memory is two TOP_K_BLOCK x n strip products, used in turn, plus a
+SELECT_ROWS x n selection copy and mask. When a query block spans several
+strips, a worker thread that lives only for that call computes the next
+strip's product while the calling thread selects from the current one. The
+overlap uses a second core when BLAS runs on one thread, and moves no bit.
 """
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,8 @@ from .store import EmbeddingMatrix, _lock
 DEGREE_FLOOR = 1e-12
 # query rows per similarity strip
 TOP_K_BLOCK = 512
+# rows per selection and merge chunk of a strip
+SELECT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -119,41 +126,74 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     """The k most similar corpus rows per query, ordered by (-sim, index).
 
     Queries run in strips of TOP_K_BLOCK rows whose candidates merge into a
-    running (n_q, k) best list; every strip reuses the same few flat
-    TOP_K_BLOCK x n buffers. With ``exclude_self`` (queries is corpus) no row
-    selects itself, and a strip computes only its upper trapezoid
+    running (n_q, k) best list. With ``exclude_self`` (queries is corpus) no
+    row selects itself, and a strip computes only its upper trapezoid
     ``u[lo:hi] @ u[lo:].T``, whose columns past the strip, transposed, give
     each later row its candidates among the strip's rows, so sim(i, j) and
     sim(j, i) are one value.
+
+    Strip products alternate between two flat TOP_K_BLOCK x n buffers. With
+    more than one strip, one worker thread, alive only for this call,
+    computes strip s + 1's product while the calling thread selects and
+    merges strip s; numpy releases the GIL in both stages, so they overlap
+    on a second core when BLAS runs on one thread. Selection and merge run
+    in chunks of SELECT_ROWS rows, on both sides of a tile, through one
+    SELECT_ROWS x n scratch pair. Every product has the same shape and
+    operands whichever thread runs it, and merges run in strip order, so
+    the result does not depend on the overlap.
     """
     n_q, n_c = queries.shape[0], corpus.shape[0]
     # sentinel entries sort after every real candidate
     idx, sim = np.full((n_q, k), n_c), np.full((n_q, k), -np.inf)
-    size = min(TOP_K_BLOCK, n_q) * n_c
-    prod, part, reach = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    starts = range(0, n_q, TOP_K_BLOCK)
+    prods = [np.empty(min(TOP_K_BLOCK, n_q) * n_c) for _ in starts[:2]]
+    size = min(SELECT_ROWS, n_q) * n_c
+    part, reach = np.empty(size), np.empty(size, dtype=bool)
 
-    def merge(block, k_sel, rows, offset):
-        # the first k of each row's list and its k_sel best in ``block``;
-        # strips run in order, so a list holds only lower indices than the
-        # new candidates and a stable sort by -sim keeps the index order
-        scratch = (buf[:block.size].reshape(block.shape) for buf in (part, reach))
-        cand, vals = _select_block(block, k_sel, *scratch)
-        all_idx = np.concatenate([idx[rows], cand + offset], axis=1)
-        all_sim = np.concatenate([sim[rows], vals], axis=1)
-        order = np.argsort(-all_sim, axis=1, kind="stable")[:, :k]
-        idx[rows], sim[rows] = (np.take_along_axis(a, order, axis=1) for a in (all_idx, all_sim))
-
-    for lo in range(0, n_q, TOP_K_BLOCK):
+    def product(lo, buf):
         hi = min(lo + TOP_K_BLOCK, n_q)
         first = lo if exclude_self else 0
-        tile = prod[:(hi - lo) * (n_c - first)].reshape(hi - lo, n_c - first)
+        tile = buf[:(hi - lo) * (n_c - first)].reshape(hi - lo, n_c - first)
         np.matmul(queries[lo:hi], corpus[first:].T, out=tile)
         if exclude_self:
             np.fill_diagonal(tile, -np.inf)  # each row's own column
-            if hi < n_q:
-                merge(tile[:, hi - lo:].T, min(k, hi - lo), slice(hi, n_q), lo)
+        return tile
+
+    def merge(block, k_sel, row0, offset):
+        # the first k of each row's list and its k_sel best in ``block``,
+        # whose rows are list rows row0, row0 + 1, ...; strips run in order,
+        # so a list holds only lower indices than the new candidates and a
+        # stable sort by -sim keeps the index order
+        for c in range(0, block.shape[0], SELECT_ROWS):
+            chunk = block[c:c + SELECT_ROWS]
+            rows = slice(row0 + c, row0 + c + chunk.shape[0])
+            scratch = (buf[:chunk.size].reshape(chunk.shape) for buf in (part, reach))
+            cand, vals = _select_block(chunk, k_sel, *scratch)
+            all_idx = np.concatenate([idx[rows], cand + offset], axis=1)
+            all_sim = np.concatenate([sim[rows], vals], axis=1)
+            order = np.argsort(-all_sim, axis=1, kind="stable")[:, :k]
+            idx[rows], sim[rows] = (np.take_along_axis(a, order, axis=1)
+                                    for a in (all_idx, all_sim))
+
+    def select(lo, tile):
+        hi = lo + tile.shape[0]
+        first = lo if exclude_self else 0
+        if exclude_self and hi < n_q:
+            merge(tile[:, hi - lo:].T, min(k, hi - lo), hi, lo)
         if n_c - first > exclude_self:
-            merge(tile, min(k, n_c - first - exclude_self), slice(lo, hi), first)
+            merge(tile, min(k, n_c - first - exclude_self), lo, first)
+
+    if len(starts) == 1:
+        select(0, product(0, prods[0]))
+        return idx, sim
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(product, 0, prods[0])
+        for s, lo in enumerate(starts):
+            tile = pending.result()
+            if s + 1 < len(starts):
+                # the other buffer: its strip's selection has finished
+                pending = pool.submit(product, starts[s + 1], prods[(s + 1) % 2])
+            select(lo, tile)
     return idx, sim
 
 

@@ -398,6 +398,8 @@ def _assert_one_error_line(capsys, *names):
     ({"flag": "flags.csv"}, "'flag'"),
     ({"prototypes": None, "prototype_classes": None, "prompt_pools": ["a.npy", 7]},
      "'prompt_pools[1]'"),
+    ({"C_in": 0, "class_names": [], "prototypes": None, "prototype_classes": None,
+      "prompt_pools": []}, "'C_in'"),
 ])
 def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
     data_dir = _synth_dataset(tmp_path)

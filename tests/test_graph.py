@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphscore.baselines import manifold_score
@@ -98,12 +100,16 @@ def _top_k_full_sort(queries, corpus, k, exclude_self):
 
 
 @given(st.integers(0, 10_000), st.sampled_from([7, 40, 512, 513, 1100]),
-       st.integers(1, 6), st.integers(1, 12), st.booleans(), st.booleans())
+       st.integers(1, 6), st.integers(1, 12), st.booleans(), st.booleans(),
+       st.sampled_from([0, TOP_K_BLOCK + 70]))
+@example(seed=1, n=1100, n_distinct=3, k=5, exclude_self=False, other_queries=True,
+         n_drawn=TOP_K_BLOCK + 70)
 @settings(max_examples=40, deadline=None)
 def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
-                                           other_queries):
+                                           other_queries, n_drawn):
     # rows drawn from a few distinct directions (or all distinct), so that
-    # ties straddle the k-th value; n > TOP_K_BLOCK leaves a partial last block
+    # ties straddle the k-th value; n > TOP_K_BLOCK leaves a partial last block,
+    # and n_drawn > 0 gives a separate query block of several strips
     rng = np.random.default_rng(seed)
     if n_distinct == 6:
         corpus = random_unit_rows(rng, n, 3)
@@ -111,7 +117,8 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
         corpus = random_unit_rows(rng, n_distinct, 3)[rng.integers(0, n_distinct, n)]
     queries = corpus
     if other_queries and not exclude_self:
-        queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3)])
+        queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3),
+                             corpus[rng.integers(0, n, n_drawn)]])
     k = min(k, n - exclude_self)
     idx, sims = _top_k(queries, corpus, k, exclude_self)
     ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
@@ -122,9 +129,10 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
     assert np.abs(sims - whole).max() <= 1e-15
 
 
-def test_top_k_peak_memory_is_one_product():
-    # one reused TOP_K_BLOCK x n strip product, selection copy and mask, and
-    # the (n, k) running lists; the n x n product alone is 2.7x the bound
+def test_top_k_peak_memory_is_two_products():
+    # two alternating TOP_K_BLOCK x n strip products, one SELECT_ROWS x n
+    # selection copy and mask, and the (n, k) running lists; the n x n
+    # product alone is 2.7x the bound
     n = 4096
     corpus = random_unit_rows(np.random.default_rng(0), n, 16)
     tracemalloc.start()
@@ -187,6 +195,67 @@ def test_adjacency_matches_dense_oracle_across_strips():
     adj = build_adjacency(protos, EmbeddingMatrix(lab), EmbeddingMatrix(unlab), k=4)
     expected = dense_block_adjacency(protos.vectors.data, lab, unlab, k=4)
     np.testing.assert_allclose(_dense(adj), expected, rtol=0, atol=1e-12)
+
+
+def _strips_input(seed):
+    rng = np.random.default_rng(seed)
+    d = 8
+    unlab = EmbeddingMatrix(random_unit_rows(rng, 2 * TOP_K_BLOCK + 77, d))
+    lab = EmbeddingMatrix(random_unit_rows(rng, TOP_K_BLOCK + 9, d))
+    return _protos(random_unit_rows(rng, 3, d)), lab, unlab
+
+
+def _weight_bytes(adj):
+    w = adj.weights
+    return w.data.tobytes(), w.indices.tobytes(), w.indptr.tobytes()
+
+
+def test_top_k_leaves_no_thread_behind(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    protos, lab, unlab = _strips_input(0)
+    before = threading.active_count()
+    build_adjacency(protos, lab, unlab, k=4)
+    # the labeled and unlabeled blocks span several strips: one worker each,
+    # and neither outlives its call
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    started.clear()
+    # every query block of this build fits in one strip
+    build_adjacency(protos, EmbeddingMatrix(lab.data[:20]),
+                    EmbeddingMatrix(unlab.data[:TOP_K_BLOCK]), k=4)
+    assert started == []
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_match_sequential_builds():
+    # more caller threads than cores, each with its own worker, under a short
+    # switch interval; every graph must keep the bytes of a sequential build
+    inputs = [_strips_input(seed) for seed in range(3)]
+    expected = [_weight_bytes(build_adjacency(*args, k=4)) for args in inputs]
+    got = [None] * len(inputs)
+
+    def run(i):
+        got[i] = _weight_bytes(build_adjacency(*inputs[i], k=4))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 def test_adjacency_with_duplicate_rows_ties():
