@@ -12,9 +12,7 @@ from .propagation import (
 )
 from .store import (
     EmbeddingMatrix,
-    LabelTable,
     NpyFormatError,
-    load_labels,
     load_unit_matrix,
     load_vector,
     save_matrix,
@@ -32,12 +30,11 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockAdjacency", "EmbeddingMatrix", "EvalReport", "LabelTable",
-    "NodePartition", "NpyFormatError", "PromptPool", "PropagationConfig",
-    "PrototypeSet", "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
+    "BlockAdjacency", "EmbeddingMatrix", "EvalReport", "NodePartition",
+    "NpyFormatError", "PromptPool", "PropagationConfig", "PrototypeSet",
+    "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
     "bridge_benchmark_spec", "build_adjacency", "cluster_prompts",
-    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "load_labels",
-    "load_unit_matrix", "load_vector", "manifold_score", "mean_prototypes",
-    "normalize", "propagate", "run_gsp", "save_matrix", "save_vector",
-    "select_pseudo_prompts", "unit_rows",
+    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "load_unit_matrix",
+    "load_vector", "manifold_score", "mean_prototypes", "normalize", "propagate",
+    "run_gsp", "save_matrix", "save_vector", "select_pseudo_prompts", "unit_rows",
 ]

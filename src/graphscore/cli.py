@@ -25,7 +25,7 @@ from .graph import build_adjacency
 from .prompts import (cluster_prompts, load_pooled_matrix, load_prompt_pools, load_prototypes,
                       mean_prototypes, save_prototypes)
 from .propagation import PropagationConfig, run_gsp
-from .store import load_labels, load_unit_matrix
+from .store import load_unit_matrix
 
 log = logging.getLogger("graphscore")
 
@@ -73,12 +73,12 @@ class DatasetBundle:
     flags: object
 
 
-# each file of a pair is only valid beside the other; unlabeled and flags stand alone
-_PARTNER = {"pool_matrix": "pool_boundaries", "prototypes": "prototype_classes",
-            "labeled": "labels"}
+# each file of a pair is only valid beside the other; unlabeled, labeled and
+# flags stand alone
+_PARTNER = {"pool_matrix": "pool_boundaries", "prototypes": "prototype_classes"}
 _PARTNER.update({second: first for first, second in _PARTNER.items()})
 # manifest keys naming one file each, resolved against the manifest's directory
-_MANIFEST_FILES = ("unlabeled", "flags", *_PARTNER)
+_MANIFEST_FILES = ("unlabeled", "labeled", "flags", *_PARTNER)
 
 
 def load_dataset(manifest_path) -> DatasetBundle:
@@ -131,7 +131,6 @@ def load_dataset(manifest_path) -> DatasetBundle:
     if "labeled" in files:
         labeled = load_unit_matrix(files["labeled"])
         check_dim(files["labeled"], labeled.dim)
-        load_labels(files["labels"], labeled, c_in)
     pool = prototypes = None
     # ``counted`` is the file that fixes the class count
     if "prompt_pools" in doc:
@@ -297,9 +296,7 @@ def cmd_synth(spec_path, out_dir) -> int:
     }
     if data.labeled is not None:
         store.save_matrix(data.labeled, out / "labeled.npy")
-        store.save_labels(data.labels, out / "labels.csv")
         manifest["labeled"] = "labeled.npy"
-        manifest["labels"] = "labels.csv"
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")

@@ -1,6 +1,6 @@
-"""Loading, validation, and persistence of embedding matrices, label and
-flag tables, and JSON files. Every input file is read here; which files make
-up one dataset, and how they must agree, is the manifest schema in
+"""Loading, validation, and persistence of embedding matrices, flag tables
+and JSON files. Every input file is read here; which files make up one
+dataset, and how they must agree, is the manifest schema in
 :func:`graphscore.cli.load_dataset`.
 
 NPY files are read and written with ``numpy.lib.format``, restricted to a
@@ -71,33 +71,6 @@ class EmbeddingMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.data, dtype=dtype, copy=copy)
-
-
-@dataclass(frozen=True)
-class LabelTable:
-    """Class labels for a subset of rows of an embedding matrix.
-
-    ``entries`` is a tuple of ``(row_index, class_id)`` pairs; ``count`` is
-    the row count of the associated matrix and ``n_classes`` the number of
-    in-distribution classes.
-    """
-
-    entries: tuple
-    count: int
-    n_classes: int
-
-    def __post_init__(self):
-        entries = tuple((int(i), int(c)) for i, c in self.entries)
-        seen = set()
-        for i, c in entries:
-            if i in seen:
-                raise ValueError(f"duplicate index {i}")
-            seen.add(i)
-            if not 0 <= i < self.count:
-                raise ValueError(f"index {i} out of range for matrix with {self.count} rows")
-            if not 0 <= c < self.n_classes:
-                raise ValueError(f"label out of range: {c} (n_classes={self.n_classes})")
-        object.__setattr__(self, "entries", entries)
 
 
 def read_npy(path, rank) -> np.ndarray:
@@ -180,58 +153,34 @@ def load_unit_matrix(path) -> EmbeddingMatrix:
     return EmbeddingMatrix(unit_rows(read_npy(path, rank=2), path))
 
 
-def _read_int_pairs(path, header) -> list:
-    """The ``(line number, first, second)`` integer rows of a two-column CSV
-    whose first line is ``header``; blank lines are skipped."""
+def load_flags(path) -> np.ndarray:
+    """Load ground-truth ID/OOD flags from a CSV with header ``index,is_id``.
+
+    Blank lines are skipped. Indices must cover 0..n-1 exactly once; returns
+    a boolean array where True marks in-distribution samples.
+    """
+    header = ["index", "is_id"]
+    pairs = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         first = next(reader, None)
         if first != header:
             raise ValueError(f"{path}: expected header {','.join(header)!r}, "
                              f"got {','.join(first or [])!r}")
-        pairs = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
             try:
-                pairs.append((lineno, int(row[0]), int(row[1])))
+                idx, val = int(row[0]), int(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer entry") from None
-    return pairs
-
-
-def load_labels(path, matrix: EmbeddingMatrix, c_in: int) -> LabelTable:
-    """Load a label CSV (header exactly ``index,label``) and validate it
-    against the matrix row count and the class count."""
-    entries = tuple((i, c) for _, i, c in _read_int_pairs(path, ["index", "label"]))
-    try:
-        return LabelTable(entries, count=matrix.count, n_classes=c_in)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_labels(table: LabelTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "label"])
-        writer.writerows(table.entries)
-
-
-def load_flags(path) -> np.ndarray:
-    """Load ground-truth ID/OOD flags from a CSV with header ``index,is_id``.
-
-    Indices must cover 0..n-1 exactly once; returns a boolean array where
-    True marks in-distribution samples.
-    """
-    pairs = {}
-    for lineno, idx, val in _read_int_pairs(path, ["index", "is_id"]):
-        if idx in pairs:
-            raise ValueError(f"{path}: duplicate index {idx}")
-        if val not in (0, 1):
-            raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
-        pairs[idx] = bool(val)
+            if idx in pairs:
+                raise ValueError(f"{path}: duplicate index {idx}")
+            if val not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
+            pairs[idx] = bool(val)
     n = len(pairs)
     if n == 0:
         raise ValueError(f"{path}: no flag rows")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prompts import PrototypeSet
-from .store import EmbeddingMatrix, LabelTable
+from .store import EmbeddingMatrix
 
 STREAM_PROTO = 0
 STREAM_ID = 1
@@ -90,7 +90,6 @@ class SynthDataset:
     unlabeled: EmbeddingMatrix
     is_id: np.ndarray
     labeled: EmbeddingMatrix = None
-    labels: LabelTable = None
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -163,7 +162,8 @@ def _branch_points(rng, dim: int, branch_deg: float, angles_deg: np.ndarray,
 
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate a dataset: prototypes, unlabeled samples (ID first, then
-    OOD), ID flags, and optionally labeled samples with their table."""
+    OOD), ID flags, and optionally labeled samples, ``labeled_per_class``
+    rows per class in class order."""
     means = _class_means(spec)
     rng_proto = _rng(spec.seed, STREAM_PROTO)
     rng_id = _rng(spec.seed, STREAM_ID)
@@ -192,18 +192,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     is_id[: spec.n_id] = True
 
     labeled = None
-    table = None
     if spec.labeled_per_class > 0:
         rng_lab = _rng(spec.seed, STREAM_LABELED)
         rows = []
-        entries = []
         for c in range(spec.n_classes):
             rows.append(_blob(rng_lab, means[c], spec.spread, spec.labeled_per_class))
-            entries.extend(
-                (c * spec.labeled_per_class + j, c) for j in range(spec.labeled_per_class)
-            )
         labeled = EmbeddingMatrix(np.vstack(rows))
-        table = LabelTable(tuple(entries), count=labeled.count, n_classes=spec.n_classes)
 
     prototypes = PrototypeSet(
         vectors=EmbeddingMatrix(protos),
@@ -215,7 +209,6 @@ def generate(spec: SynthSpec) -> SynthDataset:
         unlabeled=unlabeled,
         is_id=is_id,
         labeled=labeled,
-        labels=table,
     )
 
 

@@ -423,6 +423,21 @@ def _labeled_dataset(tmp_path):
     return data_dir
 
 
+def test_labeled_stands_alone_and_labels_key_is_rejected(tmp_path, capsys):
+    data_dir = _labeled_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    assert manifest["labeled"] == "labeled.npy" and "labels" not in manifest
+    assert not (data_dir / "labels.csv").exists()
+    assert _score_all(data_dir, manifest, tmp_path / "ok") == 0
+    capsys.readouterr()
+    # no labels.csv exists, so only a parse-time rejection can exit 1 here
+    manifest["labels"] = "labels.csv"
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(capsys, "edited_manifest.json: unknown manifest keys ['labels']")
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("name, row", [("unlabeled", 3), ("labeled", 2), ("prototypes", 1)])
 def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
     data_dir = _labeled_dataset(tmp_path)
@@ -505,14 +520,14 @@ def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, metho
 
 
 @pytest.mark.parametrize("orphan, partner, edit", [
-    ("labels", "labeled", {"labels": "labels.csv"}),
+    ("prototypes", "prototype_classes", {"pool_matrix": None, "pool_boundaries": None,
+                                         "prototypes": "prototypes.npy"}),
     ("prototype_classes", "prototypes", {"prototype_classes": "prototype_classes.json"}),
     ("pool_boundaries", "pool_matrix", {"pool_matrix": None, "prototypes": "prototypes.npy",
                                         "prototype_classes": "prototype_classes.json"}),
 ])
 def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
     data_dir, manifest = _pool_matrix_dataset(tmp_path)
-    (data_dir / "labels.csv").write_text("index,label\n0,0\n", encoding="utf-8")
     manifest = {key: v for key, v in {**manifest, **edit}.items() if v is not None}
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 1

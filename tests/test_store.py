@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from graphscore.cli import load_dataset
 from graphscore.store import (
     EmbeddingMatrix,
-    LabelTable,
     NpyFormatError,
     load_flags,
-    load_labels,
     load_unit_matrix,
     load_vector,
     save_flags,
-    save_labels,
     save_matrix,
     read_npy,
     save_vector,
@@ -303,53 +300,7 @@ def test_embedding_matrix_adopts_float64_c_order():
         assert converted is not other and converted.flags.c_contiguous
 
 
-# labels ---------------------------------------------------------------
-
-def _matrix(n=4, d=3):
-    return EmbeddingMatrix(random_unit_rows(np.random.default_rng(0), n, d))
-
-
-def test_load_labels_good(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,2\n1,0\n", encoding="utf-8")
-    table = load_labels(path, _matrix(n=2), c_in=3)
-    assert table.entries == ((0, 2), (1, 0))
-
-
-def test_load_labels_duplicate(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,1\n0,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate index 0"):
-        load_labels(path, _matrix(), c_in=3)
-
-
-def test_load_labels_label_out_of_range(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="label out of range"):
-        load_labels(path, _matrix(), c_in=3)
-
-
-def test_load_labels_index_out_of_range(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n9,0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="index 9 out of range"):
-        load_labels(path, _matrix(n=4), c_in=3)
-
-
-def test_load_labels_bad_header(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("idx,lab\n0,0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected header"):
-        load_labels(path, _matrix(), c_in=3)
-
-
-def test_labels_round_trip(tmp_path):
-    table = LabelTable(((0, 1), (2, 0)), count=4, n_classes=2)
-    path = tmp_path / "labels.csv"
-    save_labels(table, path)
-    assert load_labels(path, _matrix(n=4), c_in=2).entries == table.entries
-
+# flags ----------------------------------------------------------------
 
 def test_flags_round_trip(tmp_path):
     flags = np.array([True, False, True, True])
@@ -361,8 +312,10 @@ def test_flags_round_trip(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("index,is_id\n0,1,junk\n", "flags.csv:2: expected two fields, got 3"),
     ("index,is_id\n0\n", "flags.csv:2: expected two fields, got 1"),
+    ("index,is_id\n0,1\n1,0,2\n", "flags.csv:3: expected two fields, got 3"),
     ("index,is_id\n0,x\n", "flags.csv:2: non-integer entry"),
     ("index,is_id\n0,2\n", "flags.csv:2: is_id must be 0 or 1"),
+    ("index,is_id\n0,1\n0,0\n", "flags.csv: duplicate index 0"),
     ("index,is_id\n", "flags.csv: no flag rows"),
     ("", "flags.csv: expected header 'index,is_id'"),
 ])
@@ -371,13 +324,6 @@ def test_flags_malformed_rows_named(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_flags(path)
-
-
-def test_labels_extra_field_named(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,1\n1,0,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape("labels.csv:3: expected two fields, got 3")):
-        load_labels(path, _matrix(), c_in=3)
 
 
 def test_flags_incomplete(tmp_path):

@@ -73,12 +73,14 @@ def test_blob_ranking_holds_across_seeds():
     assert perfect >= 95
 
 
-def test_labeled_samples_and_table():
+def test_labeled_samples():
     spec = replace(blob_benchmark_spec(seed=0), labeled_per_class=4)
     data = generate(spec)
     assert data.labeled.count == 8
-    assert len(data.labels.entries) == 8
-    assert [c for _, c in data.labels.entries] == [0, 0, 0, 0, 1, 1, 1, 1]
+    # rows come in class blocks: block c lies nearest class c's mean, e_c
+    means = np.eye(spec.n_classes, spec.dim)
+    np.testing.assert_array_equal(np.argmax(data.labeled.data @ means.T, axis=1),
+                                  np.repeat(np.arange(2), 4))
 
 
 def test_spec_validation():
