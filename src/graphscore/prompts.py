@@ -11,7 +11,9 @@ lexicographic row order.
 """
 
 import json
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,7 +142,7 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
         counts[c] += 1
 
 
-def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
+def _lloyd(points: np.ndarray, k: int, seed: int, stream: int, scratch=None):
     """Deterministic K-means. Returns (centers, assignments, objective history).
 
     ``points`` is one class's (T, d) templates, or a (B, T, d) block of classes
@@ -148,11 +150,13 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
     own centers settle; a block returns (B, k, d) centers, (B, T) assignments
     and a history per class. Centers come back in lexicographic row order so
     results do not depend on the order templates were supplied in.
+    ``scratch``, an array of at least B classes of the block's (T, d) shape,
+    is used instead of a fresh one; its contents do not matter.
     """
     if points.ndim == 2:
         centers, assign, history = _lloyd(points[None], k, seed, stream)
         return centers[0], assign[0], history[0]
-    buf = np.empty_like(points)
+    buf = np.empty_like(points) if scratch is None else scratch[:len(points)]
     sq = np.square(points, out=buf).sum(axis=2)
     centers = _kmeans_pp_init(points, k, seed, stream, buf)
     history = [[] for _ in points]
@@ -192,7 +196,12 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
         cur = new
     if any((np.diff(h) > 1e-9).any() for h in history):
         raise RuntimeError("k-means objective increased between iterations")
-    order = np.lexsort(centers.transpose(2, 0, 1)[::-1], axis=-1)
+    # lexicographic order: column 0 decides unless two of a class's centers tie on it
+    order = np.argsort(centers[:, :, 0], axis=1, kind="stable")
+    first = np.take_along_axis(centers[:, :, 0], order, axis=1)
+    tied = (first[:, 1:] == first[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.lexsort(centers[tied].transpose(2, 0, 1)[::-1], axis=-1)
     centers = np.take_along_axis(centers, order[:, :, None], axis=1)
     assign, _ = _assign(points, sq, centers)
     return centers, assign, history
@@ -203,7 +212,14 @@ def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
 
     Centers are re-normalized to unit length; requests for more clusters than
     templates are clamped with a warning. ``n_c == 1`` gives exactly
-    :func:`mean_prototypes`. Classes run in blocks of ``LLOYD_BLOCK_BYTES``.
+    :func:`mean_prototypes`.
+
+    Classes run in blocks of ``LLOYD_BLOCK_BYTES``. With more than one block,
+    the calling thread and one worker thread, alive only for this call, each
+    take the next unclaimed block until none is left, each through its own
+    scratch array; numpy releases the GIL in the block's array work, so the
+    two overlap on a second core. Every class draws from its own PCG64
+    stream, so no output depends on which thread ran its block.
     """
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c}")
@@ -215,8 +231,35 @@ def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
         return mean_prototypes(pool)
     block = max(1, LLOYD_BLOCK_BYTES // pool.data[0].nbytes)
     centers = np.empty((n_classes, n_c, dim))
-    for lo in range(0, n_classes, block):
-        centers[lo:lo + block] = _lloyd(pool.data[lo:lo + block], n_c, seed, stream=lo)[0]
+    starts = range(0, n_classes, block)
+    unclaimed, claim = iter(starts), threading.Lock()
+
+    def drain(scratch):
+        while True:
+            with claim:
+                lo = next(unclaimed, None)
+            if lo is None:
+                return
+            try:
+                centers[lo:lo + block] = _lloyd(pool.data[lo:lo + block], n_c, seed, lo,
+                                                scratch)[0]
+            except BaseException:
+                with claim:  # the other thread takes no further block
+                    for _ in unclaimed:
+                        pass
+                raise
+
+    rows = min(block, n_classes)
+    if len(starts) == 1:
+        drain(np.empty((rows, n_t, dim)))
+    else:
+        # both scratch arrays come from the calling thread: one freed on the
+        # short-lived worker stays resident in that thread's malloc arena
+        scratch = np.empty((2, rows, n_t, dim))
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            pending = worker.submit(drain, scratch[1])
+            drain(scratch[0])
+            pending.result()
     norms = np.linalg.norm(centers, axis=2)
     small = (norms < 1e-12).any(axis=1)
     if small.any():
@@ -240,15 +283,20 @@ def load_prompt_pools(paths) -> PromptPool:
     """Build a pool from one NPY file per class; rows are L2-normalized by
     :func:`unit_rows`, which names the file and row of a NaN or inf."""
     paths = list(paths)
-    stack = np.empty(0)
-    for c, path in enumerate(paths):
-        rows = read_npy(path, rank=2)
+    stack, headers = np.empty(0), {}
+
+    def slot(shape):
+        # the first file sizes the stack; each file is read into its own slot
+        nonlocal stack
         if c == 0:
-            stack = np.empty((len(paths), *rows.shape))
-        elif rows.shape != stack.shape[1:]:
-            raise ValueError(f"{path}: shape {rows.shape} differs from "
-                             f"{paths[0]}: {stack.shape[1:]}")
-        unit_rows(rows, path, out=stack[c])
+            stack = np.empty((len(paths), *shape))
+        elif shape != stack.shape[1:]:
+            raise ValueError(f"{path}: shape {shape} differs from {paths[0]}: {stack.shape[1:]}")
+        return stack[c]
+
+    for c, path in enumerate(paths):
+        rows = read_npy(path, rank=2, slot=slot, headers=headers)
+        unit_rows(rows, path, out=rows)
     return PromptPool(stack)
 
 
@@ -265,9 +313,8 @@ def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
     if bounds[:1] != [0] or bounds[-1:] != [rows.shape[0]] or len(sizes) != 1 or sizes[0] < 1:
         raise ValueError(f"{boundaries_path}: boundaries must run from 0 to {rows.shape[0]} in "
                          f"equal steps; the classes hold {sizes} templates")
-    stack = np.empty((len(bounds) - 1, sizes[0], rows.shape[1]))
-    unit_rows(rows, matrix_path, out=stack.reshape(rows.shape))
-    return PromptPool(stack)
+    unit_rows(rows, matrix_path, out=rows)
+    return PromptPool(rows.reshape(len(bounds) - 1, sizes[0], rows.shape[1]))
 
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:

@@ -14,6 +14,7 @@ JSON files are read by :func:`load_json` and each field is checked by
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -73,9 +74,18 @@ class EmbeddingMatrix:
         return np.array(self.data, dtype=dtype, copy=copy)
 
 
-def read_npy(path, rank) -> np.ndarray:
-    """A ``rank``-D NPY file in the supported subset as float64, values unchecked."""
+def read_npy(path, rank, slot=None, headers=None) -> np.ndarray:
+    """A ``rank``-D NPY file in the supported subset as float64, values unchecked.
+
+    The payload is read straight into a new array, or into ``slot(shape)``,
+    a float64 C-order array of the file's shape that a loader hands out from
+    a preallocated stack; ``slot`` may raise to refuse the shape, and is only
+    called once the file size matches the header. ``headers`` memoizes
+    parsed headers by their raw bytes, so a loader reading many files with
+    one header parses it once.
+    """
     path = Path(path)
+    headers = {} if headers is None else headers
     with open(path, "rb") as f:
         try:
             version = npy.read_magic(f)
@@ -83,10 +93,14 @@ def read_npy(path, rank) -> np.ndarray:
             raise NpyFormatError(f"{path}: not an NPY file (bad magic: {exc})") from None
         if version != (1, 0):
             raise NpyFormatError(f"{path}: unsupported NPY version {version}")
-        try:
-            shape, fortran_order, dtype = npy.read_array_header_1_0(f)
-        except ValueError as exc:
-            raise NpyFormatError(f"{path}: malformed header ({exc})") from None
+        raw = f.read(2)  # the header length, then the header
+        raw += f.read(int.from_bytes(raw, "little"))
+        if raw not in headers:
+            try:
+                headers[raw] = npy.read_array_header_1_0(io.BytesIO(raw))
+            except ValueError as exc:
+                raise NpyFormatError(f"{path}: malformed header ({exc})") from None
+        shape, fortran_order, dtype = headers[raw]
         if dtype.str not in _SUPPORTED_DESCRS:
             raise NpyFormatError(f"{path}: unsupported dtype {dtype.str!r} (need '<f4' or '<f8')")
         if fortran_order:
@@ -102,8 +116,12 @@ def read_npy(path, rank) -> np.ndarray:
             raise NpyFormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
         if size > expected:
             raise NpyFormatError(f"{path}: trailing bytes after payload")
-        return np.frombuffer(f.read(expected), dtype=dtype).reshape(shape).astype(
-            np.float64, copy=False)
+        out = np.empty(shape) if slot is None else slot(shape)
+        if dtype == out.dtype:
+            f.readinto(out)
+        else:  # '<f4', widened in one copy
+            np.copyto(out, np.frombuffer(f.read(expected), dtype=dtype).reshape(shape))
+        return out
 
 
 def _write_npy(path, arr: np.ndarray):
@@ -118,7 +136,7 @@ def save_matrix(matrix: EmbeddingMatrix, path) -> None:
 
 def load_vector(path) -> np.ndarray:
     """Load a 1-D float NPY file (score vectors, etc.) as float64."""
-    arr = read_npy(path, rank=1).copy()
+    arr = read_npy(path, rank=1)
     if not np.isfinite(arr).all():
         bad = int(np.nonzero(~np.isfinite(arr))[0][0])
         raise ValueError(f"{path}: entry {bad} is non-finite")

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from graphscore.prompts import (
     mean_prototypes,
     save_prototypes,
 )
-from graphscore.store import EmbeddingMatrix, save_matrix
+from graphscore.store import EmbeddingMatrix, NpyFormatError, save_matrix, unit_rows
 
 from oracles import exhaustive_kmeans_2, random_unit_rows
 
@@ -215,8 +217,8 @@ def test_load_pools_per_class(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
-    # the loaders leave the value check to the pool itself; a NaN, an inf or
-    # an overflowing row is still reported with its file and row
+    # a NaN, an inf or an overflowing row is reported with its file and row,
+    # also when that file's header bytes equal the first file's
     rows = np.where(np.arange(12).reshape(4, 3) == 4, bad, 1.0)
     np.save(tmp_path / "first.npy", np.ones((4, 3)))
     np.save(tmp_path / "bad.npy", rows)
@@ -225,6 +227,43 @@ def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
     (tmp_path / "bounds.json").write_text('{"boundaries": [0, 2, 4]}', encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
         load_pooled_matrix(tmp_path / "bad.npy", tmp_path / "bounds.json")
+
+
+def test_pool_slots_match_numpy_load(tmp_path):
+    # '<f8' files are read straight into their slot of the stack and '<f4'
+    # files widened into it; a later file whose header differs from the
+    # first file's in its bytes alone (key order, padding) still loads
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((3, 4, 3))
+    np.save(tmp_path / "a.npy", rows[0])
+    np.save(tmp_path / "b.npy", rows[1].astype(np.float32))
+    header = b"{'shape': (4, 3), 'fortran_order': False, 'descr': '<f8'}\n"
+    (tmp_path / "c.npy").write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                                     + header + rows[2].tobytes())
+    paths = [tmp_path / name for name in ("a.npy", "b.npy", "c.npy")]
+    pool = load_prompt_pools(paths)
+    for c, path in enumerate(paths):
+        wide = np.load(path).astype(np.float64)
+        assert pool.data[c].tobytes() == unit_rows(wide, path).tobytes()
+    (tmp_path / "bounds.json").write_text('{"boundaries": [0, 4, 8, 12]}', encoding="utf-8")
+    for dtype in ("<f8", "<f4"):
+        np.save(tmp_path / "stacked.npy", rows.reshape(12, 3).astype(dtype))
+        pool = load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bounds.json")
+        wide = np.load(tmp_path / "stacked.npy").astype(np.float64)
+        assert pool.data.tobytes() == unit_rows(wide, "stacked.npy").tobytes()
+
+
+def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
+    # the header is parsed once per load, but every file's payload size is
+    # checked against it; a NaN row is covered by the test above
+    first = tmp_path / "first.npy"
+    np.save(first, np.ones((4, 3)))
+    raw = first.read_bytes()
+    for name, data, message in (("short.npy", raw[:-8], "truncated payload"),
+                                ("long.npy", raw + bytes(8), "trailing bytes")):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(NpyFormatError, match=f"{name}: {message}"):
+            load_prompt_pools([first, tmp_path / name])
 
 
 def test_load_pooled_matrix_with_boundaries(tmp_path):
@@ -408,13 +447,10 @@ def test_means_match_reference():
     assert got.tobytes() == _ref_means(stack).tobytes()
 
 
-def test_blocks_of_classes_match_reference():
-    # one block and three classes more, clustered from noisy bundles whose
-    # spread grows with the class, so classes settle after different numbers
-    # of Lloyd iterations
-    rng = np.random.default_rng(25)
-    n_t, dim, k = 80, 512, 3
-    n_classes = prompts.LLOYD_BLOCK_BYTES // (n_t * dim * 8) + 3
+def _bundled_stack(rng, n_classes, n_t, dim, k):
+    """Unit templates around k centers per class, with a spread that grows
+    with the class, so classes settle after different numbers of Lloyd
+    iterations."""
     stack = np.empty((n_classes, n_t, dim))
     for c in range(n_classes):
         centers = random_unit_rows(rng, k, dim)
@@ -423,4 +459,124 @@ def test_blocks_of_classes_match_reference():
         stack[c] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     iterations = {len(_ref_lloyd(points, k, 0, c)[2]) for c, points in enumerate(stack)}
     assert len(iterations) > 2, iterations
+    return stack
+
+
+def test_blocks_of_classes_match_reference():
+    # one block and three classes more
+    n_t, dim, k = 80, 512, 3
+    n_classes = prompts.LLOYD_BLOCK_BYTES // (n_t * dim * 8) + 3
+    stack = _bundled_stack(np.random.default_rng(25), n_classes, n_t, dim, k)
     _assert_matches_reference(stack, k, seeds=(0,))
+
+
+def _spy_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_threaded_blocks_match_reference(monkeypatch):
+    # nine classes in blocks of two: five blocks, shared by the calling thread
+    # and one worker thread that does not outlive the call
+    n_t, dim, k = 40, 32, 3
+    stack = _bundled_stack(np.random.default_rng(26), 9, n_t, dim, k)
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
+    started = _spy_thread_starts(monkeypatch)
+    before = threading.active_count()
+    for seed in (0, 5):
+        started.clear()
+        got = cluster_prompts(_as_pool(stack), k, seed).vectors.data
+        assert got.tobytes() == _ref_cluster(stack, k, seed).tobytes(), seed
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+    # a pool of one block runs on the calling thread alone
+    started.clear()
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", stack.nbytes)
+    got = cluster_prompts(_as_pool(stack), k, seed=0).vectors.data
+    assert got.tobytes() == _ref_cluster(stack, k, 0).tobytes()
+    assert started == []
+
+
+def test_concurrent_callers_match_reference(monkeypatch):
+    # more caller threads than cores, each with its own worker claiming
+    # one-class blocks, under a short switch interval; a block claimed twice
+    # or never would leave other bytes in the prototypes
+    n_t, dim, k = 40, 32, 3
+    stack = _bundled_stack(np.random.default_rng(29), 9, n_t, dim, k)
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", n_t * dim * 8)
+    seeds = (0, 1, 2)
+    expected = [_ref_cluster(stack, k, seed).tobytes() for seed in seeds]
+    got = [None] * len(seeds)
+
+    def run(i):
+        got[i] = cluster_prompts(_as_pool(stack), k, seeds[i]).vectors.data.tobytes()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
+def test_block_error_comes_out_unchanged(monkeypatch, raiser):
+    n_t, dim, k = 40, 32, 3
+    stack = _bundled_stack(np.random.default_rng(27), 9, n_t, dim, k)
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
+    started = _spy_thread_starts(monkeypatch)
+    before = threading.active_count()
+    lloyd, caller, failed = prompts._lloyd, threading.current_thread(), threading.Event()
+    boom, streams = RuntimeError("block failed"), []
+
+    def flaky(points, k, seed, stream, scratch=None):
+        streams.append(stream)
+        if (threading.current_thread() is caller) == (raiser == "caller"):
+            failed.set()
+            raise boom
+        failed.wait(timeout=10)  # the other thread's block fails first
+        return lloyd(points, k, seed, stream, scratch)
+
+    monkeypatch.setattr(prompts, "_lloyd", flaky)
+    with pytest.raises(RuntimeError) as caught:
+        cluster_prompts(_as_pool(stack), k, seed=0)
+    assert caught.value is boom and failed.is_set()
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+    if raiser == "worker":
+        # the worker's block, and at most the one the caller holds; the
+        # caller claims no block after the failure
+        assert len(streams) <= 2
+
+
+def test_centers_tied_in_column_0_match_reference():
+    # in every other class, two of the three bundles lie in the plane x0 = 0,
+    # so two centers tie on column 0 and column 1 decides their order; the
+    # other classes of the block are ordered by column 0 alone
+    rng = np.random.default_rng(28)
+    n_t, dim, k = 30, 8, 3
+    stack = np.empty((6, n_t, dim))
+    for c in range(len(stack)):
+        member = np.arange(n_t) % k
+        rows = random_unit_rows(rng, k, dim)[member] + 0.05 * rng.standard_normal((n_t, dim))
+        if c % 2 == 0:
+            rows[member < 2, 0] = 0.0
+        stack[c] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    for seed in (0, 1, 2):
+        tied = [np.unique(_ref_lloyd(points, k, seed, c)[0][:, 0]).size < k
+                for c, points in enumerate(stack)]
+        assert tied == [True, False] * 3, seed
+    _assert_matches_reference(stack, k, seeds=(0, 1, 2))

@@ -142,6 +142,50 @@ def test_payload_length_checked_before_reading(tmp_path):
         read_npy(path, rank=2)
 
 
+def test_read_npy_into_slot(tmp_path):
+    # '<f8' is read straight into the slot and '<f4' widened into it; the
+    # slot is asked for only once the payload size matches the header
+    data = np.random.default_rng(4).standard_normal((3, 5))
+    stack, shapes = np.zeros((2, 3, 5)), []
+
+    def slot(shape):
+        shapes.append(shape)
+        return stack[len(shapes) - 1]
+
+    path = tmp_path / "m.npy"
+    for c, dtype in enumerate(("<f8", "<f4")):
+        np.save(path, data.astype(dtype))
+        got = read_npy(path, rank=2, slot=slot)
+        assert np.shares_memory(got, stack[c])
+        assert stack[c].tobytes() == np.load(path).astype(np.float64).tobytes()
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(NpyFormatError, match="truncated payload"):
+        read_npy(path, rank=2, slot=slot)
+    assert shapes == [(3, 5), (3, 5)]
+
+
+def test_memoized_headers_are_parsed_once_and_still_checked(tmp_path, monkeypatch):
+    parsed = []
+    parse = np.lib.format.read_array_header_1_0
+
+    def spy(f):
+        parsed.append(f)
+        return parse(f)
+
+    monkeypatch.setattr(np.lib.format, "read_array_header_1_0", spy)
+    headers = {}
+    for name, shape in (("a", (2, 2)), ("b", (2, 2)), ("c", (3, 2))):
+        np.save(tmp_path / f"{name}.npy", np.ones(shape))
+        assert read_npy(tmp_path / f"{name}.npy", rank=2, headers=headers).shape == shape
+    assert len(parsed) == len(headers) == 2
+    # a memoized header that fails a check fails it for every file
+    np.save(tmp_path / "i.npy", np.ones((2, 2), dtype="<i8"))
+    for _ in range(2):
+        with pytest.raises(NpyFormatError, match="unsupported dtype"):
+            read_npy(tmp_path / "i.npy", rank=2, headers=headers)
+    assert len(parsed) == len(headers) == 3
+
+
 def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(17)
     data = rng.standard_normal((17, 8))
