@@ -25,8 +25,8 @@ def cosine_scores(samples, prototypes: PrototypeSet, temperature: float = 1.0) -
     class's prototypes; the returned score is the largest softmax weight of
     exp(-distance / temperature) across classes, in (0, 1].
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     data = np.asarray(samples, dtype=np.float64)
     sims = data @ prototypes.vectors.data.T
     n_classes = prototypes.n_classes

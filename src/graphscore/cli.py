@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -22,8 +23,8 @@ from pathlib import Path
 from . import metrics, store, synth
 from .baselines import cosine_scores, manifold_score
 from .graph import build_adjacency
-from .prompts import (cluster_prompts, load_pooled_matrix, load_prompt_pools, load_prototypes,
-                      mean_prototypes, save_prototypes)
+from .prompts import (cluster_prompts, load_prompt_pools, load_prototypes, mean_prototypes,
+                      save_prototypes)
 from .propagation import PropagationConfig, run_gsp
 from .store import load_unit_matrix
 
@@ -54,8 +55,8 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         # alpha, iterations and m_percent are checked by the config they feed
         self.propagation()
 
@@ -73,10 +74,9 @@ class DatasetBundle:
     flags: object
 
 
-# each file of a pair is only valid beside the other; unlabeled, labeled and
-# flags stand alone
-_PARTNER = {"pool_matrix": "pool_boundaries", "prototypes": "prototype_classes"}
-_PARTNER.update({second: first for first, second in _PARTNER.items()})
+# each file of the pair is only valid beside the other; unlabeled, labeled
+# and flags stand alone
+_PARTNER = {"prototypes": "prototype_classes", "prototype_classes": "prototypes"}
 # manifest keys naming one file each, resolved against the manifest's directory
 _MANIFEST_FILES = ("unlabeled", "labeled", "flags", *_PARTNER)
 
@@ -86,9 +86,8 @@ def load_dataset(manifest_path) -> DatasetBundle:
     cross-check every file it references.
 
     Exactly one prototype source is required: ``prompt_pools`` (one NPY per
-    class), ``pool_matrix`` + ``pool_boundaries`` (one stacked NPY plus its
-    row offsets) or ``prototypes`` + ``prototype_classes`` (a pre-built
-    prototype matrix plus its class map). Every referenced file is checked to
+    class) or ``prototypes`` + ``prototype_classes`` (a pre-built prototype
+    matrix plus its class map). Every referenced file is checked to
     exist before any is read, and every embedding file must have the
     dimension of ``unlabeled``. Unknown keys and null values are errors.
     """
@@ -104,15 +103,15 @@ def load_dataset(manifest_path) -> DatasetBundle:
         raise ValueError(f"{path}: class_names has {n_names} entries, C_in is {c_in}")
     files = {key: path.parent / store.typed(doc[key], str, key, path)
              for key in _MANIFEST_FILES if key in doc}
-    if sum(key in doc for key in ("prompt_pools", "pool_matrix", "prototypes")) != 1:
-        raise ValueError(
-            f"{path}: exactly one of prompt_pools, pool_matrix, or prototypes required")
+    if ("prompt_pools" in doc) == ("prototypes" in doc):
+        raise ValueError(f"{path}: exactly one of prompt_pools or prototypes required")
     pools = []
     if "prompt_pools" in doc:
         pools = [path.parent / p
                  for p in store.typed_list(doc["prompt_pools"], str, "prompt_pools", path)]
         if len(pools) != c_in:
-            raise ValueError(f"{path}: prompt_pools needs one file per class ({c_in})")
+            raise ValueError(f"{path}: key 'prompt_pools' lists {len(pools)} files, "
+                             f"but C_in is {c_in}")
     for key in files:
         if _PARTNER.get(key, key) not in files:
             raise ValueError(f"{path}: {key} requires {_PARTNER[key]}")
@@ -132,19 +131,15 @@ def load_dataset(manifest_path) -> DatasetBundle:
         labeled = load_unit_matrix(files["labeled"])
         check_dim(files["labeled"], labeled.dim)
     pool = prototypes = None
-    # ``counted`` is the file that fixes the class count
-    if "prompt_pools" in doc:
-        pool, source, counted = load_prompt_pools(pools), pools[0], path
-    elif "pool_matrix" in files:
-        pool = load_pooled_matrix(files["pool_matrix"], files["pool_boundaries"])
-        source, counted = files["pool_matrix"], files["pool_boundaries"]
+    if pools:  # one file per class, so the class count is already checked
+        pool = load_prompt_pools(pools)
+        check_dim(pools[0], pool.data.shape[2])
     else:
         prototypes = load_prototypes(files["prototypes"], files["prototype_classes"])
-        source, counted = files["prototypes"], files["prototype_classes"]
-    check_dim(source, pool.data.shape[2] if pool is not None else prototypes.vectors.dim)
-    n_classes = pool.n_classes if pool is not None else prototypes.n_classes
-    if n_classes != c_in:
-        raise ValueError(f"{counted}: {n_classes} classes, but {path} says C_in is {c_in}")
+        check_dim(files["prototypes"], prototypes.vectors.dim)
+        if prototypes.n_classes != c_in:
+            raise ValueError(f"{files['prototype_classes']}: {prototypes.n_classes} classes, "
+                             f"but {path} says C_in is {c_in}")
     flags = store.load_flags(files["flags"]) if "flags" in files else None
     if flags is not None and flags.size != unlabeled.count:
         raise ValueError(f"{files['flags']}: {flags.size} flags but "
@@ -242,7 +237,8 @@ def cmd_eval(scores_paths, flags_path, out_dir, names=None) -> int:
     flags = store.load_flags(flags_path)
     names = names or [Path(p).stem for p in scores_paths]
     if len(names) != len(scores_paths):
-        raise ValueError("need one name per scores file")
+        raise ValueError(f"eval needs one --names entry per --scores file, "
+                         f"got {len(names)} for {len(scores_paths)}")
     reports = []
     for name, path in zip(names, scores_paths):
         scores = store.load_vector(path)
@@ -277,7 +273,8 @@ def cmd_synth(spec_path, out_dir) -> int:
             "bridge_benchmark": synth.bridge_benchmark_spec,
         }
         if preset not in factories:
-            raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(factories)}")
+            raise ValueError(f"{spec_path}: unknown preset {preset!r}; "
+                             f"expected one of {sorted(factories)}")
         spec = replace(factories[preset](seed=values.pop("seed", 0)), **values)
     data = synth.generate(spec)
 
@@ -306,7 +303,7 @@ def cmd_synth(spec_path, out_dir) -> int:
 
 def cmd_cluster_prompts(pool_paths, clusters, seed, out_dir) -> int:
     if any(n_c < 1 for n_c in clusters):
-        raise ValueError(f"cluster counts must be >= 1, got {clusters}")
+        raise ValueError(f"clusters must be >= 1, got {clusters}")
     pool = load_prompt_pools(pool_paths)
     results = [(n_c, cluster_prompts(pool, n_c, seed)) for n_c in clusters]
     out = Path(out_dir)
@@ -319,6 +316,7 @@ def cmd_cluster_prompts(pool_paths, clusters, seed, out_dir) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphscore",
                                      description="Graph-based OOD scoring over embeddings")
@@ -361,12 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     keys = set(vars(args)) - {"command", "config"}
     config = store.load_json(args.config, "config", keys) if args.config else {}
-    # flags win over the config file
-    opts = {**config, **{key: v for key, v in vars(args).items() if v is not None}}
+    flags = {key: v for key, v in vars(args).items() if v is not None}
+    opts = {**config, **flags}  # flags win over the config file
 
     def opt(key, typ, default=None, many=False):
-        # flag values are typed by argparse, so only a config value can fail here
-        value = opts.get(key, default)
+        if key in flags:  # typed by argparse; the command checks its range
+            return flags[key]
+        value = config.get(key, default)
         return (store.typed_list if many else store.typed)(value, typ, key, args.config)
 
     if args.command == "score":
@@ -395,8 +394,7 @@ def main(argv=None) -> int:
     level = os.environ.get("GRAPHSCORE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except FileNotFoundError as exc:

@@ -183,17 +183,15 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
         if n_c - first > exclude_self:
             merge(tile, min(k, n_c - first - exclude_self), lo, first)
 
-    if len(starts) == 1:
-        select(0, product(0, prods[0]))
-        return idx, sim
+    # the worker thread starts with the first submit, so one strip starts none
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(product, 0, prods[0])
-        for s, lo in enumerate(starts):
-            tile = pending.result()
-            if s + 1 < len(starts):
-                # the other buffer: its strip's selection has finished
-                pending = pool.submit(product, starts[s + 1], prods[(s + 1) % 2])
+        tile = product(0, prods[0])
+        for s, lo in enumerate(starts[:-1]):
+            # the other buffer: its strip's selection has finished
+            pending = pool.submit(product, starts[s + 1], prods[(s + 1) % 2])
             select(lo, tile)
+            tile = pending.result()
+        select(starts[-1], tile)
     return idx, sim
 
 

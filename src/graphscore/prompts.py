@@ -249,17 +249,15 @@ def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
                         pass
                 raise
 
-    rows = min(block, n_classes)
-    if len(starts) == 1:
-        drain(np.empty((rows, n_t, dim)))
-    else:
-        # both scratch arrays come from the calling thread: one freed on the
-        # short-lived worker stays resident in that thread's malloc arena
-        scratch = np.empty((2, rows, n_t, dim))
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            pending = worker.submit(drain, scratch[1])
-            drain(scratch[0])
-            pending.result()
+    # every scratch array comes from the calling thread: one freed on the
+    # short-lived worker stays resident in that thread's malloc arena
+    scratch = np.empty((min(2, len(starts)), min(block, n_classes), n_t, dim))
+    # the worker thread starts with the first submit, so one block starts none
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = [worker.submit(drain, buf) for buf in scratch[1:]]
+        drain(scratch[0])
+        for job in pending:
+            job.result()
     norms = np.linalg.norm(centers, axis=2)
     small = (norms < 1e-12).any(axis=1)
     if small.any():
@@ -283,7 +281,7 @@ def load_prompt_pools(paths) -> PromptPool:
     """Build a pool from one NPY file per class; rows are L2-normalized by
     :func:`unit_rows`, which names the file and row of a NaN or inf."""
     paths = list(paths)
-    stack, headers = np.empty(0), {}
+    stack = np.empty(0)
 
     def slot(shape):
         # the first file sizes the stack; each file is read into its own slot
@@ -295,26 +293,9 @@ def load_prompt_pools(paths) -> PromptPool:
         return stack[c]
 
     for c, path in enumerate(paths):
-        rows = read_npy(path, rank=2, slot=slot, headers=headers)
+        rows = read_npy(path, rank=2, slot=slot)
         unit_rows(rows, path, out=rows)
     return PromptPool(stack)
-
-
-def load_pooled_matrix(matrix_path, boundaries_path) -> PromptPool:
-    """Build a pool from one stacked NPY plus a JSON class-boundary sidecar.
-
-    The sidecar holds ``{"boundaries": [0, t, 2t, ..., n]}``: row offsets
-    delimiting each class's templates, the same number for every class.
-    """
-    doc = load_json(boundaries_path, "pool boundaries", ("boundaries",), required=("boundaries",))
-    bounds = typed_list(doc["boundaries"], int, "boundaries", boundaries_path)
-    rows = read_npy(matrix_path, rank=2)
-    sizes = sorted(set(np.diff(bounds).tolist()))
-    if bounds[:1] != [0] or bounds[-1:] != [rows.shape[0]] or len(sizes) != 1 or sizes[0] < 1:
-        raise ValueError(f"{boundaries_path}: boundaries must run from 0 to {rows.shape[0]} in "
-                         f"equal steps; the classes hold {sizes} templates")
-    unit_rows(rows, matrix_path, out=rows)
-    return PromptPool(rows.reshape(len(bounds) - 1, sizes[0], rows.shape[1]))
 
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:

@@ -14,6 +14,7 @@ JSON files are read by :func:`load_json` and each field is checked by
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -74,18 +75,23 @@ class EmbeddingMatrix:
         return np.array(self.data, dtype=dtype, copy=copy)
 
 
-def read_npy(path, rank, slot=None, headers=None) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _parse_header(raw: bytes):
+    # (shape, fortran_order, dtype) of a raw v1.0 header, memoized for the
+    # process by its bytes; a header that fails to parse is not memoized
+    return npy.read_array_header_1_0(io.BytesIO(raw))
+
+
+def read_npy(path, rank, slot=None) -> np.ndarray:
     """A ``rank``-D NPY file in the supported subset as float64, values unchecked.
 
     The payload is read straight into a new array, or into ``slot(shape)``,
     a float64 C-order array of the file's shape that a loader hands out from
     a preallocated stack; ``slot`` may raise to refuse the shape, and is only
-    called once the file size matches the header. ``headers`` memoizes
-    parsed headers by their raw bytes, so a loader reading many files with
-    one header parses it once.
+    called once the file size matches the header. Each distinct header is
+    parsed once per process; every file is still checked against it.
     """
     path = Path(path)
-    headers = {} if headers is None else headers
     with open(path, "rb") as f:
         try:
             version = npy.read_magic(f)
@@ -95,12 +101,10 @@ def read_npy(path, rank, slot=None, headers=None) -> np.ndarray:
             raise NpyFormatError(f"{path}: unsupported NPY version {version}")
         raw = f.read(2)  # the header length, then the header
         raw += f.read(int.from_bytes(raw, "little"))
-        if raw not in headers:
-            try:
-                headers[raw] = npy.read_array_header_1_0(io.BytesIO(raw))
-            except ValueError as exc:
-                raise NpyFormatError(f"{path}: malformed header ({exc})") from None
-        shape, fortran_order, dtype = headers[raw]
+        try:
+            shape, fortran_order, dtype = _parse_header(raw)
+        except ValueError as exc:
+            raise NpyFormatError(f"{path}: malformed header ({exc})") from None
         if dtype.str not in _SUPPORTED_DESCRS:
             raise NpyFormatError(f"{path}: unsupported dtype {dtype.str!r} (need '<f4' or '<f8')")
         if fortran_order:
@@ -216,7 +220,7 @@ def save_flags(is_id, path) -> None:
             writer.writerow([i, int(flag)])
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def load_json(path, what, keys, required=()) -> dict:
@@ -258,13 +262,14 @@ def load_json(path, what, keys, required=()) -> dict:
 
 
 def typed(value, typ, key, source):
-    """``value`` as ``typ``. Only whole numbers are integers and no value may
-    be null; anything else is an error naming ``source`` and ``key``."""
+    """``value`` as ``typ``. Only whole numbers are integers, no number may be
+    NaN or infinite and no value may be null; anything else is an error naming
+    ``source`` and ``key``."""
     if typ is str:
         ok = isinstance(value, str)
     else:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (typ is float or float(value).is_integer()))
+              and math.isfinite(value) and (typ is float or float(value).is_integer()))
     if not ok:
         raise ValueError(f"{source}: key {key!r} must be {_TYPE_NAMES[typ]}, "
                          f"got {json.dumps(value)}")

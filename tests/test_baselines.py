@@ -76,7 +76,7 @@ def test_softmax_bounds():
 
 def test_temperature_validation():
     protos = _protos([[1.0, 0.0]])
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="temperature must be positive"):
             cosine_scores(np.array([[1.0, 0.0]]), protos, temperature=bad)
 

@@ -12,7 +12,9 @@ from graphscore.synth import bridge_benchmark_spec
 from graphscore.store import (
     EmbeddingMatrix,
     load_vector,
+    save_flags,
     save_matrix,
+    save_vector,
 )
 
 
@@ -187,7 +189,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "run.json" in err and "'iters'" in err
     # a null, non-integral or wrongly typed value is an error that names the
     # file and the key, and nothing is scored
-    for bad in ({"k": 2.7}, {"k": None}, {"out": None}, {"alpha": "0.5"}, {"seed": True}):
+    for bad in ({"k": 2.7}, {"k": None}, {"out": None}, {"alpha": "0.5"}, {"seed": True},
+                {"tau": float("nan")}, {"tau": float("inf")}):
         cfg_path.write_text(json.dumps({**cfg, "out": str(tmp_path / "bad"), **bad}),
                             encoding="utf-8")
         assert main(["score", "--config", str(cfg_path)]) == 1
@@ -353,13 +356,16 @@ def test_diagnostics_hold_no_lists(tmp_path):
 
 @pytest.mark.parametrize("flag, message", [(["--k", "0"], "k must be >= 1"),
                                            (["--alpha", "0"], "alpha must be in"),
-                                           (["--tau", "0"], "tau must be positive")])
+                                           (["--tau", "0"], "tau must be positive"),
+                                           (["--tau", "nan"], "tau must be positive"),
+                                           (["--tau", "inf"], "tau must be positive"),
+                                           (["--clusters", "0"], "clusters must be >= 1")])
 def test_bad_run_config_rejected_before_loading(tmp_path, capsys, flag, message):
     data_dir = _synth_dataset(tmp_path)
     run_dir = tmp_path / "run"
     assert main(["score", "--manifest", str(data_dir / "manifest.json"),
                  "--method", "cosine", *flag, "--out", str(run_dir)]) == 1
-    assert message in capsys.readouterr().err
+    _assert_one_error_line(capsys, message)
     assert not run_dir.exists()
 
 
@@ -400,6 +406,11 @@ def _assert_one_error_line(capsys, *names):
      "'prompt_pools[1]'"),
     ({"C_in": 0, "class_names": [], "prototypes": None, "prototype_classes": None,
       "prompt_pools": []}, "'C_in'"),
+    ({"prototypes": None, "prototype_classes": None, "prompt_pools": ["a.npy"]},
+     "key 'prompt_pools' lists 1 files, but C_in is 2"),
+    # the retired stacked pool: rejected before any file is read
+    ({"pool_matrix": "pool.npy", "pool_boundaries": "pool_bounds.json"},
+     "unknown manifest keys ['pool_boundaries', 'pool_matrix']"),
 ])
 def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
     data_dir = _synth_dataset(tmp_path)
@@ -452,18 +463,6 @@ def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
     assert not run_dir.exists()
 
 
-def _pool_matrix_dataset(tmp_path):
-    """The bridge preset with its prototypes replaced by a stacked pool."""
-    data_dir = _synth_dataset(tmp_path)
-    pools = [np.load(p) for p in _write_pools(tmp_path, dim=16)]
-    save_matrix(EmbeddingMatrix(np.vstack(pools)), data_dir / "pool.npy")
-    (data_dir / "pool_bounds.json").write_text('{"boundaries": [0, 8, 16]}', encoding="utf-8")
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    del manifest["prototypes"], manifest["prototype_classes"]
-    manifest.update(pool_matrix="pool.npy", pool_boundaries="pool_bounds.json")
-    return data_dir, manifest
-
-
 @pytest.mark.parametrize("sidecar, text, names", [
     ("prototype_classes.json", '{"class_of": [0, 1.5]}', ["'class_of[1]'"]),
     ("prototype_classes.json", '{"class_of": null}', ["'class_of'"]),
@@ -471,15 +470,12 @@ def _pool_matrix_dataset(tmp_path):
      ["'clusters_per_clas'"]),
     ("prototype_classes.json", '{"class_of": [0, 1]\n"clusters_per_class": 1}',
      ["line 2 column 1"]),
-    ("pool_bounds.json", '{"boundaries": [0, 3.9, 16]}', ["'boundaries[1]'"]),
-    ("pool_bounds.json", '[0, 8, 16]', ["JSON object"]),
-    ("pool_bounds.json", '{"boundaries": [0, 8, 16]\n}}', ["line 2 column 2"]),
+    ("prototype_classes.json", '{"class_of": [0, 1, 1]}', ["map every prototype row"]),
+    ("prototype_classes.json", '{"class_of": [0, -1]}', ["negative class id"]),
 ])
 def test_bad_sidecar_named_before_scoring(tmp_path, capsys, sidecar, text, names):
-    data_dir, pool_manifest = _pool_matrix_dataset(tmp_path)
-    # the boundaries belong to the pool manifest, the class map to the synthetic one
-    manifest = (pool_manifest if sidecar == "pool_bounds.json"
-                else json.loads((data_dir / "manifest.json").read_text()))
+    data_dir = _synth_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 0
     (data_dir / sidecar).write_text(text, encoding="utf-8")
@@ -490,7 +486,7 @@ def test_bad_sidecar_named_before_scoring(tmp_path, capsys, sidecar, text, names
 
 
 @pytest.mark.parametrize("method", ["cosine", "gsp"])
-@pytest.mark.parametrize("source", ["labeled", "prototypes", "prompt_pools", "pool_matrix"])
+@pytest.mark.parametrize("source", ["labeled", "prototypes", "prompt_pools"])
 def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, method):
     data_dir = _labeled_dataset(tmp_path)
     manifest = json.loads((data_dir / "manifest.json").read_text())
@@ -501,15 +497,7 @@ def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, metho
         bad = f"{source}.npy"
     else:
         del manifest["prototypes"], manifest["prototype_classes"]
-        pools = _write_pools(tmp_path, dim=20)
-        if source == "prompt_pools":
-            manifest["prompt_pools"], bad = pools, "pool0.npy"
-        else:
-            save_matrix(EmbeddingMatrix(np.vstack([np.load(p) for p in pools])),
-                        data_dir / "pool.npy")
-            (data_dir / "bounds.json").write_text('{"boundaries": [0, 8, 16]}', encoding="utf-8")
-            manifest.update(pool_matrix="pool.npy", pool_boundaries="bounds.json")
-            bad = "pool.npy"
+        manifest["prompt_pools"], bad = _write_pools(tmp_path, dim=20), "pool0.npy"
     path = data_dir / "edited_manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     run_dir = tmp_path / "run"
@@ -520,31 +508,18 @@ def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, metho
 
 
 @pytest.mark.parametrize("orphan, partner, edit", [
-    ("prototypes", "prototype_classes", {"pool_matrix": None, "pool_boundaries": None,
-                                         "prototypes": "prototypes.npy"}),
-    ("prototype_classes", "prototypes", {"prototype_classes": "prototype_classes.json"}),
-    ("pool_boundaries", "pool_matrix", {"pool_matrix": None, "prototypes": "prototypes.npy",
-                                        "prototype_classes": "prototype_classes.json"}),
+    ("prototypes", "prototype_classes", {"prototype_classes": None}),
+    ("prototype_classes", "prototypes", {"prototypes": None, "prompt_pools": "pool*.npy"}),
 ])
 def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
-    data_dir, manifest = _pool_matrix_dataset(tmp_path)
+    data_dir = _synth_dataset(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    if "prompt_pools" in edit:  # the pools stand in as the prototype source
+        edit = {**edit, "prompt_pools": _write_pools(tmp_path, dim=16)}
     manifest = {key: v for key, v in {**manifest, **edit}.items() if v is not None}
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 1
     _assert_one_error_line(capsys, f"edited_manifest.json: {orphan} requires {partner}")
-    assert not run_dir.exists()
-
-
-def test_pool_class_count_names_boundaries_and_manifest(tmp_path, capsys):
-    data_dir, manifest = _pool_matrix_dataset(tmp_path)
-    pools = [np.load(p) for p in _write_pools(tmp_path, n_classes=3, dim=16)]
-    save_matrix(EmbeddingMatrix(np.vstack(pools)), data_dir / "pool.npy")
-    (data_dir / "pool_bounds.json").write_text('{"boundaries": [0, 8, 16, 24]}',
-                                               encoding="utf-8")
-    run_dir = tmp_path / "run"
-    assert _score_all(data_dir, manifest, run_dir) == 1
-    _assert_one_error_line(capsys, "pool_bounds.json: 3 classes", "edited_manifest.json",
-                           "C_in is 2")
     assert not run_dir.exists()
 
 
@@ -554,6 +529,7 @@ def test_pool_class_count_names_boundaries_and_manifest(tmp_path, capsys):
     ({"preset": ["bridge_benchmark"]}, "'preset'"),
     ({"seed": "1"}, "'seed'"),
     ({"id_counts": [10, "a"]}, "'id_counts[1]'"),
+    ({"preset": "bogus_benchmark"}, "unknown preset 'bogus_benchmark'"),
 ])
 def test_bad_synth_spec_key_named(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -588,3 +564,26 @@ def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, con
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", str(cfg_path)]) == 1
     _assert_one_error_line(capsys, "run.json", key)
+
+
+@pytest.mark.parametrize("argv, rc, names", [
+    (["score"], 2, ["--manifest"]),
+    (["eval"], 1, ["--scores", "--flags"]),
+    (["synth"], 1, ["--spec"]),
+    (["cluster-prompts"], 1, ["--pools"]),
+    (["cluster-prompts", "--pools", "p.npy", "--clusters", "3", "0"], 1,
+     ["clusters must be >= 1"]),
+    (["eval", "--scores", "{tmp}/s.npy", "{tmp}/s.npy", "--names", "a", "--flags",
+      "{tmp}/flags.csv"], 1, ["--names", "--scores"]),
+    (["eval", "--scores", "{tmp}/nan.npy", "--flags", "{tmp}/flags.csv"], 1,
+     ["nan.npy: entry 2 is non-finite"]),
+])
+def test_bad_command_line_named_before_writing(tmp_path, capsys, argv, rc, names):
+    save_flags([True, False, True], tmp_path / "flags.csv")
+    save_vector([0.3, 0.1, 0.2], tmp_path / "s.npy")
+    np.save(tmp_path / "nan.npy", np.array([0.3, 0.1, np.nan]))
+    out = tmp_path / "out"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == rc
+    _assert_one_error_line(capsys, *names)
+    assert not out.exists()

@@ -11,7 +11,6 @@ from graphscore.prompts import (
     PrototypeSet,
     _lloyd,
     cluster_prompts,
-    load_pooled_matrix,
     load_prototypes,
     load_prompt_pools,
     mean_prototypes,
@@ -224,9 +223,6 @@ def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
     np.save(tmp_path / "bad.npy", rows)
     with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
         load_prompt_pools([tmp_path / "first.npy", tmp_path / "bad.npy"])
-    (tmp_path / "bounds.json").write_text('{"boundaries": [0, 2, 4]}', encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
-        load_pooled_matrix(tmp_path / "bad.npy", tmp_path / "bounds.json")
 
 
 def test_pool_slots_match_numpy_load(tmp_path):
@@ -245,16 +241,19 @@ def test_pool_slots_match_numpy_load(tmp_path):
     for c, path in enumerate(paths):
         wide = np.load(path).astype(np.float64)
         assert pool.data[c].tobytes() == unit_rows(wide, path).tobytes()
-    (tmp_path / "bounds.json").write_text('{"boundaries": [0, 4, 8, 12]}', encoding="utf-8")
+    # a stacked (C * T, d) matrix split into one file per class loads into
+    # the bits of the whole matrix normalized at once
     for dtype in ("<f8", "<f4"):
-        np.save(tmp_path / "stacked.npy", rows.reshape(12, 3).astype(dtype))
-        pool = load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bounds.json")
-        wide = np.load(tmp_path / "stacked.npy").astype(np.float64)
-        assert pool.data.tobytes() == unit_rows(wide, "stacked.npy").tobytes()
+        stacked = rows.reshape(12, 3).astype(dtype)
+        split = [tmp_path / f"{dtype[1:]}_{c}.npy" for c in range(3)]
+        for c, path in enumerate(split):
+            np.save(path, stacked[4 * c:4 * c + 4])
+        pool = load_prompt_pools(split)
+        assert pool.data.tobytes() == unit_rows(stacked.astype(np.float64), "s").tobytes()
 
 
 def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
-    # the header is parsed once per load, but every file's payload size is
+    # the header is parsed once per process, but every file's payload size is
     # checked against it; a NaN row is covered by the test above
     first = tmp_path / "first.npy"
     np.save(first, np.ones((4, 3)))
@@ -264,29 +263,6 @@ def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
         (tmp_path / name).write_bytes(data)
         with pytest.raises(NpyFormatError, match=f"{name}: {message}"):
             load_prompt_pools([first, tmp_path / name])
-
-
-def test_load_pooled_matrix_with_boundaries(tmp_path):
-    import json
-
-    rng = np.random.default_rng(9)
-    stacked = random_unit_rows(rng, 12, 4)
-    save_matrix(EmbeddingMatrix(stacked), tmp_path / "stacked.npy")
-    (tmp_path / "bounds.json").write_text(
-        json.dumps({"boundaries": [0, 6, 12]}), encoding="utf-8"
-    )
-    pool = load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bounds.json")
-    assert pool.data.shape == (2, 6, 4)
-    (tmp_path / "bad.json").write_text(
-        json.dumps({"boundaries": [0, 5, 11]}), encoding="utf-8"
-    )
-    with pytest.raises(ValueError, match="boundaries"):
-        load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "bad.json")
-    (tmp_path / "uneven.json").write_text(
-        json.dumps({"boundaries": [0, 5, 12]}), encoding="utf-8"
-    )
-    with pytest.raises(ValueError, match=r"uneven\.json: .*hold \[5, 7\] templates"):
-        load_pooled_matrix(tmp_path / "stacked.npy", tmp_path / "uneven.json")
 
 
 # A verbatim copy of the per-class K-means that the batched implementation

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphscore import store
 from graphscore.cli import load_dataset
 from graphscore.store import (
     EmbeddingMatrix,
@@ -173,17 +174,27 @@ def test_memoized_headers_are_parsed_once_and_still_checked(tmp_path, monkeypatc
         return parse(f)
 
     monkeypatch.setattr(np.lib.format, "read_array_header_1_0", spy)
-    headers = {}
+    store._parse_header.cache_clear()  # the memo lives for the process
+    memo = store._parse_header.cache_info
     for name, shape in (("a", (2, 2)), ("b", (2, 2)), ("c", (3, 2))):
         np.save(tmp_path / f"{name}.npy", np.ones(shape))
-        assert read_npy(tmp_path / f"{name}.npy", rank=2, headers=headers).shape == shape
-    assert len(parsed) == len(headers) == 2
+        assert read_npy(tmp_path / f"{name}.npy", rank=2).shape == shape
+    assert len(parsed) == memo().currsize == 2
     # a memoized header that fails a check fails it for every file
     np.save(tmp_path / "i.npy", np.ones((2, 2), dtype="<i8"))
     for _ in range(2):
         with pytest.raises(NpyFormatError, match="unsupported dtype"):
-            read_npy(tmp_path / "i.npy", rank=2, headers=headers)
-    assert len(parsed) == len(headers) == 3
+            read_npy(tmp_path / "i.npy", rank=2)
+    assert len(parsed) == memo().currsize == 3
+    # a header that fails to parse is not memoized, and the memo is bounded
+    header = b"{'shape': (2, 2), 'fortran_order': False}\n"
+    (tmp_path / "m.npy").write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                                     + header + bytes(32))
+    for _ in range(2):
+        with pytest.raises(NpyFormatError, match="m.npy: malformed header"):
+            read_npy(tmp_path / "m.npy", rank=2)
+    assert len(parsed) == 5 and memo().currsize == 3
+    assert memo().maxsize == 256
 
 
 def test_round_trip_bitwise(tmp_path):
