@@ -23,8 +23,7 @@ from pathlib import Path
 from . import metrics, store, synth
 from .baselines import cosine_scores, manifold_score
 from .graph import build_adjacency
-from .prompts import (cluster_prompts, load_prompt_pools, load_prototypes, mean_prototypes,
-                      save_prototypes)
+from .prompts import load_prototypes, pool_prototypes, save_prototypes
 from .propagation import PropagationConfig, run_gsp
 from .store import load_unit_matrix
 
@@ -69,7 +68,7 @@ class RunConfig:
 class DatasetBundle:
     unlabeled: object
     labeled: object
-    pool: object
+    pool: object  # (pool files, one per class; the dimension check for each), read when scored
     prototypes: object
     flags: object
 
@@ -90,6 +89,8 @@ def load_dataset(manifest_path) -> DatasetBundle:
     matrix plus its class map). Every referenced file is checked to
     exist before any is read, and every embedding file must have the
     dimension of ``unlabeled``. Unknown keys and null values are errors.
+    Pool files are not read here: each is read and checked once, by the
+    pass of :func:`compute_scores` that reduces them to prototypes.
     """
     path = Path(manifest_path)
     doc = store.load_json(path, "manifest", ("C_in", "class_names", "prompt_pools",
@@ -132,8 +133,7 @@ def load_dataset(manifest_path) -> DatasetBundle:
         check_dim(files["labeled"], labeled.dim)
     pool = prototypes = None
     if pools:  # one file per class, so the class count is already checked
-        pool = load_prompt_pools(pools)
-        check_dim(pools[0], pool.data.shape[2])
+        pool = (pools, check_dim)
     else:
         prototypes = load_prototypes(files["prototypes"], files["prototype_classes"])
         check_dim(files["prototypes"], prototypes.vectors.dim)
@@ -156,16 +156,22 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
     most once per call: clustered methods with a prompt pool and
     ``clusters > 1`` use K-means prototypes, every other method the pool
     means (or the supplied prototypes), and all methods on one prototype set
-    share one graph and one :func:`run_gsp`.
+    share one graph and one :func:`run_gsp`. Every prototype set the
+    methods need comes from one pass over the pool files, before the first
+    method runs.
     """
 
-    @functools.cache
+    def is_clustered(method):
+        return method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
+
+    sets = {}
+    if bundle.pool is not None:
+        paths, check = bundle.pool
+        needed = {cfg.clusters if is_clustered(method) else 1 for method in methods}
+        sets = pool_prototypes(paths, needed, cfg.seed, check)
+
     def prototypes(clustered):
-        if bundle.pool is None:
-            return bundle.prototypes
-        if clustered:
-            return cluster_prompts(bundle.pool, cfg.clusters, cfg.seed)
-        return mean_prototypes(bundle.pool)
+        return sets.get(cfg.clusters if clustered else 1, bundle.prototypes)
 
     @functools.cache
     def graph(clustered):
@@ -179,7 +185,7 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
 
     results = []
     for method in methods:
-        clustered = method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
+        clustered = is_clustered(method)
         if method == "cosine":
             t0 = time.perf_counter()
             scores = cosine_scores(bundle.unlabeled, prototypes(clustered), cfg.tau)
@@ -302,16 +308,13 @@ def cmd_synth(spec_path, out_dir) -> int:
 
 
 def cmd_cluster_prompts(pool_paths, clusters, seed, out_dir) -> int:
-    if any(n_c < 1 for n_c in clusters):
-        raise ValueError(f"clusters must be >= 1, got {clusters}")
-    pool = load_prompt_pools(pool_paths)
-    results = [(n_c, cluster_prompts(pool, n_c, seed)) for n_c in clusters]
+    sets = pool_prototypes(pool_paths, clusters, seed)  # one pass for every value
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     many = len(clusters) > 1
-    for n_c, protos in results:
+    for n_c in clusters:
         suffix = f"_nc{n_c}" if many else ""
-        save_prototypes(protos, out / f"prototypes{suffix}.npy",
+        save_prototypes(sets[n_c], out / f"prototypes{suffix}.npy",
                         out / f"prototype_classes{suffix}.json")
     return 0
 

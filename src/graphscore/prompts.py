@@ -24,7 +24,8 @@ from .store import (EmbeddingMatrix, _lock, load_json, load_unit_matrix, read_np
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
-# templates per K-means block; a block needs one such array of scratch
+# float64 templates per class block; each thread of a pass holds one block
+# buffer of this size when it reads files, and one of K-means scratch
 LLOYD_BLOCK_BYTES = 8 << 20
 
 
@@ -207,95 +208,126 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int, scratch=None):
     return centers, assign, history
 
 
-def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
-    """Cluster each class's template pool into ``n_c`` prototypes.
+def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> dict:
+    """Every prototype set that ``clusters`` asks for, keyed by the count
+    asked for, from one pass over the classes of ``pool``.
 
-    Centers are re-normalized to unit length; requests for more clusters than
-    templates are clamped with a warning. ``n_c == 1`` gives exactly
-    :func:`mean_prototypes`.
+    ``pool`` is a :class:`PromptPool` or a list of NPY files, one per class.
+    A count of 1 gives the normalized class means, a larger one the K-means
+    centers of :func:`cluster_prompts`; counts above the template count are
+    clamped with a warning. Classes run in blocks of ``LLOYD_BLOCK_BYTES``,
+    each reduced to every set asked for before the next: a block of the
+    stack is a view of it, and a block of files is read into a block
+    buffer, each file once, so no ``(C, T, d)`` stack is ever held. Every
+    file must have the first file's shape and pass ``check(path, dim)``, and
+    its rows are normalized in place by :func:`unit_rows`, which names the
+    file and row of a zero, NaN or inf row.
 
-    Classes run in blocks of ``LLOYD_BLOCK_BYTES``. With more than one block,
-    the calling thread and one worker thread, alive only for this call, each
-    take the next unclaimed block until none is left, each through its own
-    scratch array; numpy releases the GIL in the block's array work, so the
+    The calling thread and, with more than one block, one worker thread
+    alive only for this call each take the next unclaimed block until none
+    is left; numpy releases the GIL in reading and in the array work, so the
     two overlap on a second core. Every class draws from its own PCG64
-    stream, so no output depends on which thread ran its block.
+    stream, so no output depends on which thread ran its block. After a
+    failed block neither thread claims another, and once both are done the
+    error of the lowest failed block is raised unchanged.
     """
-    if n_c < 1:
-        raise ValueError(f"n_c must be >= 1, got {n_c}")
-    n_classes, n_t, dim = pool.data.shape
-    if n_c > n_t:
-        warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=2)
-        n_c = n_t
-    if n_c == 1:
-        return mean_prototypes(pool)
-    block = max(1, LLOYD_BLOCK_BYTES // pool.data[0].nbytes)
-    centers = np.empty((n_classes, n_c, dim))
-    starts = range(0, n_classes, block)
-    unclaimed, claim = iter(starts), threading.Lock()
+    if min(clusters) < 1:
+        raise ValueError(f"clusters must be >= 1, got {list(clusters)}")
+    if isinstance(pool, PromptPool):
+        n_classes, n_t, dim = pool.data.shape
+        paths = None
+    else:
+        paths = list(pool)
+        first = read_npy(paths[0], rank=2)
+        n_classes, (n_t, dim) = len(paths), first.shape
+        check(paths[0], dim)
 
-    def drain(scratch):
+    def load(lo, hi, buf):
+        if paths is None:
+            return pool.data[lo:hi]
+        for c, rows in zip(range(lo, hi), buf):
+            def slot(shape):
+                check(paths[c], shape[1])
+                if shape != first.shape:
+                    raise ValueError(f"{paths[c]}: shape {shape} differs from "
+                                     f"{paths[0]}: {first.shape}")
+                return rows
+
+            if c == 0:  # read once already, to size the blocks
+                np.copyto(rows, first)
+            else:
+                read_npy(paths[c], rank=2, slot=slot)
+            unit_rows(rows, paths[c], out=rows)
+        return buf[:hi - lo]
+
+    for n_c in sorted(set(clusters)):
+        if n_c > n_t:
+            warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=3)
+    counts = sorted({min(n_c, n_t) for n_c in clusters})
+    centers = {k: np.empty((n_classes, k, dim)) for k in counts}
+    block = max(1, LLOYD_BLOCK_BYTES // (n_t * dim * 8))
+    starts = range(0, n_classes, block)
+    unclaimed, claim, failed = iter(starts), threading.Lock(), []
+
+    def drain(buf, scratch):
         while True:
             with claim:
                 lo = next(unclaimed, None)
             if lo is None:
                 return
             try:
-                centers[lo:lo + block] = _lloyd(pool.data[lo:lo + block], n_c, seed, lo,
-                                                scratch)[0]
-            except BaseException:
+                points = load(lo, min(lo + block, n_classes), buf)
+                for k, out in centers.items():
+                    out[lo:lo + len(points)] = (points.mean(axis=1, keepdims=True) if k == 1
+                                                else _lloyd(points, k, seed, lo, scratch)[0])
+            except BaseException as exc:
                 with claim:  # the other thread takes no further block
+                    failed.append((lo, exc))
                     for _ in unclaimed:
                         pass
-                raise
+                return
 
-    # every scratch array comes from the calling thread: one freed on the
+    # every buffer comes from the calling thread: one freed on the
     # short-lived worker stays resident in that thread's malloc arena
-    scratch = np.empty((min(2, len(starts)), min(block, n_classes), n_t, dim))
+    shape = (min(2, len(starts)), min(block, n_classes), n_t, dim)
+    bufs = np.empty(shape) if paths is not None else [None] * shape[0]
+    scratch = np.empty(shape) if max(centers) > 1 else [None] * shape[0]
     # the worker thread starts with the first submit, so one block starts none
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = [worker.submit(drain, buf) for buf in scratch[1:]]
-        drain(scratch[0])
-        for job in pending:
-            job.result()
-    norms = np.linalg.norm(centers, axis=2)
-    small = (norms < 1e-12).any(axis=1)
-    if small.any():
-        raise ValueError(f"zero-norm cluster center for class {int(np.argmax(small))}")
-    return PrototypeSet(EmbeddingMatrix((centers / norms[:, :, None]).reshape(-1, dim)),
-                        class_of=np.repeat(np.arange(n_classes), n_c), clusters_per_class=n_c)
+        for args in zip(bufs[1:], scratch[1:]):
+            worker.submit(drain, *args)
+        drain(bufs[0], scratch[0])
+    del bufs, scratch  # before the sets below are built, to lower the peak
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    sets = {}
+    for k, out in centers.items():
+        # one norm per mean, as a dot product (norm(axis=2) sums differently)
+        norms = (np.linalg.norm(out, axis=2) if k > 1
+                 else np.array([[np.linalg.norm(mean)] for mean in out[:, 0]]))
+        small = (norms < 1e-12).any(axis=1)
+        if small.any():
+            raise ValueError(f"zero-norm {'mean' if k == 1 else 'cluster center'} "
+                             f"for class {int(np.argmax(small))}")
+        sets[k] = PrototypeSet(EmbeddingMatrix((out / norms[:, :, None]).reshape(-1, dim)),
+                               class_of=np.repeat(np.arange(n_classes), k), clusters_per_class=k)
+    return {n_c: sets[min(n_c, n_t)] for n_c in clusters}
+
+
+def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
+    """Cluster each class's template pool into ``n_c`` prototypes, by
+    :func:`pool_prototypes`.
+
+    Centers are re-normalized to unit length; requests for more clusters than
+    templates are clamped with a warning. ``n_c == 1`` gives exactly
+    :func:`mean_prototypes`.
+    """
+    return pool_prototypes(pool, [n_c], seed)[n_c]
 
 
 def mean_prototypes(pool: PromptPool) -> PrototypeSet:
     """One prototype per class: the normalized mean of its templates."""
-    means = pool.data.mean(axis=1)
-    # one norm per row, as a dot product (norm(axis=1) sums differently)
-    norms = np.array([np.linalg.norm(mean) for mean in means])
-    if (norms < 1e-12).any():
-        raise ValueError(f"zero-norm mean for class {int(np.argmax(norms < 1e-12))}")
-    return PrototypeSet(EmbeddingMatrix(means / norms[:, None]),
-                        class_of=np.arange(len(means)), clusters_per_class=1)
-
-
-def load_prompt_pools(paths) -> PromptPool:
-    """Build a pool from one NPY file per class; rows are L2-normalized by
-    :func:`unit_rows`, which names the file and row of a NaN or inf."""
-    paths = list(paths)
-    stack = np.empty(0)
-
-    def slot(shape):
-        # the first file sizes the stack; each file is read into its own slot
-        nonlocal stack
-        if c == 0:
-            stack = np.empty((len(paths), *shape))
-        elif shape != stack.shape[1:]:
-            raise ValueError(f"{path}: shape {shape} differs from {paths[0]}: {stack.shape[1:]}")
-        return stack[c]
-
-    for c, path in enumerate(paths):
-        rows = read_npy(path, rank=2, slot=slot)
-        unit_rows(rows, path, out=rows)
-    return PromptPool(stack)
+    return pool_prototypes(pool, [1], 0)[1]
 
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:

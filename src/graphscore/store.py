@@ -263,13 +263,16 @@ def load_json(path, what, keys, required=()) -> dict:
 
 def typed(value, typ, key, source):
     """``value`` as ``typ``. Only whole numbers are integers, no number may be
-    NaN or infinite and no value may be null; anything else is an error naming
-    ``source`` and ``key``."""
+    NaN, infinite or too large for a float, and no value may be null; anything
+    else is an error naming ``source`` and ``key``."""
     if typ is str:
         ok = isinstance(value, str)
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value) and (typ is float or float(value).is_integer()))
+        try:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value) and (typ is float or float(value).is_integer()))
+        except OverflowError:  # an integer too large for a float
+            ok = False
     if not ok:
         raise ValueError(f"{source}: key {key!r} must be {_TYPE_NAMES[typ]}, "
                          f"got {json.dumps(value)}")

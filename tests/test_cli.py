@@ -1,13 +1,15 @@
 import json
 import shutil
+import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphscore import cli, propagation
+from graphscore import cli, prompts, propagation, store
 from graphscore.cli import METHODS, main
-from graphscore.prompts import load_prototypes, mean_prototypes
+from graphscore.prompts import PromptPool, load_prototypes, mean_prototypes
 from graphscore.synth import bridge_benchmark_spec
 from graphscore.store import (
     EmbeddingMatrix,
@@ -15,6 +17,7 @@ from graphscore.store import (
     save_flags,
     save_matrix,
     save_vector,
+    unit_rows,
 )
 
 
@@ -146,9 +149,7 @@ def test_cluster_prompts_single_value_equals_mean(tmp_path):
     assert main(["cluster-prompts", "--pools", *pools, "--clusters", "1",
                  "--seed", "0", "--out", str(out)]) == 0
     protos = load_prototypes(out / "prototypes.npy", out / "prototype_classes.json")
-    from graphscore.prompts import load_prompt_pools
-
-    expected = mean_prototypes(load_prompt_pools(pools))
+    expected = mean_prototypes(PromptPool([unit_rows(np.load(p), p) for p in pools]))
     np.testing.assert_allclose(protos.vectors.data, expected.vectors.data,
                                atol=1e-12)
 
@@ -190,12 +191,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     # a null, non-integral or wrongly typed value is an error that names the
     # file and the key, and nothing is scored
     for bad in ({"k": 2.7}, {"k": None}, {"out": None}, {"alpha": "0.5"}, {"seed": True},
-                {"tau": float("nan")}, {"tau": float("inf")}):
+                {"tau": float("nan")}, {"tau": float("inf")}, {"k": 10 ** 400},
+                {"alpha": -10 ** 400}):
         cfg_path.write_text(json.dumps({**cfg, "out": str(tmp_path / "bad"), **bad}),
                             encoding="utf-8")
         assert main(["score", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "run.json" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "run.json" in err
         assert f"'{next(iter(bad))}'" in err
         assert not (tmp_path / "bad").exists()
     # a whole number written as a float is still an integer
@@ -279,16 +281,16 @@ def test_pool_manifest_pipeline(tmp_path, monkeypatch):
                  "--clusters", "3", "--out", str(run_dir)]) == 0
     assert (run_dir / "scores_gsp.npy").exists()
 
-    # --method all makes the clustered and the mean prototype sets once each,
-    # one graph and one propagation run per set, and matches every
-    # single-method run byte for byte
-    calls = _count_calls(monkeypatch, cli, "build_adjacency", "cluster_prompts")
+    # --method all makes the clustered and the mean prototype sets in one
+    # pass over the pools, one graph and one propagation run per set, and
+    # matches every single-method run byte for byte
+    calls = _count_calls(monkeypatch, cli, "build_adjacency", "pool_prototypes")
     prop_calls = _count_calls(monkeypatch, propagation,
                               "normalize", "propagate", "select_pseudo_prompts")
     all_dir = tmp_path / "pool_all"
     assert main(["score", "--manifest", str(pool_manifest), "--method", "all",
                  "--clusters", "3", "--out", str(all_dir)]) == 0
-    assert calls == {"build_adjacency": 2, "cluster_prompts": 1}
+    assert calls == {"build_adjacency": 2, "pool_prototypes": 1}
     assert prop_calls == {"normalize": 2, "propagate": 4, "select_pseudo_prompts": 2}
     for method in METHODS:
         one_dir = tmp_path / f"pool_{method}"
@@ -587,3 +589,145 @@ def test_bad_command_line_named_before_writing(tmp_path, capsys, argv, rc, names
     assert main([*argv, "--out", str(out)]) == rc
     _assert_one_error_line(capsys, *names)
     assert not out.exists()
+
+
+# the streamed pool pass -------------------------------------------------
+
+def _pool_dataset(tmp_path, n_classes=5, templates=6, dim=16, dtype="<f8"):
+    """The bridge preset scored against ``n_classes`` raw (unnormalized) pool
+    files, in ``prompt_pools`` order; the pass runs in blocks of two classes."""
+    data_dir = _synth_dataset(tmp_path)
+    rng = np.random.default_rng(4)
+    styles = rng.standard_normal((n_classes, dim))
+    pools = []
+    for c in range(n_classes):
+        rows = styles[c] + 0.6 * rng.standard_normal((templates, dim))
+        pools.append(data_dir / f"pool{c}.npy")
+        np.save(pools[-1], rows.astype(dtype))
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["prototypes"], manifest["prototype_classes"]
+    manifest.update(C_in=n_classes, class_names=[f"c{c}" for c in range(n_classes)],
+                    prompt_pools=[p.name for p in pools])
+    path = data_dir / "pool_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path, pools
+
+
+def _two_class_blocks(monkeypatch, templates=6, dim=16):
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * templates * dim * 8)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_cluster_prompts_values_together_equal_apart(tmp_path, monkeypatch, dtype):
+    # five classes in blocks of two: three blocks, the last holding one class
+    _, pools = _pool_dataset(tmp_path, dtype=dtype)
+    _two_class_blocks(monkeypatch)
+    pools = [str(p) for p in pools]
+    run = {}
+    for values in (["1", "3"], ["1"], ["3"]):
+        run[tuple(values)] = out = tmp_path / "_".join(values)
+        assert main(["cluster-prompts", "--pools", *pools, "--clusters", *values,
+                     "--seed", "2", "--out", str(out)]) == 0
+    for n_c in ("1", "3"):
+        for stem in ("prototypes", "prototype_classes"):
+            ext = ".npy" if stem == "prototypes" else ".json"
+            assert ((run["1", "3"] / f"{stem}_nc{n_c}{ext}").read_bytes()
+                    == (run[n_c, ] / f"{stem}{ext}").read_bytes())
+    # and the bits of the in-memory API on the normalized stack
+    stack = PromptPool([unit_rows(np.load(p).astype(np.float64), p) for p in pools])
+    for n_c, expected in ((1, mean_prototypes(stack)), (3, prompts.cluster_prompts(stack, 3, 2))):
+        got = np.load(run["1", "3"] / f"prototypes_nc{n_c}.npy")
+        assert got.tobytes() == expected.vectors.data.tobytes()
+
+
+def _route_last_file(monkeypatch, pools, reader):
+    """Make the ``reader`` thread ("caller" or "worker") read the last pool
+    file: each thread holds one block at a time, so once each is reading its
+    first block the reader waits for the other to be reading, and the other
+    waits until the last file is read. Returns the threads that read it."""
+    caller, real = threading.current_thread(), prompts.read_npy
+    other_reading, last_read, readers = threading.Event(), threading.Event(), []
+
+    def spy(path, rank, slot=None):
+        if Path(path) != pools[0]:  # read by the caller before the pass
+            if (threading.current_thread() is caller) == (reader == "caller"):
+                other_reading.wait(timeout=10)
+            else:
+                other_reading.set()
+                last_read.wait(timeout=10)
+        try:
+            return real(path, rank, slot)
+        finally:
+            if Path(path) == pools[-1]:
+                readers.append(threading.current_thread())
+                last_read.set()
+
+    monkeypatch.setattr(prompts, "read_npy", spy)
+    return readers
+
+
+_POOL_FAULTS = {
+    "nan_row": ("non-finite norm in row 2", None),
+    "zero_row": ("zero-norm row 1", None),
+    "truncated": ("truncated payload (760 of 768 bytes)", None),
+    "shape": (r"shape (7, 16) differs from {first}: (6, 16)", None),
+    # cluster-prompts has no unlabeled rows, so only the first file's shape applies
+    "dimension": ("dimension 20, but {unlabeled} has dimension 16",
+                  "shape (6, 20) differs from {first}: (6, 16)"),
+}
+
+
+@pytest.mark.parametrize("reader", ["caller", "worker"])
+@pytest.mark.parametrize("fault", sorted(_POOL_FAULTS))
+@pytest.mark.parametrize("command", ["score", "cluster-prompts"])
+def test_pool_fault_in_last_block_names_its_file(tmp_path, monkeypatch, capsys, command,
+                                                 fault, reader):
+    manifest, pools = _pool_dataset(tmp_path)
+    _two_class_blocks(monkeypatch)
+    last, rows = pools[-1], np.load(pools[-1])
+    if fault == "nan_row":
+        rows[2, 3] = np.nan
+    elif fault == "zero_row":
+        rows[1] = 0.0
+    elif fault == "shape":
+        rows = np.vstack([rows, rows[:1]])
+    elif fault == "dimension":
+        rows = np.hstack([rows, np.ones((len(rows), 4))])
+    np.save(last, rows)
+    if fault == "truncated":
+        last.write_bytes(last.read_bytes()[:-8])
+    message, other = _POOL_FAULTS[fault]
+    if command == "cluster-prompts" and other:
+        message = other
+    message = message.format(first=pools[0], unlabeled=manifest.parent / "unlabeled.npy")
+    readers = _route_last_file(monkeypatch, pools, reader)
+    before = threading.active_count()
+    out = tmp_path / "out"
+    if command == "score":
+        argv = ["score", "--manifest", str(manifest), "--method", "all", "--clusters", "3"]
+    else:
+        argv = ["cluster-prompts", "--pools", *map(str, pools), "--clusters", "1", "3"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {last}: {message}\n"
+    assert len(readers) == 1
+    assert (readers[0] is threading.current_thread()) == (reader == "caller")
+    assert threading.active_count() == before
+    assert not out.exists()
+
+
+def test_each_pool_file_is_opened_once(tmp_path, monkeypatch):
+    manifest, pools = _pool_dataset(tmp_path)
+    _two_class_blocks(monkeypatch)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(store, "open", counting_open, raising=False)
+    for argv in (["score", "--manifest", str(manifest), "--method", "all", "--clusters", "3"],
+                 ["cluster-prompts", "--pools", *map(str, pools), "--clusters", "1", "3"]):
+        opened.clear()
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+        assert sorted(p for p in opened if p in pools) == pools, argv[0]

@@ -12,8 +12,8 @@ from graphscore.prompts import (
     _lloyd,
     cluster_prompts,
     load_prototypes,
-    load_prompt_pools,
     mean_prototypes,
+    pool_prototypes,
     save_prototypes,
 )
 from graphscore.store import EmbeddingMatrix, NpyFormatError, save_matrix, unit_rows
@@ -165,13 +165,13 @@ def test_pool_shape_validation(tmp_path):
     save_matrix(EmbeddingMatrix(random_unit_rows(rng, 4, 6)), tmp_path / "wider.npy")
     first = tmp_path / "first.npy"
     with pytest.raises(ValueError, match=r"more\.npy: shape \(5, 3\) differs from .*first\.npy: \(4, 3\)"):
-        load_prompt_pools([first, tmp_path / "more.npy"])
+        _file_means([first, tmp_path / "more.npy"])
     with pytest.raises(ValueError, match=r"wider\.npy: shape \(4, 6\) differs"):
-        load_prompt_pools([first, tmp_path / "wider.npy"])
+        _file_means([first, tmp_path / "wider.npy"])
     zero = np.vstack([stack[1][:2], np.zeros((1, 3)), stack[1][3:]])
     save_matrix(EmbeddingMatrix(zero), tmp_path / "zero.npy")
     with pytest.raises(ValueError, match=r"zero\.npy: zero-norm row 2"):
-        load_prompt_pools([first, tmp_path / "zero.npy"])
+        _file_means([first, tmp_path / "zero.npy"])
 
 
 def test_prototype_set_requires_unit_rows():
@@ -201,6 +201,10 @@ def test_load_prototypes_checks_class_map(tmp_path):
             load_prototypes(tmp_path / "p.npy", tmp_path / "p.json")
 
 
+def _file_means(paths):
+    return pool_prototypes(paths, [1], 0)[1]
+
+
 def test_load_pools_per_class(tmp_path):
     rng = np.random.default_rng(8)
     paths = []
@@ -208,10 +212,11 @@ def test_load_pools_per_class(tmp_path):
         p = tmp_path / f"pool{c}.npy"
         save_matrix(EmbeddingMatrix(2.0 * random_unit_rows(rng, 5, 4)), p)
         paths.append(p)
-    pool = load_prompt_pools(paths)
-    assert pool.data.shape == (3, 5, 4)
-    # loader normalizes rows
-    np.testing.assert_allclose(np.linalg.norm(pool.data, axis=2), 1.0, atol=1e-12)
+    protos = _file_means(paths)
+    assert protos.count == 3 and protos.vectors.dim == 4
+    # the pass normalizes each file's rows before it takes their mean
+    unit = PromptPool([unit_rows(np.load(p), p) for p in paths])
+    assert protos.vectors.data.tobytes() == mean_prototypes(unit).vectors.data.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -222,12 +227,23 @@ def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
     np.save(tmp_path / "first.npy", np.ones((4, 3)))
     np.save(tmp_path / "bad.npy", rows)
     with pytest.raises(ValueError, match=r"bad\.npy: non-finite norm in row 1"):
-        load_prompt_pools([tmp_path / "first.npy", tmp_path / "bad.npy"])
+        _file_means([tmp_path / "first.npy", tmp_path / "bad.npy"])
+
+
+def _unit_files(paths):
+    return PromptPool([unit_rows(np.load(p).astype(np.float64), p) for p in paths])
+
+
+def _same_sets(got, expected):
+    assert got.keys() == expected.keys()
+    for n_c in got:
+        assert got[n_c].vectors.data.tobytes() == expected[n_c].vectors.data.tobytes(), n_c
+        assert got[n_c].class_of.tobytes() == expected[n_c].class_of.tobytes(), n_c
 
 
 def test_pool_slots_match_numpy_load(tmp_path):
-    # '<f8' files are read straight into their slot of the stack and '<f4'
-    # files widened into it; a later file whose header differs from the
+    # '<f8' files are read straight into their slot of a block buffer and
+    # '<f4' files widened into it; a later file whose header differs from the
     # first file's in its bytes alone (key order, padding) still loads
     rng = np.random.default_rng(12)
     rows = rng.standard_normal((3, 4, 3))
@@ -237,19 +253,16 @@ def test_pool_slots_match_numpy_load(tmp_path):
     (tmp_path / "c.npy").write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
                                      + header + rows[2].tobytes())
     paths = [tmp_path / name for name in ("a.npy", "b.npy", "c.npy")]
-    pool = load_prompt_pools(paths)
-    for c, path in enumerate(paths):
-        wide = np.load(path).astype(np.float64)
-        assert pool.data[c].tobytes() == unit_rows(wide, path).tobytes()
-    # a stacked (C * T, d) matrix split into one file per class loads into
-    # the bits of the whole matrix normalized at once
+    _same_sets(pool_prototypes(paths, [1, 2], 0), pool_prototypes(_unit_files(paths), [1, 2], 0))
+    # a stacked (C * T, d) matrix split into one file per class reduces like
+    # the whole matrix normalized at once
     for dtype in ("<f8", "<f4"):
         stacked = rows.reshape(12, 3).astype(dtype)
         split = [tmp_path / f"{dtype[1:]}_{c}.npy" for c in range(3)]
         for c, path in enumerate(split):
             np.save(path, stacked[4 * c:4 * c + 4])
-        pool = load_prompt_pools(split)
-        assert pool.data.tobytes() == unit_rows(stacked.astype(np.float64), "s").tobytes()
+        whole = PromptPool(unit_rows(stacked.astype(np.float64), "s").reshape(3, 4, 3))
+        _same_sets(pool_prototypes(split, [1, 2], 0), pool_prototypes(whole, [1, 2], 0))
 
 
 def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
@@ -262,7 +275,7 @@ def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
                                 ("long.npy", raw + bytes(8), "trailing bytes")):
         (tmp_path / name).write_bytes(data)
         with pytest.raises(NpyFormatError, match=f"{name}: {message}"):
-            load_prompt_pools([first, tmp_path / name])
+            _file_means([first, tmp_path / name])
 
 
 # A verbatim copy of the per-class K-means that the batched implementation
@@ -556,3 +569,90 @@ def test_centers_tied_in_column_0_match_reference():
                 for c, points in enumerate(stack)]
         assert tied == [True, False] * 3, seed
     _assert_matches_reference(stack, k, seeds=(0, 1, 2))
+
+
+# the streamed pass over pool files ---------------------------------------
+
+def _write_raw_pools(tmp_path, stack, dtype):
+    paths = [tmp_path / f"{dtype[1:]}_{c:03d}.npy" for c in range(len(stack))]
+    for path, rows in zip(paths, stack):
+        np.save(path, rows.astype(dtype))
+    return paths
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_file_pass_matches_reference_bytes(tmp_path, monkeypatch, dtype):
+    # seven classes in blocks of three: three blocks, the last holding one
+    # class, shared by the calling thread and the worker
+    n_t, dim, k = 30, 16, 3
+    raw = 2.5 * _bundled_stack(np.random.default_rng(30), 7, n_t, dim, k)
+    paths = _write_raw_pools(tmp_path, raw, dtype)
+    stack = np.stack([unit_rows(np.load(p).astype(np.float64), p) for p in paths])
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 3 * n_t * dim * 8)
+    together = pool_prototypes(paths, [1, 3], seed=4)
+    for n_c, expected in ((1, _ref_means(stack)), (3, _ref_cluster(stack, 3, 4))):
+        apart = pool_prototypes(paths, [n_c], seed=4)[n_c]
+        in_memory = pool_prototypes(PromptPool(stack), [n_c], seed=4)[n_c]
+        for got in (together[n_c], apart, in_memory):
+            assert got.vectors.data.tobytes() == expected.tobytes(), n_c
+            assert got.class_of.tolist() == np.repeat(np.arange(7), n_c).tolist()
+
+
+def _traced_peak(paths):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sets = pool_prototypes(paths, [1, 3], seed=0)
+        return tracemalloc.get_traced_memory()[1], sets
+    finally:
+        tracemalloc.stop()
+
+
+def test_file_pass_memory_does_not_grow_with_the_pool(tmp_path, monkeypatch):
+    # blocks of four 80 x 32 classes: the pass holds two block buffers and two
+    # scratch arrays, 320 KB in all, whatever the class count. Only the
+    # prototype sets grow with C: 4 rows per class against the stack's 80
+    n_t, dim = 80, 32
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 4 * n_t * dim * 8)
+    rng = np.random.default_rng(31)
+    # three tight bundles per class, so K-means settles in a few iterations
+    bundles = rng.standard_normal((200, 3, dim))
+    raw = bundles[:, np.arange(n_t) % 3] + 0.05 * rng.standard_normal((200, n_t, dim))
+    paths = _write_raw_pools(tmp_path, raw, "<f8")
+    peak, sets_bytes = {}, {}
+    for n_classes in (100, 200):
+        peak[n_classes], sets = _traced_peak(paths[:n_classes])
+        sets_bytes[n_classes] = sum(s.vectors.data.nbytes for s in sets.values())
+    # a few copies of the sets while they are normalized and checked
+    assert peak[200] < 4 * prompts.LLOYD_BLOCK_BYTES + 4 * sets_bytes[200] + (64 << 10), peak
+    growth = peak[200] - peak[100]
+    assert growth < 4 * (sets_bytes[200] - sets_bytes[100]), (growth, sets_bytes)
+    assert growth < raw[100:].nbytes / 4, growth
+
+
+def test_lowest_failed_block_is_reported(tmp_path, monkeypatch):
+    # faults in blocks 1 and 2 of three; the read of block 1's faulty file
+    # waits until block 2's has been read, so block 2 fails first, yet the
+    # error is block 1's, as a serial pass would report it
+    n_t, dim = 6, 4
+    raw = np.random.default_rng(32).standard_normal((5, n_t, dim))
+    raw[2, 3, 1], raw[4, 1] = np.nan, 0.0
+    paths = _write_raw_pools(tmp_path, raw, "<f8")
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
+    read, last_read, order = prompts.read_npy, threading.Event(), []
+
+    def spy(path, rank, slot=None):
+        if path == paths[2]:
+            last_read.wait(timeout=10)
+        try:
+            return read(path, rank, slot)
+        finally:
+            order.append(path)
+            if path == paths[4]:
+                last_read.set()
+
+    monkeypatch.setattr(prompts, "read_npy", spy)
+    with pytest.raises(ValueError, match=r"f8_002\.npy: non-finite norm in row 3$"):
+        pool_prototypes(paths, [1, 2], seed=0)
+    assert order.index(paths[4]) < order.index(paths[2])

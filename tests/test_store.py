@@ -413,7 +413,9 @@ def test_manifest_good(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     bundle = load_dataset(tmp_path / "manifest.json")
     assert bundle.unlabeled.count == 6 and bundle.unlabeled.dim == 4
-    assert bundle.pool.data.shape == (2, 5, 4)
+    # the pool files are kept as a list, read only when the pool is reduced
+    paths, check = bundle.pool
+    assert paths == [tmp_path / "pool0.npy", tmp_path / "pool1.npy"] and callable(check)
     assert bundle.labeled is None and bundle.prototypes is None and bundle.flags is None
 
 
