@@ -3,7 +3,7 @@
 from .baselines import cosine_scores, manifold_score
 from .graph import BlockAdjacency, NodePartition, build_adjacency, normalize
 from .metrics import EvalReport, auroc, evaluate, fpr_at_tpr
-from .prompts import PromptPool, PrototypeSet, cluster_prompts, mean_prototypes
+from .prompts import PrototypeSet
 from .propagation import (
     PropagationConfig,
     propagate,
@@ -31,10 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockAdjacency", "EmbeddingMatrix", "EvalReport", "NodePartition",
-    "NpyFormatError", "PromptPool", "PropagationConfig", "PrototypeSet",
-    "SynthDataset", "SynthSpec", "auroc", "blob_benchmark_spec",
-    "bridge_benchmark_spec", "build_adjacency", "cluster_prompts",
-    "cosine_scores", "evaluate", "fpr_at_tpr", "generate", "load_unit_matrix",
-    "load_vector", "manifold_score", "mean_prototypes", "normalize", "propagate",
+    "NpyFormatError", "PropagationConfig", "PrototypeSet", "SynthDataset",
+    "SynthSpec", "auroc", "blob_benchmark_spec", "bridge_benchmark_spec",
+    "build_adjacency", "cosine_scores", "evaluate", "fpr_at_tpr", "generate",
+    "load_unit_matrix", "load_vector", "manifold_score", "normalize", "propagate",
     "run_gsp", "save_matrix", "save_vector", "select_pseudo_prompts", "unit_rows",
 ]

@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         # alpha, iterations and m_percent are checked by the config they feed
@@ -388,8 +390,13 @@ def _dispatch(args) -> int:
     if args.command == "cluster-prompts":
         if not opts.get("pools"):
             raise ValueError("cluster-prompts needs --pools")
-        return cmd_cluster_prompts(opt("pools", str, many=True), opt("clusters", int, [3], many=True),
-                                   opt("seed", int, 0), opt("out", str, "prototypes_out"))
+        clusters, seed = opt("clusters", int, [3], many=True), opt("seed", int, 0)
+        if not clusters:  # only a config file can give an empty list
+            raise ValueError(f"{args.config}: key 'clusters' must list at least one count")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        return cmd_cluster_prompts(opt("pools", str, many=True), clusters, seed,
+                                   opt("out", str, "prototypes_out"))
     raise ValueError(f"unknown command {args.command!r}")
 
 

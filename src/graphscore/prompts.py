@@ -30,28 +30,6 @@ LLOYD_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
-class PromptPool:
-    """Encoded prompt templates as one frozen ``(C, T, d)`` float64 stack: C
-    classes of T templates in d dimensions. A float64 C-order array is adopted
-    without a copy; anything else numpy can stack, such as a sequence of
-    per-class matrices, is converted first."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64, order="C")
-        if data.ndim != 3 or data.size == 0:
-            raise ValueError(f"prompt pool must be a non-empty (C, T, d) stack, got {data.shape}")
-        if not np.isfinite([data.max(), data.min()]).all():  # NaN and inf reach one of them
-            raise ValueError("prompt pool holds non-finite values")
-        object.__setattr__(self, "data", _lock(data))
-
-    @property
-    def n_classes(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
 class PrototypeSet:
     """Stacked prototype vectors with per-row class provenance."""
 
@@ -144,25 +122,21 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
 
 
 def _lloyd(points: np.ndarray, k: int, seed: int, stream: int, scratch=None):
-    """Deterministic K-means. Returns (centers, assignments, objective history).
+    """Deterministic K-means over a (B, T, d) block of classes. Returns the
+    (B, k, d) centers and an objective history per class.
 
-    ``points`` is one class's (T, d) templates, or a (B, T, d) block of classes
-    whose class b draws from PCG64 stream ``stream + b`` and iterates until its
-    own centers settle; a block returns (B, k, d) centers, (B, T) assignments
-    and a history per class. Centers come back in lexicographic row order so
-    results do not depend on the order templates were supplied in.
-    ``scratch``, an array of at least B classes of the block's (T, d) shape,
-    is used instead of a fresh one; its contents do not matter.
+    Class b draws from PCG64 stream ``stream + b`` and iterates until its own
+    centers settle. Centers come back in lexicographic row order so results
+    do not depend on the order templates were supplied in. ``scratch``, an
+    array of at least B classes of the block's (T, d) shape, is used instead
+    of a fresh one; its contents do not matter.
     """
-    if points.ndim == 2:
-        centers, assign, history = _lloyd(points[None], k, seed, stream)
-        return centers[0], assign[0], history[0]
     buf = np.empty_like(points) if scratch is None else scratch[:len(points)]
-    sq = np.square(points, out=buf).sum(axis=2)
+    x_sq = np.square(points, out=buf).sum(axis=2)
     centers = _kmeans_pp_init(points, k, seed, stream, buf)
     history = [[] for _ in points]
     live = np.arange(len(points))  # classes still iterating
-    x, x_sq, cur = points, sq, centers
+    x, cur = points, centers
     assign, d2 = _assign(x, x_sq, cur)
     for it in range(_LLOYD_MAX_ITER):
         rows = np.arange(live.size)
@@ -203,25 +177,22 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int, scratch=None):
     tied = (first[:, 1:] == first[:, :-1]).any(axis=1)
     if tied.any():
         order[tied] = np.lexsort(centers[tied].transpose(2, 0, 1)[::-1], axis=-1)
-    centers = np.take_along_axis(centers, order[:, :, None], axis=1)
-    assign, _ = _assign(points, sq, centers)
-    return centers, assign, history
+    return np.take_along_axis(centers, order[:, :, None], axis=1), history
 
 
-def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> dict:
+def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) -> dict:
     """Every prototype set that ``clusters`` asks for, keyed by the count
-    asked for, from one pass over the classes of ``pool``.
+    asked for, from one pass over ``paths``, one NPY file per class.
 
-    ``pool`` is a :class:`PromptPool` or a list of NPY files, one per class.
-    A count of 1 gives the normalized class means, a larger one the K-means
-    centers of :func:`cluster_prompts`; counts above the template count are
-    clamped with a warning. Classes run in blocks of ``LLOYD_BLOCK_BYTES``,
-    each reduced to every set asked for before the next: a block of the
-    stack is a view of it, and a block of files is read into a block
-    buffer, each file once, so no ``(C, T, d)`` stack is ever held. Every
-    file must have the first file's shape and pass ``check(path, dim)``, and
-    its rows are normalized in place by :func:`unit_rows`, which names the
-    file and row of a zero, NaN or inf row.
+    A count of 1 gives the normalized class means, a larger one the
+    normalized K-means centers of :func:`_lloyd`; counts above the template
+    count are clamped with a warning. Classes run in blocks of
+    ``LLOYD_BLOCK_BYTES``: a block's files are read into a block buffer,
+    each file once, and reduced to every set asked for before the next
+    block, so no ``(C, T, d)`` stack is ever held. Every file must have the
+    first file's shape and pass ``check(path, dim)``, and its rows are
+    normalized in place by :func:`unit_rows`, which names the file and row
+    of a zero, NaN or inf row.
 
     The calling thread and, with more than one block, one worker thread
     alive only for this call each take the next unclaimed block until none
@@ -233,18 +204,11 @@ def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> 
     """
     if min(clusters) < 1:
         raise ValueError(f"clusters must be >= 1, got {list(clusters)}")
-    if isinstance(pool, PromptPool):
-        n_classes, n_t, dim = pool.data.shape
-        paths = None
-    else:
-        paths = list(pool)
-        first = read_npy(paths[0], rank=2)
-        n_classes, (n_t, dim) = len(paths), first.shape
-        check(paths[0], dim)
+    first = read_npy(paths[0], rank=2)
+    n_classes, (n_t, dim) = len(paths), first.shape
+    check(paths[0], dim)
 
     def load(lo, hi, buf):
-        if paths is None:
-            return pool.data[lo:hi]
         for c, rows in zip(range(lo, hi), buf):
             def slot(shape):
                 check(paths[c], shape[1])
@@ -262,7 +226,7 @@ def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> 
 
     for n_c in sorted(set(clusters)):
         if n_c > n_t:
-            warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=3)
+            warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=2)
     counts = sorted({min(n_c, n_t) for n_c in clusters})
     centers = {k: np.empty((n_classes, k, dim)) for k in counts}
     block = max(1, LLOYD_BLOCK_BYTES // (n_t * dim * 8))
@@ -290,7 +254,7 @@ def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> 
     # every buffer comes from the calling thread: one freed on the
     # short-lived worker stays resident in that thread's malloc arena
     shape = (min(2, len(starts)), min(block, n_classes), n_t, dim)
-    bufs = np.empty(shape) if paths is not None else [None] * shape[0]
+    bufs = np.empty(shape)
     scratch = np.empty(shape) if max(centers) > 1 else [None] * shape[0]
     # the worker thread starts with the first submit, so one block starts none
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -312,22 +276,6 @@ def pool_prototypes(pool, clusters, seed: int, check=lambda path, dim: None) -> 
         sets[k] = PrototypeSet(EmbeddingMatrix((out / norms[:, :, None]).reshape(-1, dim)),
                                class_of=np.repeat(np.arange(n_classes), k), clusters_per_class=k)
     return {n_c: sets[min(n_c, n_t)] for n_c in clusters}
-
-
-def cluster_prompts(pool: PromptPool, n_c: int, seed: int) -> PrototypeSet:
-    """Cluster each class's template pool into ``n_c`` prototypes, by
-    :func:`pool_prototypes`.
-
-    Centers are re-normalized to unit length; requests for more clusters than
-    templates are clamped with a warning. ``n_c == 1`` gives exactly
-    :func:`mean_prototypes`.
-    """
-    return pool_prototypes(pool, [n_c], seed)[n_c]
-
-
-def mean_prototypes(pool: PromptPool) -> PrototypeSet:
-    """One prototype per class: the normalized mean of its templates."""
-    return pool_prototypes(pool, [1], 0)[1]
 
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:

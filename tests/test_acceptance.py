@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 import graphscore as gs
 from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores, main
-from graphscore.prompts import PromptPool, _lloyd, cluster_prompts
+from graphscore.prompts import _lloyd, pool_prototypes
 from graphscore.propagation import PropagationConfig, propagate
 from graphscore.store import EmbeddingMatrix
 
@@ -146,7 +146,7 @@ def test_criterion_5_metric_oracles():
     _report(5, ok, "(1000 instances, exact equality incl. ties)")
 
 
-def test_criterion_6_kmeans_monotone_and_exhaustive_optimum():
+def test_criterion_6_kmeans_monotone_and_exhaustive_optimum(tmp_path):
     ok = True
     worst = 0.0
     for seed in range(20):
@@ -162,10 +162,10 @@ def test_criterion_6_kmeans_monotone_and_exhaustive_optimum():
                 v = center + 0.05 * rng.standard_normal(6)
                 rows.append(v / np.linalg.norm(v))
         points = np.array(rows)
-        _, _, history = _lloyd(points, 2, seed=seed, stream=0)
+        _, history = _lloyd(points[None], 2, seed=seed, stream=0)
         ok &= bool((np.diff(history) <= 1e-9).all())
-        pool = PromptPool((EmbeddingMatrix(points),))
-        protos = cluster_prompts(pool, 2, seed=seed)
+        np.save(tmp_path / "pool.npy", points)
+        protos = pool_prototypes([tmp_path / "pool.npy"], [2], seed)[2]
         oracle_centers, _ = exhaustive_kmeans_2(points)
         oracle_unit = oracle_centers / np.linalg.norm(oracle_centers, axis=1,
                                                       keepdims=True)

@@ -9,7 +9,7 @@ import pytest
 
 from graphscore import cli, prompts, propagation, store
 from graphscore.cli import METHODS, main
-from graphscore.prompts import PromptPool, load_prototypes, mean_prototypes
+from graphscore.prompts import load_prototypes
 from graphscore.synth import bridge_benchmark_spec
 from graphscore.store import (
     EmbeddingMatrix,
@@ -17,8 +17,9 @@ from graphscore.store import (
     save_flags,
     save_matrix,
     save_vector,
-    unit_rows,
 )
+
+from test_prompts import _normalized, _ref_cluster, _ref_means
 
 
 def _synth_dataset(tmp_path, preset="bridge_benchmark", seed=3):
@@ -149,9 +150,7 @@ def test_cluster_prompts_single_value_equals_mean(tmp_path):
     assert main(["cluster-prompts", "--pools", *pools, "--clusters", "1",
                  "--seed", "0", "--out", str(out)]) == 0
     protos = load_prototypes(out / "prototypes.npy", out / "prototype_classes.json")
-    expected = mean_prototypes(PromptPool([unit_rows(np.load(p), p) for p in pools]))
-    np.testing.assert_allclose(protos.vectors.data, expected.vectors.data,
-                               atol=1e-12)
+    np.testing.assert_allclose(protos.vectors.data, _ref_means(_normalized(pools)), atol=1e-12)
 
 
 def test_cluster_prompts_sweep_emits_one_file_per_value(tmp_path):
@@ -361,7 +360,8 @@ def test_diagnostics_hold_no_lists(tmp_path):
                                            (["--tau", "0"], "tau must be positive"),
                                            (["--tau", "nan"], "tau must be positive"),
                                            (["--tau", "inf"], "tau must be positive"),
-                                           (["--clusters", "0"], "clusters must be >= 1")])
+                                           (["--clusters", "0"], "clusters must be >= 1"),
+                                           (["--seed", "-1"], "seed must be >= 0, got -1")])
 def test_bad_run_config_rejected_before_loading(tmp_path, capsys, flag, message):
     data_dir = _synth_dataset(tmp_path)
     run_dir = tmp_path / "run"
@@ -560,6 +560,7 @@ def test_explicit_synth_spec_equals_its_preset(tmp_path):
     ("cluster-prompts", {"pools": "p.npy"}, "'pools'"),
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": [2, 2.5]}, "'clusters[1]'"),
     ("cluster-prompts", {"pools": ["p.npy"], "out": None}, "'out'"),
+    ("cluster-prompts", {"pools": ["p.npy"], "clusters": []}, "'clusters'"),
 ])
 def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "run.json"
@@ -575,6 +576,7 @@ def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, con
     (["cluster-prompts"], 1, ["--pools"]),
     (["cluster-prompts", "--pools", "p.npy", "--clusters", "3", "0"], 1,
      ["clusters must be >= 1"]),
+    (["cluster-prompts", "--pools", "p.npy", "--seed", "-1"], 1, ["seed must be >= 0, got -1"]),
     (["eval", "--scores", "{tmp}/s.npy", "{tmp}/s.npy", "--names", "a", "--flags",
       "{tmp}/flags.csv"], 1, ["--names", "--scores"]),
     (["eval", "--scores", "{tmp}/nan.npy", "--flags", "{tmp}/flags.csv"], 1,
@@ -633,11 +635,11 @@ def test_cluster_prompts_values_together_equal_apart(tmp_path, monkeypatch, dtyp
             ext = ".npy" if stem == "prototypes" else ".json"
             assert ((run["1", "3"] / f"{stem}_nc{n_c}{ext}").read_bytes()
                     == (run[n_c, ] / f"{stem}{ext}").read_bytes())
-    # and the bits of the in-memory API on the normalized stack
-    stack = PromptPool([unit_rows(np.load(p).astype(np.float64), p) for p in pools])
-    for n_c, expected in ((1, mean_prototypes(stack)), (3, prompts.cluster_prompts(stack, 3, 2))):
+    # and the bits of the per-class reference on the normalized stack
+    stack = _normalized(pools)
+    for n_c, expected in ((1, _ref_means(stack)), (3, _ref_cluster(stack, 3, 2))):
         got = np.load(run["1", "3"] / f"prototypes_nc{n_c}.npy")
-        assert got.tobytes() == expected.vectors.data.tobytes()
+        assert got.tobytes() == expected.tobytes()
 
 
 def _route_last_file(monkeypatch, pools, reader):

@@ -7,12 +7,9 @@ import pytest
 
 from graphscore import prompts
 from graphscore.prompts import (
-    PromptPool,
     PrototypeSet,
     _lloyd,
-    cluster_prompts,
     load_prototypes,
-    mean_prototypes,
     pool_prototypes,
     save_prototypes,
 )
@@ -21,11 +18,27 @@ from graphscore.store import EmbeddingMatrix, NpyFormatError, save_matrix, unit_
 from oracles import exhaustive_kmeans_2, random_unit_rows
 
 
-def _pool(rng, n_classes=2, templates=8, dim=6):
-    return PromptPool(tuple(
-        EmbeddingMatrix(random_unit_rows(rng, templates, dim))
-        for _ in range(n_classes)
-    ))
+def _write_raw_pools(tmp_path, stack, dtype):
+    paths = [tmp_path / f"{dtype[1:]}_{c:03d}.npy" for c in range(len(stack))]
+    for path, rows in zip(paths, stack):
+        np.save(path, rows.astype(dtype))
+    return paths
+
+
+def _normalized(paths):
+    """Pool files as the pass sees them: each re-read and normalized by ``unit_rows``."""
+    return np.stack([unit_rows(np.load(p).astype(np.float64), p) for p in paths])
+
+
+def _pool_files(tmp_path, stack, dtype="<f8"):
+    """``stack`` written one file per class, and its :func:`_normalized` stack."""
+    paths = _write_raw_pools(tmp_path, np.asarray(stack, dtype=np.float64), dtype)
+    return paths, _normalized(paths)
+
+
+def _prototypes(tmp_path, stack, n_c, seed=0):
+    """The ``n_c`` prototype set of ``stack``, reduced from pool files."""
+    return pool_prototypes(_pool_files(tmp_path, stack)[0], [n_c], seed)[n_c]
 
 
 def _two_bundles(rng, dim=6, per_bundle=4, spread=0.03):
@@ -42,44 +55,40 @@ def _two_bundles(rng, dim=6, per_bundle=4, spread=0.03):
     return np.array(rows)
 
 
-def test_single_cluster_equals_mean():
+def test_single_cluster_equals_mean(tmp_path):
     rng = np.random.default_rng(0)
     # d=512 as well: a per-row norm(axis=1) differs from the mean's dot-product
     # norm in the last bit of about one row in five
-    for pool in (_pool(rng), PromptPool(_unit_stack(rng, 50, 80, 512))):
-        averaged = mean_prototypes(pool)
+    for shape in ((2, 8, 6), (50, 80, 512)):
+        paths, stack = _pool_files(tmp_path, _unit_stack(rng, *shape))
         for seed in (0, 1, 17):
-            clustered = cluster_prompts(pool, 1, seed)
-            assert clustered.vectors.data.tobytes() == averaged.vectors.data.tobytes()
-            np.testing.assert_array_equal(clustered.class_of, averaged.class_of)
+            means = pool_prototypes(paths, [1], seed)[1]
+            assert means.vectors.data.tobytes() == _ref_means(stack).tobytes()
+            np.testing.assert_array_equal(means.class_of, np.arange(shape[0]))
 
 
-def test_mean_prototype_is_normalized_mean():
-    pool = PromptPool((EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]]),))
-    protos = mean_prototypes(pool)
+def test_mean_prototype_is_normalized_mean(tmp_path):
+    protos = _prototypes(tmp_path, [[[1.0, 0.0], [0.0, 1.0]]], 1)
     expected = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
     np.testing.assert_allclose(protos.vectors.data, expected, atol=1e-15)
 
 
-def test_mean_single_template_identity():
+def test_mean_single_template_identity(tmp_path):
     row = np.array([[0.6, 0.8]])
-    pool = PromptPool((EmbeddingMatrix(row),))
-    np.testing.assert_allclose(mean_prototypes(pool).vectors.data, row, atol=1e-15)
+    np.testing.assert_allclose(_prototypes(tmp_path, [row], 1).vectors.data, row, atol=1e-15)
 
 
-def test_antipodal_templates_error():
-    pool = PromptPool((EmbeddingMatrix([[1.0, 0.0], [-1.0, 0.0]]),))
+def test_antipodal_templates_error(tmp_path):
     with pytest.raises(ValueError, match="zero-norm mean"):
-        mean_prototypes(pool)
+        _prototypes(tmp_path, [[[1.0, 0.0], [-1.0, 0.0]]], 1)
 
 
-def test_cluster_matches_exhaustive_partition_oracle():
-    rng = np.random.default_rng(42)
+def test_cluster_matches_exhaustive_partition_oracle(tmp_path):
     for trial in range(5):
         points = _two_bundles(np.random.default_rng(100 + trial))
-        pool = PromptPool((EmbeddingMatrix(points),))
+        paths = _pool_files(tmp_path, [points])[0]
         for seed in (0, 7, 31):
-            protos = cluster_prompts(pool, 2, seed)
+            protos = pool_prototypes(paths, [2], seed)[2]
             oracle_centers, _ = exhaustive_kmeans_2(points)
             norms = np.linalg.norm(oracle_centers, axis=1, keepdims=True)
             np.testing.assert_allclose(
@@ -87,10 +96,9 @@ def test_cluster_matches_exhaustive_partition_oracle():
             )
 
 
-def test_three_clusters_per_class():
-    rng = np.random.default_rng(5)
-    pool = _pool(rng, n_classes=3, templates=10)
-    protos = cluster_prompts(pool, 3, seed=0)
+def test_three_clusters_per_class(tmp_path):
+    stack = _unit_stack(np.random.default_rng(5), 3, 10, 6)
+    protos = _prototypes(tmp_path, stack, 3)
     assert protos.count == 9
     assert protos.clusters_per_class == 3
     np.testing.assert_array_equal(protos.class_of, [0, 0, 0, 1, 1, 1, 2, 2, 2])
@@ -99,11 +107,10 @@ def test_three_clusters_per_class():
     )
 
 
-def test_clamp_when_clusters_exceed_templates():
-    rng = np.random.default_rng(1)
-    pool = _pool(rng, templates=4)
+def test_clamp_when_clusters_exceed_templates(tmp_path):
+    stack = _unit_stack(np.random.default_rng(1), 2, 4, 6)
     with pytest.warns(UserWarning, match="clamping"):
-        protos = cluster_prompts(pool, 9, seed=0)
+        protos = _prototypes(tmp_path, stack, 9)
     assert protos.clusters_per_class == 4
 
 
@@ -111,54 +118,31 @@ def test_objective_monotone_nonincreasing():
     rng = np.random.default_rng(9)
     for trial in range(10):
         points = random_unit_rows(np.random.default_rng(trial), 20, 5)
-        _, _, history = _lloyd(points, 4, seed=trial, stream=0)
-        drops = np.diff(history)
+        _, history = _lloyd(points[None], 4, seed=trial, stream=0)
+        drops = np.diff(history[0])
         assert (drops <= 1e-9).all(), history
 
 
-def test_final_assignment_is_nearest_center():
-    points = _two_bundles(np.random.default_rng(3))
-    centers, assign, _ = _lloyd(points, 2, seed=0, stream=0)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.min(axis=1)
-    chosen = d2[np.arange(points.shape[0]), assign]
-    assert (chosen <= nearest + 1e-9).all()
-
-
-def test_permutation_equivariance():
+def test_permutation_equivariance(tmp_path):
     points = _two_bundles(np.random.default_rng(11))
-    pool = PromptPool((EmbeddingMatrix(points),))
-    protos = cluster_prompts(pool, 2, seed=4)
+    protos = _prototypes(tmp_path, [points], 2, seed=4)
     perm = np.random.default_rng(0).permutation(points.shape[0])
-    pool_perm = PromptPool((EmbeddingMatrix(points[perm]),))
-    protos_perm = cluster_prompts(pool_perm, 2, seed=4)
+    protos_perm = _prototypes(tmp_path, [points[perm]], 2, seed=4)
     # centers come back in canonical order, so permuting templates changes nothing
     np.testing.assert_allclose(
         protos.vectors.data, protos_perm.vectors.data, atol=1e-12
     )
 
 
-def test_cluster_determinism():
-    rng = np.random.default_rng(2)
-    pool = _pool(rng, templates=12)
-    a = cluster_prompts(pool, 3, seed=8)
-    b = cluster_prompts(pool, 3, seed=8)
+def test_cluster_determinism(tmp_path):
+    paths = _pool_files(tmp_path, _unit_stack(np.random.default_rng(2), 2, 12, 6))[0]
+    a = pool_prototypes(paths, [3], seed=8)[3]
+    b = pool_prototypes(paths, [3], seed=8)[3]
     assert a.vectors.data.tobytes() == b.vectors.data.tobytes()
-
-
-def test_empty_pool_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        PromptPool(())
 
 
 def test_pool_shape_validation(tmp_path):
     stack = _unit_stack(np.random.default_rng(0), 2, 4, 3)
-    assert PromptPool(stack).data.shape == (2, 4, 3)
-    with pytest.raises(ValueError, match="got \\(4, 3\\)"):
-        PromptPool(stack[0])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            PromptPool(np.where(np.arange(6).reshape(1, 2, 3) == 4, bad, 1.0))
     rng = np.random.default_rng(1)
     save_matrix(EmbeddingMatrix(stack[0]), tmp_path / "first.npy")
     save_matrix(EmbeddingMatrix(random_unit_rows(rng, 5, 3)), tmp_path / "more.npy")
@@ -181,9 +165,7 @@ def test_prototype_set_requires_unit_rows():
 
 
 def test_prototype_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    pool = _pool(rng)
-    protos = cluster_prompts(pool, 2, seed=1)
+    protos = _prototypes(tmp_path, _unit_stack(np.random.default_rng(6), 2, 8, 6), 2, seed=1)
     save_prototypes(protos, tmp_path / "p.npy", tmp_path / "p.json")
     loaded = load_prototypes(tmp_path / "p.npy", tmp_path / "p.json")
     np.testing.assert_allclose(loaded.vectors.data, protos.vectors.data, atol=1e-12)
@@ -215,8 +197,7 @@ def test_load_pools_per_class(tmp_path):
     protos = _file_means(paths)
     assert protos.count == 3 and protos.vectors.dim == 4
     # the pass normalizes each file's rows before it takes their mean
-    unit = PromptPool([unit_rows(np.load(p), p) for p in paths])
-    assert protos.vectors.data.tobytes() == mean_prototypes(unit).vectors.data.tobytes()
+    assert protos.vectors.data.tobytes() == _ref_means(_normalized(paths)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -230,15 +211,13 @@ def test_pool_file_non_finite_norm_names_the_file(tmp_path, bad):
         _file_means([tmp_path / "first.npy", tmp_path / "bad.npy"])
 
 
-def _unit_files(paths):
-    return PromptPool([unit_rows(np.load(p).astype(np.float64), p) for p in paths])
-
-
-def _same_sets(got, expected):
-    assert got.keys() == expected.keys()
-    for n_c in got:
-        assert got[n_c].vectors.data.tobytes() == expected[n_c].vectors.data.tobytes(), n_c
-        assert got[n_c].class_of.tobytes() == expected[n_c].class_of.tobytes(), n_c
+def _assert_reference_sets(sets, stack, seed):
+    """Each set of a :func:`pool_prototypes` result against the reference
+    run on ``stack``, the normalized templates."""
+    for n_c, protos in sets.items():
+        expected = _ref_means(stack) if n_c == 1 else _ref_cluster(stack, n_c, seed)
+        assert protos.vectors.data.tobytes() == expected.tobytes(), n_c
+        assert protos.class_of.tolist() == np.repeat(np.arange(len(stack)), n_c).tolist()
 
 
 def test_pool_slots_match_numpy_load(tmp_path):
@@ -253,7 +232,7 @@ def test_pool_slots_match_numpy_load(tmp_path):
     (tmp_path / "c.npy").write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
                                      + header + rows[2].tobytes())
     paths = [tmp_path / name for name in ("a.npy", "b.npy", "c.npy")]
-    _same_sets(pool_prototypes(paths, [1, 2], 0), pool_prototypes(_unit_files(paths), [1, 2], 0))
+    _assert_reference_sets(pool_prototypes(paths, [1, 2], 0), _normalized(paths), 0)
     # a stacked (C * T, d) matrix split into one file per class reduces like
     # the whole matrix normalized at once
     for dtype in ("<f8", "<f4"):
@@ -261,8 +240,8 @@ def test_pool_slots_match_numpy_load(tmp_path):
         split = [tmp_path / f"{dtype[1:]}_{c}.npy" for c in range(3)]
         for c, path in enumerate(split):
             np.save(path, stacked[4 * c:4 * c + 4])
-        whole = PromptPool(unit_rows(stacked.astype(np.float64), "s").reshape(3, 4, 3))
-        _same_sets(pool_prototypes(split, [1, 2], 0), pool_prototypes(whole, [1, 2], 0))
+        whole = unit_rows(stacked.astype(np.float64), "s").reshape(3, 4, 3)
+        _assert_reference_sets(pool_prototypes(split, [1, 2], 0), whole, 0)
 
 
 def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
@@ -279,8 +258,9 @@ def test_later_pool_file_with_the_first_header_is_still_checked(tmp_path):
 
 
 # A verbatim copy of the per-class K-means that the batched implementation
-# replaced. Prototypes must match it byte for byte, including the rare
-# k-means++ and empty-cluster branches.
+# replaced, less the final assignment pass that nothing reads. Prototypes
+# must match it byte for byte, including the rare k-means++ and
+# empty-cluster branches.
 
 def _ref_rng(seed: int, stream: int) -> np.random.Generator:
     # one PCG64 stream per (seed, class) so classes cluster independently
@@ -338,11 +318,10 @@ def _ref_repair_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def _ref_lloyd(points: np.ndarray, k: int, seed: int, stream: int):
-    n = points.shape[0]
     if k == 1:
         centers = points.mean(axis=0, keepdims=True)
         obj = float(np.sum((points - centers[0]) ** 2))
-        return centers, np.zeros(n, dtype=np.int64), [obj]
+        return centers, [obj]
     rng = _ref_rng(seed, stream)
     centers = _ref_kmeans_pp_init(points, k, rng)
     history = []
@@ -362,23 +341,21 @@ def _ref_lloyd(points: np.ndarray, k: int, seed: int, stream: int):
         if (drift > 1e-9).any():
             raise RuntimeError("k-means objective increased between iterations")
     order = np.lexsort(centers.T[::-1])
-    centers = centers[order]
-    assign, _ = _ref_assign(points, centers)
-    return centers, assign, history
+    return centers[order], history
 
 
 def _ref_cluster(stack: np.ndarray, n_c: int, seed: int) -> np.ndarray:
-    """Per-class clustering and normalization, as ``cluster_prompts`` did it."""
+    """Per-class clustering and normalization, one class at a time."""
     all_centers = []
     for c, points in enumerate(stack):
-        centers, _, _ = _ref_lloyd(points, n_c, seed, stream=c)
+        centers, _ = _ref_lloyd(points, n_c, seed, stream=c)
         norms = np.linalg.norm(centers, axis=1)
         all_centers.append(centers / norms[:, None])
     return np.vstack(all_centers)
 
 
 def _ref_means(stack: np.ndarray) -> np.ndarray:
-    """Per-class normalized means, as ``mean_prototypes`` computed them."""
+    """Per-class normalized means, one class at a time."""
     centers = []
     for points in stack:
         mean = points.mean(axis=0, keepdims=True)
@@ -390,50 +367,43 @@ def _unit_stack(rng, n_classes, templates, dim):
     return np.stack([random_unit_rows(rng, templates, dim) for _ in range(n_classes)])
 
 
-def _as_pool(stack):
-    return PromptPool(tuple(EmbeddingMatrix(points) for points in stack))
-
-
-def _assert_matches_reference(stack, n_c, seeds):
-    pool = _as_pool(stack)
+def _assert_matches_reference(paths, stack, n_c, seeds):
+    """The pass over ``paths`` and :func:`_lloyd` on ``stack``, the files as
+    the pass normalizes them, against the reference."""
     for seed in seeds:
-        got = cluster_prompts(pool, n_c, seed).vectors.data
-        assert got.tobytes() == _ref_cluster(stack, n_c, seed).tobytes(), seed
-        centers, assign, histories = _lloyd(stack, n_c, seed, stream=0)
+        _assert_reference_sets(pool_prototypes(paths, [n_c], seed), stack, seed)
+        centers, histories = _lloyd(stack, n_c, seed, stream=0)
         for c, points in enumerate(stack):
-            ref_centers, ref_assign, ref_history = _ref_lloyd(points, n_c, seed, c)
+            ref_centers, ref_history = _ref_lloyd(points, n_c, seed, c)
             assert centers[c].tobytes() == ref_centers.tobytes()
-            assert assign[c].tobytes() == ref_assign.tobytes()
             # the same objectives, summed in another order: float64 rounding
             # over a few hundred terms of size <= 4
             np.testing.assert_allclose(histories[c], ref_history, rtol=1e-12, atol=1e-12)
 
 
-def test_duplicate_templates_match_reference():
+def test_duplicate_templates_match_reference(tmp_path):
     # [a, a, a, b] with k=3: k-means++ runs out of mass (total == 0) and the
     # duplicate center's cluster comes back empty and is repaired
     rng = np.random.default_rng(21)
     ab = _unit_stack(rng, 6, 2, 8)
-    stack = ab[:, [0, 0, 0, 1]]
-    _assert_matches_reference(stack, 3, seeds=range(8))
+    _assert_matches_reference(*_pool_files(tmp_path, ab[:, [0, 0, 0, 1]]), 3, seeds=range(8))
 
 
-def test_one_cluster_per_template_matches_reference():
+def test_one_cluster_per_template_matches_reference(tmp_path):
     stack = _unit_stack(np.random.default_rng(22), 5, 6, 4)
-    _assert_matches_reference(stack, 6, seeds=(0, 3))
+    _assert_matches_reference(*_pool_files(tmp_path, stack), 6, seeds=(0, 3))
 
 
-def test_clamped_cluster_count_matches_reference():
-    stack = _unit_stack(np.random.default_rng(23), 4, 5, 6)
+def test_clamped_cluster_count_matches_reference(tmp_path):
+    paths, stack = _pool_files(tmp_path, _unit_stack(np.random.default_rng(23), 4, 5, 6))
     with pytest.warns(UserWarning, match="clamping"):
-        got = cluster_prompts(_as_pool(stack), 8, seed=2).vectors.data
+        got = pool_prototypes(paths, [8], seed=2)[8].vectors.data
     assert got.tobytes() == _ref_cluster(stack, 5, 2).tobytes()
 
 
-def test_means_match_reference():
-    stack = _unit_stack(np.random.default_rng(24), 30, 80, 512)
-    got = mean_prototypes(_as_pool(stack)).vectors.data
-    assert got.tobytes() == _ref_means(stack).tobytes()
+def test_means_match_reference(tmp_path):
+    paths, stack = _pool_files(tmp_path, _unit_stack(np.random.default_rng(24), 30, 80, 512))
+    _assert_reference_sets(pool_prototypes(paths, [1], 0), stack, 0)
 
 
 def _bundled_stack(rng, n_classes, n_t, dim, k):
@@ -446,17 +416,17 @@ def _bundled_stack(rng, n_classes, n_t, dim, k):
         noise = (1.5 + 0.15 * c) / np.sqrt(dim) * rng.standard_normal((n_t, dim))
         rows = centers[rng.integers(k, size=n_t)] + noise
         stack[c] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    iterations = {len(_ref_lloyd(points, k, 0, c)[2]) for c, points in enumerate(stack)}
+    iterations = {len(_ref_lloyd(points, k, 0, c)[1]) for c, points in enumerate(stack)}
     assert len(iterations) > 2, iterations
     return stack
 
 
-def test_blocks_of_classes_match_reference():
+def test_blocks_of_classes_match_reference(tmp_path):
     # one block and three classes more
     n_t, dim, k = 80, 512, 3
     n_classes = prompts.LLOYD_BLOCK_BYTES // (n_t * dim * 8) + 3
     stack = _bundled_stack(np.random.default_rng(25), n_classes, n_t, dim, k)
-    _assert_matches_reference(stack, k, seeds=(0,))
+    _assert_matches_reference(*_pool_files(tmp_path, stack), k, seeds=(0,))
 
 
 def _spy_thread_starts(monkeypatch):
@@ -471,41 +441,39 @@ def _spy_thread_starts(monkeypatch):
     return started
 
 
-def test_threaded_blocks_match_reference(monkeypatch):
+def test_threaded_blocks_match_reference(tmp_path, monkeypatch):
     # nine classes in blocks of two: five blocks, shared by the calling thread
     # and one worker thread that does not outlive the call
     n_t, dim, k = 40, 32, 3
-    stack = _bundled_stack(np.random.default_rng(26), 9, n_t, dim, k)
+    paths, stack = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(26), 9, n_t, dim, k))
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
     started = _spy_thread_starts(monkeypatch)
     before = threading.active_count()
     for seed in (0, 5):
         started.clear()
-        got = cluster_prompts(_as_pool(stack), k, seed).vectors.data
-        assert got.tobytes() == _ref_cluster(stack, k, seed).tobytes(), seed
+        _assert_reference_sets(pool_prototypes(paths, [k], seed), stack, seed)
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == before
     # a pool of one block runs on the calling thread alone
     started.clear()
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", stack.nbytes)
-    got = cluster_prompts(_as_pool(stack), k, seed=0).vectors.data
-    assert got.tobytes() == _ref_cluster(stack, k, 0).tobytes()
+    _assert_reference_sets(pool_prototypes(paths, [k], 0), stack, 0)
     assert started == []
 
 
-def test_concurrent_callers_match_reference(monkeypatch):
+def test_concurrent_callers_match_reference(tmp_path, monkeypatch):
     # more caller threads than cores, each with its own worker claiming
     # one-class blocks, under a short switch interval; a block claimed twice
     # or never would leave other bytes in the prototypes
     n_t, dim, k = 40, 32, 3
-    stack = _bundled_stack(np.random.default_rng(29), 9, n_t, dim, k)
+    paths, stack = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(29), 9, n_t, dim, k))
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", n_t * dim * 8)
     seeds = (0, 1, 2)
     expected = [_ref_cluster(stack, k, seed).tobytes() for seed in seeds]
     got = [None] * len(seeds)
 
     def run(i):
-        got[i] = cluster_prompts(_as_pool(stack), k, seeds[i]).vectors.data.tobytes()
+        got[i] = pool_prototypes(paths, [k], seeds[i])[k].vectors.data.tobytes()
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
     interval = sys.getswitchinterval()
@@ -522,9 +490,9 @@ def test_concurrent_callers_match_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("raiser", ["worker", "caller"])
-def test_block_error_comes_out_unchanged(monkeypatch, raiser):
+def test_block_error_comes_out_unchanged(tmp_path, monkeypatch, raiser):
     n_t, dim, k = 40, 32, 3
-    stack = _bundled_stack(np.random.default_rng(27), 9, n_t, dim, k)
+    paths = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(27), 9, n_t, dim, k))[0]
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
     started = _spy_thread_starts(monkeypatch)
     before = threading.active_count()
@@ -541,7 +509,7 @@ def test_block_error_comes_out_unchanged(monkeypatch, raiser):
 
     monkeypatch.setattr(prompts, "_lloyd", flaky)
     with pytest.raises(RuntimeError) as caught:
-        cluster_prompts(_as_pool(stack), k, seed=0)
+        pool_prototypes(paths, [k], seed=0)
     assert caught.value is boom and failed.is_set()
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
@@ -551,7 +519,7 @@ def test_block_error_comes_out_unchanged(monkeypatch, raiser):
         assert len(streams) <= 2
 
 
-def test_centers_tied_in_column_0_match_reference():
+def test_centers_tied_in_column_0_match_reference(tmp_path):
     # in every other class, two of the three bundles lie in the plane x0 = 0,
     # so two centers tie on column 0 and column 1 decides their order; the
     # other classes of the block are ordered by column 0 alone
@@ -564,21 +532,15 @@ def test_centers_tied_in_column_0_match_reference():
         if c % 2 == 0:
             rows[member < 2, 0] = 0.0
         stack[c] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    paths, stack = _pool_files(tmp_path, stack)
     for seed in (0, 1, 2):
         tied = [np.unique(_ref_lloyd(points, k, seed, c)[0][:, 0]).size < k
                 for c, points in enumerate(stack)]
         assert tied == [True, False] * 3, seed
-    _assert_matches_reference(stack, k, seeds=(0, 1, 2))
+    _assert_matches_reference(paths, stack, k, seeds=(0, 1, 2))
 
 
 # the streamed pass over pool files ---------------------------------------
-
-def _write_raw_pools(tmp_path, stack, dtype):
-    paths = [tmp_path / f"{dtype[1:]}_{c:03d}.npy" for c in range(len(stack))]
-    for path, rows in zip(paths, stack):
-        np.save(path, rows.astype(dtype))
-    return paths
-
 
 @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
 def test_file_pass_matches_reference_bytes(tmp_path, monkeypatch, dtype):
@@ -586,16 +548,11 @@ def test_file_pass_matches_reference_bytes(tmp_path, monkeypatch, dtype):
     # class, shared by the calling thread and the worker
     n_t, dim, k = 30, 16, 3
     raw = 2.5 * _bundled_stack(np.random.default_rng(30), 7, n_t, dim, k)
-    paths = _write_raw_pools(tmp_path, raw, dtype)
-    stack = np.stack([unit_rows(np.load(p).astype(np.float64), p) for p in paths])
+    paths, stack = _pool_files(tmp_path, raw, dtype)
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 3 * n_t * dim * 8)
-    together = pool_prototypes(paths, [1, 3], seed=4)
-    for n_c, expected in ((1, _ref_means(stack)), (3, _ref_cluster(stack, 3, 4))):
-        apart = pool_prototypes(paths, [n_c], seed=4)[n_c]
-        in_memory = pool_prototypes(PromptPool(stack), [n_c], seed=4)[n_c]
-        for got in (together[n_c], apart, in_memory):
-            assert got.vectors.data.tobytes() == expected.tobytes(), n_c
-            assert got.class_of.tolist() == np.repeat(np.arange(7), n_c).tolist()
+    _assert_reference_sets(pool_prototypes(paths, [1, 3], seed=4), stack, 4)
+    for n_c in (1, 3):
+        _assert_reference_sets(pool_prototypes(paths, [n_c], seed=4), stack, 4)
 
 
 def _traced_peak(paths):
