@@ -5,16 +5,13 @@ pass. Subcommands: ``score`` (run a scoring method over a dataset manifest),
 ``eval`` (AUROC/FPR95 reports from score files), ``synth`` (write a
 synthetic dataset), and ``cluster-prompts`` (reduce prompt pools to
 prototype files). Every subcommand accepts ``--config <json>`` plus
-long-form flag overrides; flags win. The only environment variable read is
-GRAPHSCORE_LOG (log level).
+long-form flag overrides; flags win.
 """
 
 import argparse
 import functools
 import json
-import logging
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,8 +23,6 @@ from .graph import build_adjacency
 from .prompts import load_prototypes, pool_prototypes, save_prototypes
 from .propagation import PropagationConfig, run_gsp
 from .store import load_unit_matrix
-
-log = logging.getLogger("graphscore")
 
 METHODS = ("gsp", "cosine", "manifold", "score_prop_only", "gsp_no_cluster", "gsp_no_neg")
 _CLUSTERED = frozenset({"gsp", "gsp_no_neg"})
@@ -213,7 +208,6 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
         diag["method"] = method
         diag["run_config"] = asdict(cfg)
         results.append((method, scores, diag))
-        log.info("scored method=%s n=%d", method, len(scores))
     return results
 
 
@@ -273,17 +267,17 @@ def cmd_synth(spec_path, out_dir) -> int:
     values = {key: store.typed_list(v, int, key, spec_path) if types[key] is tuple
               else store.typed(v, types[key], key, spec_path) for key, v in doc.items()}
     preset = values.pop("preset", None)
-    if preset is None:
-        spec = synth.SynthSpec(**values)
-    else:
-        factories = {
-            "blob_benchmark": synth.blob_benchmark_spec,
-            "bridge_benchmark": synth.bridge_benchmark_spec,
-        }
-        if preset not in factories:
-            raise ValueError(f"{spec_path}: unknown preset {preset!r}; "
-                             f"expected one of {sorted(factories)}")
-        spec = replace(factories[preset](seed=values.pop("seed", 0)), **values)
+    factories = {
+        "blob_benchmark": synth.blob_benchmark_spec,
+        "bridge_benchmark": synth.bridge_benchmark_spec,
+    }
+    if preset is not None and preset not in factories:
+        raise ValueError(f"{spec_path}: unknown preset {preset!r}; "
+                         f"expected one of {sorted(factories)}")
+    try:  # the spec's keys override its preset's defaults
+        spec = replace(factories.get(preset, synth.SynthSpec)(), **values)
+    except ValueError as exc:
+        raise ValueError(f"{spec_path}: {exc}") from None
     data = synth.generate(spec)
 
     out = Path(out_dir)
@@ -377,7 +371,12 @@ def _dispatch(args) -> int:
         if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
         types = {f.name: f.type for f in fields(RunConfig)}
-        return cmd_score(RunConfig(**{key: opt(key, types[key]) for key in opts if key in types}))
+        given = {key: opt(key, types[key]) for key in config if key not in flags}
+        try:  # the config file's values on their own first, so a range error among them names it
+            cfg = RunConfig(**{"manifest": opts["manifest"], **given})
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+        return cmd_score(replace(cfg, **{key: v for key, v in flags.items() if key in types}))
     if args.command == "eval":
         if not opts.get("scores") or opts.get("flags") is None:
             raise ValueError("eval needs --scores and --flags")
@@ -393,17 +392,18 @@ def _dispatch(args) -> int:
         clusters, seed = opt("clusters", int, [3], many=True), opt("seed", int, 0)
         if not clusters:  # only a config file can give an empty list
             raise ValueError(f"{args.config}: key 'clusters' must list at least one count")
+        # a range error names the config file when the value came from it
+        where = {key: "" if key in flags else f"{args.config}: " for key in ("seed", "clusters")}
         if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+            raise ValueError(f"{where['seed']}seed must be >= 0, got {seed}")
+        if min(clusters) < 1:
+            raise ValueError(f"{where['clusters']}clusters must be >= 1, got {clusters}")
         return cmd_cluster_prompts(opt("pools", str, many=True), clusters, seed,
                                    opt("out", str, "prototypes_out"))
     raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("GRAPHSCORE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

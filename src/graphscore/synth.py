@@ -33,6 +33,13 @@ STREAM_ID = 1
 STREAM_OOD = 2
 STREAM_LABELED = 3
 
+# bridged_chain geometry in degrees: chain length, where the OOD branch leaves
+# the chain, and the branch's gap from the chain and length
+CHAIN_EXTENT_DEG = 100.0
+BRANCH_DEG = 70.0
+BRANCH_GAP_DEG = 8.0
+OOD_EXTENT_DEG = 45.0
+
 _SHAPES = ("gaussian_blobs", "bridged_chain")
 
 
@@ -42,8 +49,8 @@ class SynthSpec:
 
     ``id_counts`` gives the per-class unlabeled ID sample counts; class
     means default to the first standard basis vectors (the chain shape uses
-    the e0-e1 plane for its arc, so blob classes start at e2). Angles are
-    degrees, spreads are radians of tangent noise.
+    the e0-e1 plane for its arc and e2 for its OOD branch, so its blob classes
+    start at e3). Spreads are radians of tangent noise.
     """
 
     dim: int = 16
@@ -54,10 +61,6 @@ class SynthSpec:
     proto_jitter: float = 0.02
     labeled_per_class: int = 0
     seed: int = 0
-    chain_extent_deg: float = 100.0
-    branch_deg: float = 70.0
-    branch_gap_deg: float = 8.0
-    ood_extent_deg: float = 45.0
     chain_noise: float = 0.05
 
     def __post_init__(self):
@@ -73,6 +76,8 @@ class SynthSpec:
             raise ValueError("spreads must be positive")
         if self.labeled_per_class < 0:
             raise ValueError("labeled_per_class must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "id_counts", tuple(int(c) for c in self.id_counts))
 
     @property
@@ -111,12 +116,12 @@ def _blob(rng, mean: np.ndarray, sigma: float, n: int) -> np.ndarray:
     return _tangent_sample(rng, np.tile(mean, (n, 1)), sigma)
 
 
-def _arc_points(rng, dim: int, angles_deg: np.ndarray, noise: float) -> np.ndarray:
-    """Points along the great circle through e0 and e1 at the given angles."""
-    theta = np.radians(angles_deg)
-    base = np.zeros((theta.size, dim))
-    base[:, 0] = np.cos(theta)
-    base[:, 1] = np.sin(theta)
+def _arc_points(rng, start: np.ndarray, toward: np.ndarray, angles_deg: np.ndarray,
+                noise: float) -> np.ndarray:
+    """Points on the great circle from unit ``start`` toward the orthogonal
+    unit ``toward``, at the given angles from ``start``."""
+    phi = np.radians(angles_deg)
+    base = np.cos(phi)[:, None] * start + np.sin(phi)[:, None] * toward
     return _tangent_sample(rng, base, noise)
 
 
@@ -146,46 +151,30 @@ def _class_means(spec: SynthSpec) -> np.ndarray:
     return means
 
 
-def _branch_points(rng, dim: int, branch_deg: float, angles_deg: np.ndarray,
-                   noise: float) -> np.ndarray:
-    """Points on the great circle leaving the chain at ``branch_deg`` and
-    bending out of the chain plane toward e2."""
-    base_dir = np.zeros(dim)
-    base_dir[0] = math.cos(math.radians(branch_deg))
-    base_dir[1] = math.sin(math.radians(branch_deg))
-    out_dir = np.zeros(dim)
-    out_dir[2] = 1.0
-    phi = np.radians(angles_deg)
-    base = np.cos(phi)[:, None] * base_dir + np.sin(phi)[:, None] * out_dir
-    return _tangent_sample(rng, base, noise)
-
-
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate a dataset: prototypes, unlabeled samples (ID first, then
     OOD), ID flags, and optionally labeled samples, ``labeled_per_class``
     rows per class in class order."""
     means = _class_means(spec)
-    rng_proto = _rng(spec.seed, STREAM_PROTO)
     rng_id = _rng(spec.seed, STREAM_ID)
     rng_ood = _rng(spec.seed, STREAM_OOD)
+    protos = _tangent_sample(_rng(spec.seed, STREAM_PROTO), means, spec.proto_jitter)
 
-    protos = _tangent_sample(rng_proto, means, spec.proto_jitter)
-
+    chain = spec.shape == "bridged_chain"
     id_rows = []
-    if spec.shape == "gaussian_blobs":
-        for c, n in enumerate(spec.id_counts):
-            id_rows.append(_blob(rng_id, means[c], spec.spread, n))
-        ood_mean = _unit(-means.sum(axis=0))
-        ood = _blob(rng_ood, ood_mean, spec.spread, spec.ood_count)
+    if chain:  # class 0 is the chain, and the OOD samples branch off it
+        e0, e1, e2 = np.eye(3, spec.dim)
+        angles = _arc_angles(rng_id, 0.0, CHAIN_EXTENT_DEG, spec.id_counts[0])
+        id_rows.append(_arc_points(rng_id, e0, e1, angles, spec.chain_noise))
+        branch_rad = math.radians(BRANCH_DEG)
+        branch = math.cos(branch_rad) * e0 + math.sin(branch_rad) * e1
+        ood_angles = _arc_angles(rng_ood, BRANCH_GAP_DEG, BRANCH_GAP_DEG + OOD_EXTENT_DEG,
+                                 spec.ood_count)
+        ood = _arc_points(rng_ood, branch, e2, ood_angles, spec.chain_noise)
     else:
-        angles = _arc_angles(rng_id, 0.0, spec.chain_extent_deg, spec.id_counts[0])
-        id_rows.append(_arc_points(rng_id, spec.dim, angles, spec.chain_noise))
-        for c in range(1, spec.n_classes):
-            id_rows.append(_blob(rng_id, means[c], spec.spread, spec.id_counts[c]))
-        lo = spec.branch_gap_deg
-        ood_angles = _arc_angles(rng_ood, lo, lo + spec.ood_extent_deg, spec.ood_count)
-        ood = _branch_points(rng_ood, spec.dim, spec.branch_deg, ood_angles,
-                             spec.chain_noise)
+        ood = _blob(rng_ood, _unit(-means.sum(axis=0)), spec.spread, spec.ood_count)
+    id_rows += [_blob(rng_id, means[c], spec.spread, spec.id_counts[c])
+                for c in range(int(chain), spec.n_classes)]
 
     unlabeled = EmbeddingMatrix(np.vstack(id_rows + [ood]))
     is_id = np.zeros(unlabeled.count, dtype=bool)
@@ -214,30 +203,10 @@ def generate(spec: SynthSpec) -> SynthDataset:
 
 def blob_benchmark_spec(seed: int = 0) -> SynthSpec:
     """Frozen easy benchmark: two tight ID blobs, OOD opposite their centroid."""
-    return SynthSpec(
-        dim=16,
-        shape="gaussian_blobs",
-        id_counts=(50, 50),
-        ood_count=100,
-        spread=0.08,
-        seed=seed,
-    )
+    return SynthSpec(seed=seed)
 
 
 def bridge_benchmark_spec(seed: int = 0) -> SynthSpec:
     """Frozen hard benchmark: chain-shaped ID manifold with an OOD branch
     leaving the chain partway along it."""
-    return SynthSpec(
-        dim=16,
-        shape="bridged_chain",
-        id_counts=(24, 20),
-        ood_count=14,
-        spread=0.08,
-        proto_jitter=0.02,
-        seed=seed,
-        chain_extent_deg=100.0,
-        branch_deg=70.0,
-        branch_gap_deg=8.0,
-        ood_extent_deg=45.0,
-        chain_noise=0.05,
-    )
+    return SynthSpec(shape="bridged_chain", id_counts=(24, 20), ood_count=14, seed=seed)

@@ -202,6 +202,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     # a whole number written as a float is still an integer
     cfg_path.write_text(json.dumps({**cfg, "k": 3.0}), encoding="utf-8")
     assert main(["score", "--config", str(cfg_path)]) == 0
+    # a range error names the file only when the file gave the value: a valid
+    # flag overrides a bad config value, and a bad flag keeps its own message
+    cfg_path.write_text(json.dumps({**cfg, "k": 0}), encoding="utf-8")
+    assert main(["score", "--config", str(cfg_path), "--k", "3"]) == 0
+    assert main(["score", "--config", str(cfg_path), "--k", "-1"]) == 1
+    assert capsys.readouterr().err == "error: k must be >= 1, got -1\n"
 
 
 def test_no_partial_artifacts_on_failure(tmp_path):
@@ -532,6 +538,17 @@ def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
     ({"seed": "1"}, "'seed'"),
     ({"id_counts": [10, "a"]}, "'id_counts[1]'"),
     ({"preset": "bogus_benchmark"}, "unknown preset 'bogus_benchmark'"),
+    # the bridged_chain geometry is fixed, so its four angle keys are retired
+    ({"branch_deg": 60}, "unknown synth spec keys ['branch_deg']"),
+    ({"chain_extent_deg": 90}, "unknown synth spec keys ['chain_extent_deg']"),
+    ({"branch_gap_deg": 4}, "unknown synth spec keys ['branch_gap_deg']"),
+    ({"ood_extent_deg": 30}, "unknown synth spec keys ['ood_extent_deg']"),
+    # range errors name the spec file too
+    ({"ood_count": 0}, "ood_count must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"preset": "bridge_benchmark", "seed": -1}, "seed must be >= 0, got -1"),
+    ({"dim": 3}, "dim too small"),
+    ({"shape": "ring"}, "unknown shape 'ring'"),
 ])
 def test_bad_synth_spec_key_named(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -561,6 +578,9 @@ def test_explicit_synth_spec_equals_its_preset(tmp_path):
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": [2, 2.5]}, "'clusters[1]'"),
     ("cluster-prompts", {"pools": ["p.npy"], "out": None}, "'out'"),
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": []}, "'clusters'"),
+    ("score", {"manifest": "m.json", "k": 0}, "k must be >= 1, got 0"),
+    ("cluster-prompts", {"pools": ["p.npy"], "clusters": [0]}, "clusters must be >= 1, got [0]"),
+    ("cluster-prompts", {"pools": ["p.npy"], "seed": -2}, "seed must be >= 0, got -2"),
 ])
 def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "run.json"

@@ -94,6 +94,8 @@ def test_spec_validation():
         SynthSpec(id_counts=(4, 0))
     with pytest.raises(ValueError, match="ood_count"):
         SynthSpec(ood_count=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SynthSpec(seed=-1)
 
 
 def test_spec_counts_coerced_to_ints():
