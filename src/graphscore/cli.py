@@ -193,7 +193,8 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
                 t0 = time.perf_counter()
                 scores = manifold_score(adj)
                 dijkstra_s = time.perf_counter() - t0
-                diag = {"timing_s": {"dijkstra": dijkstra_s, "total": dijkstra_s}}
+                diag = {"graph": adj.summary,
+                        "timing_s": {"dijkstra": dijkstra_s, "total": dijkstra_s}}
             else:
                 # one run per graph gives both passes: self-training methods
                 # report pass 2, the others pass 1
@@ -220,7 +221,7 @@ def cmd_score(cfg: RunConfig) -> int:
     for method, scores, diag in results:
         store.save_vector(scores, out / f"scores_{method}.npy")
         with open(out / f"diagnostics_{method}.json", "w", encoding="utf-8") as f:
-            json.dump(diag, f, indent=2)
+            json.dump(diag, f)
             f.write("\n")
     if cfg.method == "all" and bundle.flags is not None:
         _write_report_csv([metrics.evaluate(scores, bundle.flags, method)

@@ -135,7 +135,7 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
     timing["total"] = sum(timing.values())
     diagnostics = {
         "partition": asdict(part),
-        "graph": {"edges": adj.nnz},
+        "graph": adj.summary,
         "config": asdict(cfg),
         "selection": selection,
         # unreached nodes score exactly 0 and decide the pseudo-negative ties

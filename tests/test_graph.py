@@ -43,7 +43,7 @@ def _dense(adj):
 # knn ------------------------------------------------------------------
 
 def test_knn_trivial():
-    idx, sims = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+    idx, sims, _ = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
                        k=1, exclude_self=False)
     assert idx.tolist() == [[0]] and sims.tolist() == [[1.0]]
 
@@ -63,7 +63,7 @@ def test_knn_dim_mismatch():
 
 def test_knn_matches_brute_force_oracle():
     corpus = _units(7, 50, 16).data
-    idx, sims = _top_k(corpus, corpus, k=5, exclude_self=True)
+    idx, sims, _ = _top_k(corpus, corpus, k=5, exclude_self=True)
     expected = brute_knn(corpus, corpus, 5, True)
     assert idx.tolist() == [[c for _, c, _ in row] for row in expected]
     np.testing.assert_allclose(sims, [[s for *_, s in row] for row in expected],
@@ -71,7 +71,7 @@ def test_knn_matches_brute_force_oracle():
 
 
 def test_knn_tie_breaks_to_lower_index():
-    idx, _ = _top_k(np.array([[1.0, 0.0]]),
+    idx, *_ = _top_k(np.array([[1.0, 0.0]]),
                     np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), k=2, exclude_self=False)
     assert idx.tolist() == [[1, 2]]
 
@@ -120,7 +120,7 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
         queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3),
                              corpus[rng.integers(0, n, n_drawn)]])
     k = min(k, n - exclude_self)
-    idx, sims = _top_k(queries, corpus, k, exclude_self)
+    idx, sims, _ = _top_k(queries, corpus, k, exclude_self)
     ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
@@ -129,20 +129,135 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
     assert np.abs(sims - whole).max() <= 1e-15
 
 
+def _chain(n, d, seed, noise=0.01):
+    # unit rows ordered along a half great circle, so that blocks far apart
+    # on the chain are far apart on the sphere and their tiles can be skipped
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, np.pi, n)
+    rows = noise * rng.standard_normal((n, d))
+    rows[:, 0] += np.cos(t)
+    rows[:, 1] += np.sin(t)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _ties(rng):
+    # runs of 5 identical rows, so with k = 10 each row's k-th value is tied
+    # with whole runs; runs straddle block edges, and block 1 also holds
+    # copies of a block-3 run, tied with lower indices across a far tile
+    u = np.repeat(_chain(600, 8, 1), 5, axis=0)[:2600]
+    u[600:605] = u[1800]
+    return u
+
+
+def _cap(rng):
+    # block 2 is a ring of +-w pairs at one angle around its first row c, so
+    # its centroid is c to rounding and every other member lies on its
+    # bounding cap; c's seed cos(theta_(k)) then equals its k-th value
+    u = _chain(2600, 8, 2)
+    lo = 2 * TOP_K_BLOCK
+    c = u[lo + TOP_K_BLOCK // 2].copy()
+    w = rng.standard_normal(((TOP_K_BLOCK - 2) // 2, 8))
+    w -= np.outer(w @ c, c)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    ring = np.cos(0.05) * c + np.sin(0.05) * np.vstack([w, -w])
+    u[lo] = u[lo + TOP_K_BLOCK - 1] = c
+    u[lo + 1:lo + TOP_K_BLOCK - 1] = ring / np.linalg.norm(ring, axis=1, keepdims=True)
+    return u
+
+
+def _near_duplicates(rng):
+    # block 3 is one row plus perturbations of 1e-10, closer than the 1e-8 rad
+    # arccos resolves near a cosine of 1
+    u = _chain(2600, 8, 3)
+    lo = 3 * TOP_K_BLOCK
+    near = u[lo] + 1e-10 * rng.standard_normal((TOP_K_BLOCK, 8))
+    u[lo:lo + TOP_K_BLOCK] = near / np.linalg.norm(near, axis=1, keepdims=True)
+    return u
+
+
+def _one_sided(rng):
+    # block 3 is a tight cluster 0.3 rad from the centre c of block 1, which
+    # spreads over a cap of 0.2 rad: every block-3 row is far from block 1,
+    # but three block-1 rows on the cap's edge have block-3 rows among their
+    # nearest, so tile (1, 3) is needed for its rows alone
+    d, lo = 16, TOP_K_BLOCK
+    u = _chain(2600, d, 6)
+    c = u[lo + lo // 2].copy()
+    toward = rng.standard_normal(d)
+    toward[:2] = 0.0  # off the chain's plane
+    toward -= (toward @ c) * c
+    toward /= np.linalg.norm(toward)
+    w = rng.standard_normal((lo, d))
+    w -= np.outer(w @ c, c)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    rho = 0.2 * rng.random((lo, 1))
+    u[lo:2 * lo] = np.cos(rho) * c + np.sin(rho) * w
+    edge = np.cos(0.2) * c + np.sin(0.2) * toward + 0.01 * rng.standard_normal((3, d))
+    u[lo + 100:lo + 103] = edge / np.linalg.norm(edge, axis=1, keepdims=True)
+    tight = np.cos(0.3) * c + np.sin(0.3) * toward + 0.001 * rng.standard_normal((lo, d))
+    u[3 * lo:4 * lo] = tight / np.linalg.norm(tight, axis=1, keepdims=True)
+    return u
+
+
+def _partial_block(rng):
+    # the last block has 7 <= k rows, so it has no seed and is never skipped
+    return _chain(5 * TOP_K_BLOCK + 7, 8, 4)
+
+
+def _assert_top_k_exact(u, k):
+    idx, sims, (computed, skipped) = _top_k(u, u, k, exclude_self=True)
+    ref_idx, ref_sims = _top_k_full_sort(u, u, k, True)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert sims.tobytes() == ref_sims.tobytes()
+    n_blocks = -(-len(u) // TOP_K_BLOCK)
+    assert computed + skipped == n_blocks * (n_blocks + 1) // 2
+    return skipped
+
+
+@pytest.mark.parametrize("make", [lambda rng: _chain(2600, 8, 0), _ties, _cap,
+                                  _near_duplicates, _one_sided, _partial_block],
+                         ids=["chain", "ties", "cap", "near_duplicates", "one_sided",
+                              "partial_block"])
+def test_top_k_skipping_tiles_keeps_every_bit(make):
+    # fewer tiles are computed than exist, and (idx, sims) keep the bytes of
+    # the full strip product
+    assert _assert_top_k_exact(make(np.random.default_rng(5)), 10) > 0
+
+
+def test_top_k_skips_no_tile_when_nothing_can_be_ruled_out():
+    u = _chain(2600, 8, 0)
+    # a shuffle puts the whole chain in every block
+    shuffled = u[np.random.default_rng(0).permutation(len(u))]
+    assert _assert_top_k_exact(shuffled, 10) == 0
+    # k = n - 1 leaves every block without a seed
+    assert _assert_top_k_exact(u[:2 * TOP_K_BLOCK + 6], 2 * TOP_K_BLOCK + 5) == 0
+
+
+def test_top_k_skips_no_tile_for_rows_off_the_unit_sphere():
+    # the bounds assume unit rows; scaled rows keep their exact neighbors
+    u = 2.0 * _chain(2600, 8, 0)
+    assert _assert_top_k_exact(u, 10) == 0
+    assert _assert_top_k_exact(u / 2.0, 10) > 0
+
+
 def test_top_k_peak_memory_is_two_products():
     # two alternating TOP_K_BLOCK x n strip products, one SELECT_ROWS x n
     # selection copy and mask, and the (n, k) running lists; the n x n
-    # product alone is 2.7x the bound
+    # product alone is 2.7x the bound. A chain skips tiles: its runs of
+    # columns go straight into the strip buffer, with no copy of the rows
     n = 4096
-    corpus = random_unit_rows(np.random.default_rng(0), n, 16)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        _top_k(corpus, corpus, 10, exclude_self=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * TOP_K_BLOCK * n * 8
+    inputs = [(random_unit_rows(np.random.default_rng(0), n, 16), False),
+              (_chain(n, 16, 0), True)]
+    for corpus, skips in inputs:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            *_, (_, skipped) = _top_k(corpus, corpus, 10, exclude_self=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (skipped > 0) == skips
+        assert peak < 3 * TOP_K_BLOCK * n * 8
 
 
 # adjacency ------------------------------------------------------------
