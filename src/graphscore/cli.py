@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import metrics, store, synth
 from .baselines import cosine_scores, manifold_score
 from .graph import build_adjacency
 from .prompts import load_prototypes, pool_prototypes, save_prototypes
-from .propagation import PropagationConfig, run_gsp
+from .propagation import PropagationConfig, run_gsp, timed
 from .store import load_unit_matrix
 
 METHODS = ("gsp", "cosine", "manifold", "score_prop_only", "gsp_no_cluster", "gsp_no_neg")
@@ -149,63 +148,52 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
     """Score ``bundle`` with each method; returns (method, scores, diagnostics)
     triples in ``methods`` order.
 
-    Each distinct prototype set, KNN graph and propagation run is made at
-    most once per call: clustered methods with a prompt pool and
-    ``clusters > 1`` use K-means prototypes, every other method the pool
-    means (or the supplied prototypes), and all methods on one prototype set
-    share one graph and one :func:`run_gsp`. Every prototype set the
-    methods need comes from one pass over the pool files, before the first
-    method runs.
+    Prototype sets are keyed by prototypes per class: ``cfg.clusters``
+    K-means centers for the clustered methods with a prompt pool, class
+    means (or the supplied prototypes) for every other method. Each set,
+    its KNN graph and its :func:`run_gsp` are made at most once per call,
+    and every set the methods need comes from one pass over the pool files,
+    before the first method runs. Each method's ``timing_s`` holds the
+    stages it used, shared ones (``pool``, ``build_graph`` and the run)
+    charged in full, and ``total``, their sum.
     """
 
-    def is_clustered(method):
-        return method in _CLUSTERED and bundle.pool is not None and cfg.clusters > 1
+    def per_class(method):
+        return cfg.clusters if method in _CLUSTERED and bundle.pool is not None else 1
 
-    sets = {}
+    sets, stages = {1: bundle.prototypes}, {}
     if bundle.pool is not None:
         paths, check = bundle.pool
-        needed = {cfg.clusters if is_clustered(method) else 1 for method in methods}
-        sets = pool_prototypes(paths, needed, cfg.seed, check)
-
-    def prototypes(clustered):
-        return sets.get(cfg.clusters if clustered else 1, bundle.prototypes)
+        sets, stages["pool"] = timed(pool_prototypes, paths,
+                                     {per_class(method) for method in methods}, cfg.seed, check)
 
     @functools.cache
-    def graph(clustered):
-        t0 = time.perf_counter()
-        adj = build_adjacency(prototypes(clustered), bundle.labeled, bundle.unlabeled, k=cfg.k)
-        return adj, time.perf_counter() - t0
+    def graph(n_c):
+        return timed(build_adjacency, sets[n_c], bundle.labeled, bundle.unlabeled, k=cfg.k)
 
     @functools.cache
-    def gsp(clustered):
-        return run_gsp(graph(clustered)[0], cfg.propagation())
+    def gsp(n_c):
+        return run_gsp(graph(n_c)[0], cfg.propagation())
 
     results = []
     for method in methods:
-        clustered = is_clustered(method)
+        n_c, timing, diag = per_class(method), dict(stages), {}
         if method == "cosine":
-            t0 = time.perf_counter()
-            scores = cosine_scores(bundle.unlabeled, prototypes(clustered), cfg.tau)
-            diag = {"timing_s": {"total": time.perf_counter() - t0}}
+            scores, timing["cosine"] = timed(cosine_scores, bundle.unlabeled, sets[n_c], cfg.tau)
         else:
-            adj, build_s = graph(clustered)
+            adj, timing["build_graph"] = graph(n_c)
             if method == "manifold":
-                t0 = time.perf_counter()
-                scores = manifold_score(adj)
-                dijkstra_s = time.perf_counter() - t0
-                diag = {"graph": adj.summary,
-                        "timing_s": {"dijkstra": dijkstra_s, "total": dijkstra_s}}
+                scores, timing["dijkstra"] = timed(manifold_score, adj)
+                diag = {"graph": adj.summary}
             else:
                 # one run per graph gives both passes: self-training methods
                 # report pass 2, the others pass 1
-                pass1, final, shared = gsp(clustered)
+                pass1, final, shared = gsp(n_c)
                 self_train = method in _SELF_TRAIN and shared["selection"] is not None
                 scores = final if self_train else pass1
                 diag = {**shared, "config": {**shared["config"], "self_train": self_train}}
-            # the shared build and run are charged in full to every method that used them
-            timing = diag["timing_s"]
-            diag["timing_s"] = {"build_graph": build_s, **timing,
-                                "total": build_s + timing["total"]}
+                timing.update(shared["timing_s"])
+        diag["timing_s"] = {**timing, "total": sum(timing.values())}
         diag["method"] = method
         diag["run_config"] = asdict(cfg)
         results.append((method, scores, diag))

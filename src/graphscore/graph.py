@@ -16,7 +16,8 @@ once. Among unlabeled nodes the product is cut into TOP_K_BLOCK x
 TOP_K_BLOCK tiles, and a tile is never computed when a spherical-cap bound
 (each block's centroid and angular radius, against each row's seeded k-th
 similarity, with a rounding margin) shows that none of its entries can
-enter a k-best list; the result keeps every bit of the full product's.
+enter a k-best list. A partial last block is only multiplied together with
+the block before it, so the result keeps every bit of the full product's.
 KNN memory is two TOP_K_BLOCK x n strip products, used in turn, plus a
 SELECT_ROWS x n selection copy and mask. When a query block spans several
 strips, a worker thread that lives only for that call computes the next
@@ -143,9 +144,10 @@ def _tile_plan(u: np.ndarray, k: int):
     intra-unlabeled top-k must compute, as ``(need, far)``.
 
     ``need[a, b]`` is False when no entry of tile (a, b) can enter the k-best
-    list of its row or of its column; ``far[b, q]`` is True when no row of
-    block b can enter row q's list. The bounds and the margin are derived in
-    :func:`_top_k`.
+    list of its row or of its column, except that strip a needs the block
+    before a partial last block whenever it needs that block; ``far[b, q]``
+    is True when no row of block b can enter row q's list. The bounds and
+    the margin are derived in :func:`_top_k`.
     """
     n, d = u.shape
     starts = np.arange(0, n, TOP_K_BLOCK)
@@ -185,6 +187,10 @@ def _tile_plan(u: np.ndarray, k: int):
     all_far = np.logical_and.reduceat(far, starts, axis=1)
     need = ~(all_far & all_far.T)
     np.fill_diagonal(need, True)
+    if n % TOP_K_BLOCK:
+        # a partial last block joins the run of the block before it: alone,
+        # its narrow product would round differently from the whole strip's
+        need[:-1, -2] |= need[:-1, -1]
     return need, far
 
 
@@ -238,11 +244,12 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     merges strip s; numpy releases the GIL in both stages, so they overlap
     on a second core when BLAS runs on one thread. Selection and merge run
     in chunks of SELECT_ROWS rows, on both sides of a tile, through one
-    SELECT_ROWS x n scratch pair. Column runs start on the TOP_K_BLOCK grid,
-    which leaves every entry's bits as in the whole strip product; every
-    product has the same shape and operands whichever thread runs it, and
-    merges run in strip order with columns ascending, so the result depends
-    on neither the overlap nor the skipping.
+    SELECT_ROWS x n scratch pair. Column runs start on the TOP_K_BLOCK grid
+    and a partial last block is never a run of its own, which leaves every
+    entry's bits as in the whole strip product; every product has the same
+    shape and operands whichever thread runs it, and merges run in strip
+    order with columns ascending, so the result depends on neither the
+    overlap nor the skipping.
     """
     n_q, n_c = queries.shape[0], corpus.shape[0]
     # sentinel entries sort after every real candidate

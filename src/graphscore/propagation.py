@@ -20,6 +20,15 @@ import numpy as np
 from .graph import BlockAdjacency, NodePartition, normalize
 
 
+def timed(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)``; returns ``(result, seconds)``, the time
+    every ``timing_s`` stage reports."""
+    clock = time.perf_counter
+    t0 = clock()
+    result = fn(*args, **kwargs)
+    return result, clock() - t0
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     alpha: float = 0.5
@@ -91,36 +100,28 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
     over the same graph (pass 2). Pass 1 alone is the score-propagation-only
     ablation. Returns ``(pass1, final, diagnostics)`` with both score vectors
     on the unlabeled nodes; with a single unlabeled node, which cannot fill
-    both pseudo-prompt sets, ``final`` is ``pass1``.
+    both pseudo-prompt sets, ``final`` is ``pass1``. ``timing_s`` holds the
+    seconds of each stage run; the caller adds ``total``.
     """
     cfg = cfg or PropagationConfig()
     part = adj.partition
     timing = {}
-
-    t0 = time.perf_counter()
-    norm = normalize(adj)
-    timing["normalize"] = time.perf_counter() - t0
+    norm, timing["normalize"] = timed(normalize, adj)
 
     # +1 on every prototype and labeled node, 0 on every unlabeled node
     s0 = np.zeros(part.n_total)
     s0[: part.unlabeled_offset] = 1.0
-    t0 = time.perf_counter()
-    pass1 = propagate(norm, s0, cfg)
-    timing["propagate_pass1"] = time.perf_counter() - t0
+    pass1, timing["propagate_pass1"] = timed(propagate, norm, s0, cfg)
     unlab1 = pass1[part.unlabeled_slice]
 
     selection = None
     final = pass1
     if part.n_unlabeled >= 2:
-        t0 = time.perf_counter()
-        pos, neg = select_pseudo_prompts(pass1, part, cfg.m_percent)
-        timing["select"] = time.perf_counter() - t0
+        (pos, neg), timing["select"] = timed(select_pseudo_prompts, pass1, part, cfg.m_percent)
         # pass 2 starts from the pass-1 initial vector with the pseudo prompts at +1/-1
         s0[pos] = 1.0
         s0[neg] = -1.0
-        t0 = time.perf_counter()
-        final = propagate(norm, s0, cfg)
-        timing["propagate_pass2"] = time.perf_counter() - t0
+        final, timing["propagate_pass2"] = timed(propagate, norm, s0, cfg)
         pos_threshold, neg_threshold = float(pass1[pos[-1]]), float(pass1[neg[-1]])
         selection = {
             "q": int(pos.size),
@@ -132,7 +133,6 @@ def run_gsp(adj: BlockAdjacency, cfg: PropagationConfig = None):
             "neg_ties": int(np.count_nonzero(unlab1 == neg_threshold)),
         }
 
-    timing["total"] = sum(timing.values())
     diagnostics = {
         "partition": asdict(part),
         "graph": adj.summary,

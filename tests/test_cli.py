@@ -272,15 +272,20 @@ def test_short_flags_file_rejected_before_scoring(tmp_path, capsys):
     assert not list(run_dir.glob("scores_*.npy"))
 
 
-def test_pool_manifest_pipeline(tmp_path, monkeypatch):
-    # manifest that supplies prompt pools instead of prebuilt prototypes
-    pools = _write_pools(tmp_path, dim=16)
+def _pool_manifest(tmp_path):
+    # the synthetic dataset with prompt pools instead of prebuilt prototypes
     data_dir = _synth_dataset(tmp_path)
+    pools = _write_pools(tmp_path, dim=16)
     manifest = json.loads((data_dir / "manifest.json").read_text())
     del manifest["prototypes"], manifest["prototype_classes"]
     manifest["prompt_pools"] = pools
     pool_manifest = data_dir / "pool_manifest.json"
     pool_manifest.write_text(json.dumps(manifest), encoding="utf-8")
+    return pool_manifest
+
+
+def test_pool_manifest_pipeline(tmp_path, monkeypatch):
+    pool_manifest = _pool_manifest(tmp_path)
     run_dir = tmp_path / "pool_run"
     assert main(["score", "--manifest", str(pool_manifest), "--method", "gsp",
                  "--clusters", "3", "--out", str(run_dir)]) == 0
@@ -303,6 +308,47 @@ def test_pool_manifest_pipeline(tmp_path, monkeypatch):
                      "--clusters", "3", "--out", str(one_dir)]) == 0
         assert ((all_dir / f"scores_{method}.npy").read_bytes()
                 == (one_dir / f"scores_{method}.npy").read_bytes())
+
+
+def test_pool_manifest_with_one_cluster_shares_one_set(tmp_path, monkeypatch):
+    # --clusters 1: the clustered methods take the class means, so one set,
+    # one graph and one propagation run serve every method
+    pool_manifest = _pool_manifest(tmp_path)
+    counts = []
+    real = cli.pool_prototypes
+
+    def spy(paths, clusters, *args):
+        counts.append(set(clusters))
+        return real(paths, clusters, *args)
+
+    monkeypatch.setattr(cli, "pool_prototypes", spy)
+    calls = _count_calls(monkeypatch, cli, "build_adjacency")
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(pool_manifest), "--method", "all",
+                 "--clusters", "1", "--out", str(run_dir)]) == 0
+    assert counts == [{1}]
+    assert calls == {"build_adjacency": 1}
+    read = {m: (run_dir / f"scores_{m}.npy").read_bytes() for m in METHODS}
+    assert read["gsp"] == read["gsp_no_cluster"]
+    assert read["gsp_no_neg"] == read["score_prop_only"]
+
+
+def test_timing_total_is_the_sum_of_every_stage(tmp_path):
+    # every method reports its stages the same way, cosine included, and a
+    # pool manifest charges the one pool pass to every method
+    manifests = {"prototypes": _synth_dataset(tmp_path / "protos") / "manifest.json",
+                 "pool": _pool_manifest(tmp_path / "pool")}
+    for source, manifest in manifests.items():
+        run_dir = tmp_path / f"run_{source}"
+        assert main(["score", "--manifest", str(manifest), "--method", "all",
+                     "--out", str(run_dir)]) == 0
+        for method in METHODS:
+            timing = json.loads((run_dir / f"diagnostics_{method}.json").read_text())["timing_s"]
+            total = timing.pop("total")
+            assert abs(total - sum(timing.values())) <= 1e-12, (source, method)
+            assert ("pool" in timing) == (source == "pool"), (source, method)
+            stage = {"cosine": "cosine", "manifold": "dijkstra"}.get(method, "normalize")
+            assert stage in timing, (source, method)
 
 
 def _count_calls(monkeypatch, module, *names):

@@ -204,6 +204,15 @@ def _partial_block(rng):
     return _chain(5 * TOP_K_BLOCK + 7, 8, 4)
 
 
+def _noisy_tail(rng):
+    # three noisy copies of the first rows make a 3-row last block that
+    # block 0 needs while it skips block 4; multiplied as a run of its own,
+    # that narrow block would round differently from the whole strip product
+    u = _chain(5 * TOP_K_BLOCK, 8, 0)
+    tail = u[:3] + 1e-3 * rng.standard_normal((3, 8))
+    return np.vstack([u, tail / np.linalg.norm(tail, axis=1, keepdims=True)])
+
+
 def _assert_top_k_exact(u, k):
     idx, sims, (computed, skipped) = _top_k(u, u, k, exclude_self=True)
     ref_idx, ref_sims = _top_k_full_sort(u, u, k, True)
@@ -215,9 +224,9 @@ def _assert_top_k_exact(u, k):
 
 
 @pytest.mark.parametrize("make", [lambda rng: _chain(2600, 8, 0), _ties, _cap,
-                                  _near_duplicates, _one_sided, _partial_block],
+                                  _near_duplicates, _one_sided, _partial_block, _noisy_tail],
                          ids=["chain", "ties", "cap", "near_duplicates", "one_sided",
-                              "partial_block"])
+                              "partial_block", "noisy_tail"])
 def test_top_k_skipping_tiles_keeps_every_bit(make):
     # fewer tiles are computed than exist, and (idx, sims) keep the bytes of
     # the full strip product
