@@ -11,23 +11,20 @@ sqrt(2 - 2s) (used by the shortest-path baseline).
 
 Each node's k nearest neighbors are ordered by (-similarity, index): equal
 similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
-query strips, and each pair of unlabeled nodes has its similarity computed
-once. Among unlabeled nodes the product is cut into TOP_K_BLOCK x
-TOP_K_BLOCK tiles, and a tile is never computed when a spherical-cap bound
-(each block's centroid and angular radius, against each row's seeded k-th
-similarity, with a rounding margin) shows that none of its entries can
-enter a k-best list. A partial last block is only multiplied together with
-the block before it, so the result keeps every bit of the full product's.
-KNN memory is two TOP_K_BLOCK x n strip products, used in turn, plus a
-SELECT_ROWS x n selection copy and mask. When a query block spans several
-strips, a worker thread that lives only for that call computes the next
-strip's product while the calling thread selects from the current one. The
-overlap uses a second core when BLAS runs on one thread, and moves no bit.
+query strips, each unlabeled pair's once, multiplied among unlabeled nodes
+in pieces of one grid-aligned column block that keep the whole strip
+product's bits. The diagonal pieces run first and set each row's running
+k-th similarity; later pieces are compared against it and only survivors
+merged, and a tile that a spherical-cap bound puts below it is skipped.
+The calling thread and a worker that lives only for the call share the
+pieces, so KNN memory is O(TOP_K_BLOCK^2 + n k) and a second core helps
+when BLAS runs on one thread; neither moves a bit.
 """
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,9 +36,9 @@ from .store import EmbeddingMatrix, _lock
 DEGREE_FLOOR = 1e-12
 # query rows per similarity strip
 TOP_K_BLOCK = 512
-# rows per selection and merge chunk of a strip
+# rows per partition chunk of a dense selection
 SELECT_ROWS = 128
-# least similarity margin on each side of the tile-skip test (see _top_k)
+# least similarity margin of the tile-skip test (see _top_k)
 SKIP_MARGIN = 1e-6
 
 
@@ -81,14 +78,18 @@ class BlockAdjacency:
 
     ``weights`` is one canonical CSR matrix (sorted indices, no duplicate
     entries) holding both directions of every edge; its arrays are copied
-    and frozen on construction. ``knn_tiles`` is the (computed, skipped)
-    count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the unlabeled x unlabeled
-    similarity product that :func:`build_adjacency` made it from.
+    and frozen on construction. :func:`build_adjacency` records the
+    (computed, skipped) count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the
+    unlabeled x unlabeled product in ``knn_tiles``, the k each clamped
+    block got in ``k_clamps`` and the most piece buffer and scratch bytes
+    one top-k held in ``knn_scratch_bytes``.
     """
 
     weights: sp.csr_matrix
     partition: NodePartition
     knn_tiles: tuple = (0, 0)
+    k_clamps: dict = field(default_factory=dict)
+    knn_scratch_bytes: int = 0
 
     def __post_init__(self):
         n = self.partition.n_total
@@ -108,21 +109,26 @@ class BlockAdjacency:
 
     @property
     def summary(self) -> dict:
-        """Edge count and KNN tile counts, as the diagnostics report them."""
+        """Edge count, KNN tile counts, k clamps and KNN scratch bytes, as
+        the diagnostics report them."""
         computed, skipped = self.knn_tiles
-        return {"edges": self.nnz, "knn_tiles": {"computed": computed, "skipped": skipped}}
+        return {"edges": self.nnz, "knn_tiles": {"computed": computed, "skipped": skipped},
+                "k_clamps": dict(self.k_clamps), "knn_scratch_bytes": self.knn_scratch_bytes}
 
 
 def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray):
     """Column indices, ascending, and values of the k largest entries of each
     row of ``block`` under the (-value, index) order. ``block`` may be a
-    strided view; ``part`` and ``reach`` are scratch arrays of its shape
-    (float and bool) whose contents are overwritten."""
+    strided view; ``part`` is flat float scratch of at least one row and
+    ``reach`` bool scratch of the block's shape, both overwritten."""
     m, n = block.shape
-    np.copyto(part, block)
-    # in place: each row's k-th largest value lands in column n - k
-    part.partition(n - k, axis=1)
-    kth = part[:, n - k:n - k + 1]
+    kth, step = np.empty((m, 1)), part.size // n
+    for lo in range(0, m, step):
+        rows = part[:min(step, m - lo) * n].reshape(-1, n)
+        np.copyto(rows, block[lo:lo + step])
+        # in place: each row's k-th largest value lands in column n - k
+        rows.partition(n - k, axis=1)
+        kth[lo:lo + step] = rows[:, n - k:n - k + 1]
     np.greater_equal(block, kth, out=reach)
     flat = np.flatnonzero(reach)
     if flat.size > m * k:
@@ -139,22 +145,19 @@ def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray
     return cand, np.take_along_axis(block, cand, axis=1)
 
 
-def _tile_plan(u: np.ndarray, k: int):
+def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     """Which TOP_K_BLOCK x TOP_K_BLOCK tiles of ``u @ u.T`` the
-    intra-unlabeled top-k must compute, as ``(need, far)``.
-
-    ``need[a, b]`` is False when no entry of tile (a, b) can enter the k-best
-    list of its row or of its column, except that strip a needs the block
-    before a partial last block whenever it needs that block; ``far[b, q]``
-    is True when no row of block b can enter row q's list. The bounds and
-    the margin are derived in :func:`_top_k`.
+    intra-unlabeled top-k must compute, given each row's running k-th
+    similarity ``kth``. ``need[a, b]`` is False when no entry of tile (a, b)
+    can enter the k-best list of its row or of its column; a partial last
+    block is glued to the block before it (see :func:`_top_k`).
     """
     n, d = u.shape
     starts = np.arange(0, n, TOP_K_BLOCK)
     nb = starts.size
-    need, far = np.ones((nb, nb), dtype=bool), np.zeros((nb, n), dtype=bool)
+    need = np.ones((nb, nb), dtype=bool)
     if nb < 2:
-        return need, far
+        return need
     # one pass over each block while it is in cache: its sum and its squared norms
     centers, squares = np.empty((nb, d)), np.empty(n)
     for b, lo in enumerate(starts):
@@ -164,183 +167,173 @@ def _tile_plan(u: np.ndarray, k: int):
     # worst-case error of one cosine between rows this close to unit norm
     delta = 4 * (d + 2) * 2.0 ** -53
     if np.abs(squares - 1.0).max() > delta / 2:
-        return need, far
+        return need
     margin = max(SKIP_MARGIN, 2 * np.sqrt(2 * delta) + 2 * delta)
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     # a zero centroid stays zero: every angle to it is pi/2, which rules out nothing
     centers /= np.where(norms > 0, norms, 1.0)
     # angle of every row (column) to every centroid (row)
     theta = np.arccos(np.clip(centers @ u.T, -1.0, 1.0))
-    own = theta[np.arange(n) // TOP_K_BLOCK, np.arange(n)]
-    radius = np.maximum.reduceat(own, starts)
-    seed = np.full(n, -np.inf)
-    for lo in starts:
-        ang = own[lo:lo + TOP_K_BLOCK]
-        if ang.size > k:
-            # the k-th smallest angle among the block's other members
-            low = np.partition(ang, (k - 1, k))
-            kth = np.where(ang <= low[k - 1], low[k], low[k - 1])
-            seed[lo:lo + TOP_K_BLOCK] = np.cos(np.minimum(np.pi, ang + kth))
+    radius = np.maximum.reduceat(theta[np.arange(n) // TOP_K_BLOCK, np.arange(n)], starts)
     bound = np.cos(np.maximum(0.0, theta - radius[:, None]))
-    far = bound + margin < seed - margin
-    # all_far[b, a]: every row of block a is far from block b
-    all_far = np.logical_and.reduceat(far, starts, axis=1)
+    # all_far[b, a]: no row of block a can take a member of block b
+    all_far = np.logical_and.reduceat(bound + margin < kth, starts, axis=1)
     need = ~(all_far & all_far.T)
     np.fill_diagonal(need, True)
-    if n % TOP_K_BLOCK:
-        # a partial last block joins the run of the block before it: alone,
-        # its narrow product would round differently from the whole strip's
+    if n % TOP_K_BLOCK:  # the partial last block is glued to the block before it
+        need[-2, -1] = True  # inside that block's diagonal piece
         need[:-1, -2] |= need[:-1, -1]
-    return need, far
+    return need
 
 
 def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     """The k most similar corpus rows per query, ordered by (-sim, index),
-    and the ``(computed, skipped)`` count of TOP_K_BLOCK x TOP_K_BLOCK tiles.
+    the ``(computed, skipped)`` count of TOP_K_BLOCK x TOP_K_BLOCK tiles,
+    and the bytes of piece buffers and scratch the call held.
 
-    Queries run in strips of TOP_K_BLOCK rows whose candidates merge into a
-    running (n_q, k) best list. With ``exclude_self`` (queries is corpus, of
-    unit rows) no row selects itself, and strip a's product covers its own
-    block and the later blocks b whose tile (a, b) is needed, in contiguous
-    column runs written straight into the strip buffer. The columns past the
-    strip, transposed, give each later row its candidates among the strip's
-    rows, so sim(i, j) and sim(j, i) are one value.
+    A piece is one TOP_K_BLOCK-row query strip times a column block. Each
+    strip's first TOP_K_BLOCK columns (its own block with ``exclude_self``)
+    are selected densely by :func:`_select_block`, which sets every row's
+    running k-th similarity; the rest of every piece is compared once, in
+    its own layout, against that running k-th, and only entries at or above
+    it are merged into the (n_q, k) lists. The k-th only rises, so an entry
+    below it never enters its list, and each merge keeps the exact k best
+    of a list and its candidates in the (-sim, index) order: the result
+    depends neither on the merge order nor on how stale a compared k-th
+    was. Prototype or labeled strips are one piece as wide as the corpus:
+    BLAS may round a column block of a few rows differently from the whole
+    product (2-row strips at d = 512 do).
 
-    A tile is skipped when a spherical-cap bound shows that none of its
-    entries can enter any list. Block b (rows of one strip) has unit centroid
-    mu_b and angular radius r_b, the largest angle from mu_b to a member;
-    one ``M @ u.T`` gives every row's angle to every centroid. By the
-    triangle inequality on the sphere,
+    With ``exclude_self`` (queries is corpus, of unit rows) no row selects
+    itself and only the upper triangle is multiplied, in column blocks on
+    the TOP_K_BLOCK grid, a partial last block glued to the block before
+    it, which keeps every entry's bits. The diagonal pieces run first.
+    Piece (a, b), b > a, is also compared against the running k-th of
+    block b's rows (``P >= kth[cols][None, :]``), so sim(i, j) and
+    sim(j, i) are one value, and is skipped when a spherical-cap bound
+    shows that none of its entries can enter a list. Block b has unit
+    centroid mu_b and angular radius r_b, the largest angle from mu_b to a
+    member; one ``M @ u.T`` gives every row's angle to every centroid, and
+    sim(q, j) <= cos(max(0, angle(q, mu_b) - r_b)) for every j in b by the
+    triangle inequality on the sphere. Row q's running k-th kth_q after the
+    diagonal pieces is one of the computed values in its list, so its final
+    k-th is at least kth_q, bit for bit. Tile (a, b) is skipped when
+    bound + margin < kth_q holds for every row of a toward b and every row
+    of b toward a; a skipped entry then lies strictly below the k-th value
+    of both its rows, ties included.
 
-    * sim(q, j) <= cos(max(0, angle(q, mu_b) - r_b)) for every j in b, and
-    * sim(q, j) >= cos(theta_q + theta_j), theta being the angle to the
-      row's own centroid,
+    The margin covers rounding of the bound alone, since kth_q is exact.
+    With delta = 4(d + 2) 2^-53 at dim d, rows count as unit when each
+    computed squared norm lies within delta / 2 of 1 (others skip nothing).
+    A computed cosine between such a row and a normalized centroid is then
+    off by at most delta (Higham's gamma_d plus both norms' slack), which
+    arccos magnifies near 1 to an angle error of up to sqrt(2 delta), and
+    the bound takes two angles. So the margin is max(1e-6, 2 sqrt(2 delta)
+    + 2 delta) (1.35e-6 at d = 512), which also covers the product's error
+    in the compared entry.
 
-    so row q's final k-th similarity is at least its seed
-    cos(theta_q + theta_(k)), with theta_(k) the k-th smallest centroid angle
-    among the other members of q's block (no seed when the block has at most
-    k rows). Tile (a, b) is skipped when bound + margin < seed - margin holds
-    for every row of a toward b and for every row of b toward a; a skipped
-    entry then lies strictly below the k-th value of both its rows, ties
-    included. In a needed tile, a later row whose bound toward the strip lies
-    below its seed is left out of the column-side selection.
-
-    The margin covers rounding. With delta = 4(d + 2) 2^-53 at dim d, rows
-    count as unit when each computed squared norm lies within delta / 2 of
-    1 (rows from ``store.unit_rows`` lie within about 12 2^-53 at d = 512);
-    rows further off skip nothing. A computed cosine between such a row and
-    a normalized centroid is then off by at most delta: Higham's gamma_d for
-    the product plus both norms' slack. arccos magnifies that near 1, where
-    an angle is off by up to sqrt(2 delta) (1.5e-8 rad for one ulp, 6.8e-7
-    at d = 512 in the worst case), and each side of the test adds or
-    subtracts two such angles. So each side takes
-    max(1e-6, 2 sqrt(2 delta) + 2 delta) (1.35e-6 at d = 512), which also
-    covers the product's own error in the compared similarities.
-
-    Strip products alternate between two flat TOP_K_BLOCK x n buffers; a
-    strip with skipped tiles fills a prefix, and no copy of ``u`` is taken.
-    With more than one strip, one worker thread, alive only for this call,
-    computes strip s + 1's product while the calling thread selects and
-    merges strip s; numpy releases the GIL in both stages, so they overlap
-    on a second core when BLAS runs on one thread. Selection and merge run
-    in chunks of SELECT_ROWS rows, on both sides of a tile, through one
-    SELECT_ROWS x n scratch pair. Column runs start on the TOP_K_BLOCK grid
-    and a partial last block is never a run of its own, which leaves every
-    entry's bits as in the whole strip product; every product has the same
-    shape and operands whichever thread runs it, and merges run in strip
-    order with columns ascending, so the result depends on neither the
-    overlap nor the skipping.
+    The calling thread and, with more than one piece, one worker thread
+    alive only for this call each take the next unclaimed piece, all first
+    pieces before the rest; numpy releases the GIL in the product, the
+    compare and the merge's sorts, so both multiply on two cores when BLAS
+    runs on one thread. Claims, k-th reads and merges share one lock. Each
+    thread has a piece buffer and mask, 9 bytes per entry of a TOP_K_BLOCK
+    x (2 TOP_K_BLOCK - 1) piece at most with ``exclude_self``, and a
+    SELECT_ROWS-row selection copy, all made on the calling thread: memory
+    is O(TOP_K_BLOCK^2 + n k).
     """
     n_q, n_c = queries.shape[0], corpus.shape[0]
     # sentinel entries sort after every real candidate
     idx, sim = np.full((n_q, k), n_c), np.full((n_q, k), -np.inf)
-    starts = range(0, n_q, TOP_K_BLOCK)
-    if exclude_self:
-        need, far = _tile_plan(queries, k)
-        computed = int(need[np.triu_indices(len(starts))].sum())
-        tiles = (computed, len(starts) * (len(starts) + 1) // 2 - computed)
-    else:
-        tiles = (len(starts) * len(range(0, n_c, TOP_K_BLOCK)), 0)
-    prods = [np.empty(min(TOP_K_BLOCK, n_q) * n_c) for _ in starts[:2]]
-    size = min(SELECT_ROWS, n_q) * n_c
-    part, reach = np.empty(size), np.empty(size, dtype=bool)
+    n_strips, n_blocks = -(-n_q // TOP_K_BLOCK), max(1, n_c // TOP_K_BLOCK)
+    lock = threading.RLock()  # reentrant: the dense path merges while holding it
 
-    def runs(s):
-        # ascending (first, stop) corpus row ranges of strip s's product
-        if not exclude_self:
-            return [(0, n_c)]
-        out = []
-        for b in np.flatnonzero(need[s, s:]) + s:
-            first, stop = b * TOP_K_BLOCK, min((b + 1) * TOP_K_BLOCK, n_c)
-            if out and out[-1][1] == first:
-                first = out.pop()[0]
-            out.append((first, stop))
-        return out
+    def merge(rows, cand, vals):
+        # each list row in ``rows`` keeps its k best of itself and its candidates
+        with lock:
+            at = np.unique(rows)
+            r = np.concatenate([np.repeat(at, k), rows])
+            i = np.concatenate([idx[at].ravel(), cand])
+            s = np.concatenate([sim[at].ravel(), vals])
+            # one integer key per entry in the (row, -sim, index) order, the
+            # sims by rank (equal sims share one); rows lie within one block
+            by_sim = np.argsort(-s)
+            rank = np.empty(s.size, dtype=np.int64)
+            rank[by_sim] = np.cumsum(np.r_[True, s[by_sim][1:] != s[by_sim][:-1]])
+            order = np.argsort(((r - at[0]) * (s.size + 1) + rank) * (n_c + 1) + i)
+            take = order[np.searchsorted(r[order], at)[:, None] + np.arange(k)]
+            idx[at], sim[at] = i[take], s[take]
 
-    def product(s, buf):
-        lo = starts[s]
-        hi = min(lo + TOP_K_BLOCK, n_q)
-        spans = runs(s)
-        tile = buf[:(hi - lo) * sum(stop - first for first, stop in spans)].reshape(hi - lo, -1)
-        at = 0
-        for first, stop in spans:
-            np.matmul(queries[lo:hi], corpus[first:stop].T, out=tile[:, at:at + stop - first])
-            at += stop - first
-        if exclude_self:
-            np.fill_diagonal(tile, -np.inf)  # each row's own column
-        return tile
+    def keep(block, lo, first, mask, column_side):
+        # merge the entries of ``block`` (query rows from lo, corpus rows from
+        # first) at or above the running k-th of their row, or of their column
+        m, w = block.shape
+        with lock:
+            kth = (sim[first:first + w, k - 1] if column_side
+                   else sim[lo:lo + m, k - 1, None]).copy()
+        hit = mask[:block.size].reshape(block.shape)
+        r, c = np.divmod(np.flatnonzero(np.greater_equal(block, kth, out=hit)), w)
+        if r.size:
+            merge(*((first + c, lo + r) if column_side else (lo + r, first + c)), block[r, c])
 
-    def merge(block, k_sel, rows, cols, pos=None):
-        # the first k of list row rows[i] and its k_sel best in block row
-        # pos[i] (row i without ``pos``), block column c being corpus row
-        # cols[c]; strips run in order, so a list holds only lower indices
-        # than the new candidates and a stable sort by -sim keeps the index
-        # order
-        for c in range(0, rows.size, SELECT_ROWS):
-            at = rows[c:c + SELECT_ROWS]
-            if at[-1] - at[0] == at.size - 1:  # consecutive rows: a view, not a gather
-                at = slice(at[0], at[-1] + 1)
-            chunk = block[c:c + SELECT_ROWS] if pos is None else block[pos[c:c + SELECT_ROWS]]
-            scratch = (buf[:chunk.size].reshape(chunk.shape) for buf in (part, reach))
-            cand, vals = _select_block(chunk, k_sel, *scratch)
-            all_idx = np.concatenate([idx[at], cols[cand]], axis=1)
-            all_sim = np.concatenate([sim[at], vals], axis=1)
-            order = np.argsort(-all_sim, axis=1, kind="stable")[:, :k]
-            idx[at], sim[at] = (np.take_along_axis(a, order, axis=1)
-                                for a in (all_idx, all_sim))
+    def piece(a, b, buf, part, mask):
+        lo, first, hi = a * TOP_K_BLOCK, b * TOP_K_BLOCK, min((a + 1) * TOP_K_BLOCK, n_q)
+        stop = n_c if not exclude_self or n_c - first < 2 * TOP_K_BLOCK else first + TOP_K_BLOCK
+        block = np.matmul(queries[lo:hi], corpus[first:stop].T,
+                          out=buf[:(hi - lo) * (stop - first)].reshape(hi - lo, -1))
+        if b == (a if exclude_self else 0):
+            # the strip's first piece: its own block, or the first columns, densely
+            own = hi - lo if exclude_self else min(TOP_K_BLOCK, n_c)
+            if exclude_self:
+                np.fill_diagonal(block, -np.inf)  # each row's own column
+            k_sel = min(k, own - exclude_self)
+            if k_sel:
+                reach = mask[:(hi - lo) * own].reshape(hi - lo, own)
+                cand, vals = _select_block(block[:, :own], k_sel, part, reach)
+                # (-sim, index) order: cand ascends, and a stable sort keeps ties so
+                order = np.argsort(-vals, axis=1, kind="stable")
+                cand, vals = (np.take_along_axis(x, order, axis=1) for x in (cand + first, vals))
+                with lock:  # list rows still empty take them as they are
+                    if np.isneginf(sim[lo:hi, 0]).all():
+                        idx[lo:hi, :k_sel], sim[lo:hi, :k_sel] = cand, vals
+                    else:
+                        merge(np.repeat(np.arange(lo, hi), k_sel), cand.ravel(), vals.ravel())
+            block, first = block[:, own:], first + own
+        for column_side in (False, True)[:1 + exclude_self]:
+            keep(block, lo, first, mask, column_side)
 
-    def select(s, tile):
-        m, width = tile.shape
-        strip = np.arange(starts[s], starts[s] + m)
-        cols = np.concatenate([np.arange(first, stop) for first, stop in runs(s)])
-        if exclude_self and width > m:
-            later = cols[m:]
-            keep = np.flatnonzero(~far[s, later])
-            merge(tile[:, m:].T, min(k, m), later[keep], strip,
-                  None if keep.size == later.size else keep)
-        if width > exclude_self:
-            merge(tile, min(k, width - exclude_self), strip, cols)
+    size = min(TOP_K_BLOCK, n_q) * (n_c - (n_blocks - 1) * TOP_K_BLOCK if exclude_self else n_c)
+    bufs = [(np.empty(size), np.empty(min(SELECT_ROWS, n_q) * min(TOP_K_BLOCK, n_c)),
+             np.empty(size, dtype=bool)) for _ in range(1 + (n_strips > 1))]
 
-    # the worker thread starts with the first submit, so one strip starts none
+    def claim(pieces):
+        with lock:
+            return next(pieces, None)
+
+    def drain(pieces, *scratch):
+        while (ab := claim(pieces)) is not None:
+            piece(*ab, *scratch)
+
+    def run(pieces):
+        unclaimed = iter(pieces)
+        helper = pool.submit(drain, unclaimed, *bufs[1]) if len(pieces) > 1 else None
+        drain(unclaimed, *bufs[0])
+        if helper:
+            helper.result()
+
+    # the worker thread starts with the first submit, so one piece starts none
     with ThreadPoolExecutor(max_workers=1) as pool:
-        tile = product(0, prods[0])
-        for s in range(len(starts) - 1):
-            # the other buffer: its strip's selection has finished
-            pending = pool.submit(product, s + 1, prods[(s + 1) % 2])
-            select(s, tile)
-            tile = pending.result()
-        select(len(starts) - 1, tile)
-    return idx, sim, tiles
-
-
-def _clamp_k(k: int, available: int, what: str) -> int:
-    if available < 1:
-        return 0
-    if k > available:
-        warnings.warn(f"k={k} exceeds available {what} neighbors ({available}); clamping",
-                      stacklevel=3)
-        return available
-    return k
+        # the last strip first: a partial one is tiny, and its rows' k-th is
+        # then set before the glued piece next to it reaches their column side
+        run([(a, a if exclude_self else 0) for a in (n_strips - 1, *range(n_strips - 1))])
+        if exclude_self:
+            need = _tile_plan(queries, sim[:, k - 1])
+            run([(a, b) for a, b in zip(*np.nonzero(np.triu(need, 1))) if b < n_blocks])
+            computed = int(need[np.triu_indices(n_strips)].sum())
+            tiles = (computed, n_strips * (n_strips + 1) // 2 - computed)
+        else:
+            tiles = (n_strips * -(-n_c // TOP_K_BLOCK), 0)
+    return idx, sim, tiles, sum(x.nbytes for triple in bufs for x in triple)
 
 
 def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatrix,
@@ -350,7 +343,8 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
     ``labeled`` may be None (zero-shot). Edge weight is
     max(cosine similarity, 0); zero-weight edges are dropped. The directed
     KNN edges are symmetrized by elementwise max, and identity self-loops
-    are placed on the prototype and labeled diagonal.
+    are placed on the prototype and labeled diagonal. A k above the
+    neighbors a block has is clamped with a warning and recorded.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -365,27 +359,34 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
     # identity diagonal on prototype and labeled segments
     diag = np.arange(off_u)
     rows, cols, sims = [diag], [diag], [np.ones(off_u)]
+    clamps = {}
 
-    def add_block(queries, offset, k_eff, exclude_self):
+    def add_block(queries, offset, available, what):
+        k_eff = min(k, available)
+        if k_eff < k:
+            clamps[what] = k_eff
+            if k_eff:
+                warnings.warn(f"k={k} exceeds available {what} neighbors ({available}); "
+                              "clamping", stacklevel=3)
         if k_eff < 1:
-            return (0, 0)
-        idx, s, tiles = _top_k(queries, unlab, k_eff, exclude_self)
-        qi = np.repeat(np.arange(queries.shape[0]), k_eff) + offset
-        rows.append(qi)
+            return (0, 0), 0
+        idx, s, tiles, held = _top_k(queries, unlab, k_eff, what == "intra-unlabeled")
+        rows.append(np.repeat(np.arange(queries.shape[0]), k_eff) + offset)
         cols.append(idx.ravel() + off_u)
         sims.append(s.ravel())
-        return tiles
+        return tiles, held
 
-    add_block(proto, 0, _clamp_k(k, part.n_unlabeled, "unlabeled"), False)
+    done = [add_block(proto, 0, part.n_unlabeled, "unlabeled")]
     if part.n_labeled:
-        add_block(lab, part.n_proto, _clamp_k(k, part.n_unlabeled, "unlabeled"), False)
-    tiles = add_block(unlab, off_u, _clamp_k(k, part.n_unlabeled - 1, "intra-unlabeled"), True)
+        done.append(add_block(lab, part.n_proto, part.n_unlabeled, "unlabeled"))
+    done.append(add_block(unlab, off_u, part.n_unlabeled - 1, "intra-unlabeled"))
 
     r, c, s = (np.concatenate(parts) for parts in (rows, cols, sims))
     keep = s > 0.0
     n = part.n_total
     directed = sp.csr_matrix((s[keep], (r[keep], c[keep])), shape=(n, n))
-    return BlockAdjacency(directed.maximum(directed.T), part, tiles)
+    return BlockAdjacency(directed.maximum(directed.T), part, done[-1][0], clamps,
+                          max(held for _, held in done))
 
 
 def normalize(adj: BlockAdjacency) -> BlockAdjacency:
@@ -401,5 +402,4 @@ def normalize(adj: BlockAdjacency) -> BlockAdjacency:
     inv_sqrt = 1.0 / np.sqrt(degree)
     # the two factors multiply first so (i,j) and (j,i) round identically
     scaled = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
-    return BlockAdjacency(sp.csr_matrix((scaled, w.indices, w.indptr), shape=w.shape),
-                          adj.partition, adj.knn_tiles)
+    return replace(adj, weights=sp.csr_matrix((scaled, w.indices, w.indptr), shape=w.shape))

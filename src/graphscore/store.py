@@ -52,13 +52,14 @@ class EmbeddingMatrix:
 
     data: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, finite=False):
         data = np.asarray(self.data, dtype=np.float64, order="C")
         if data.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got rank {data.ndim}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"embedding matrix must be at least 1x1, got shape {data.shape}")
-        if not np.isfinite([data.max(), data.min()]).all():  # NaN and inf reach one of them
+        # NaN and inf reach the max or the min
+        if not finite and not np.isfinite([data.max(), data.min()]).all():
             row = int(np.nonzero(~np.isfinite(data).all(axis=1))[0][0])
             raise ValueError(f"row {row} contains non-finite values")
         object.__setattr__(self, "data", _lock(data))
@@ -172,7 +173,11 @@ def unit_rows(rows: np.ndarray, source, out=None) -> np.ndarray:
 
 def load_unit_matrix(path) -> EmbeddingMatrix:
     """The matrix in ``path`` with every row scaled to unit L2 norm by :func:`unit_rows`."""
-    return EmbeddingMatrix(unit_rows(read_npy(path, rank=2), path))
+    matrix = object.__new__(EmbeddingMatrix)
+    object.__setattr__(matrix, "data", unit_rows(read_npy(path, rank=2), path))
+    # unit_rows found every row norm finite, so every value is: skip that pass
+    matrix.__post_init__(finite=True)
+    return matrix
 
 
 def load_flags(path) -> np.ndarray:

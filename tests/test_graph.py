@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphscore import graph
 from graphscore.baselines import manifold_score
 from graphscore.graph import (
+    SELECT_ROWS,
     TOP_K_BLOCK,
     BlockAdjacency,
     NodePartition,
@@ -43,8 +46,8 @@ def _dense(adj):
 # knn ------------------------------------------------------------------
 
 def test_knn_trivial():
-    idx, sims, _ = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                       k=1, exclude_self=False)
+    idx, sims, *_ = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                           k=1, exclude_self=False)
     assert idx.tolist() == [[0]] and sims.tolist() == [[1.0]]
 
 
@@ -63,7 +66,7 @@ def test_knn_dim_mismatch():
 
 def test_knn_matches_brute_force_oracle():
     corpus = _units(7, 50, 16).data
-    idx, sims, _ = _top_k(corpus, corpus, k=5, exclude_self=True)
+    idx, sims, *_ = _top_k(corpus, corpus, k=5, exclude_self=True)
     expected = brute_knn(corpus, corpus, 5, True)
     assert idx.tolist() == [[c for _, c, _ in row] for row in expected]
     np.testing.assert_allclose(sims, [[s for *_, s in row] for row in expected],
@@ -120,7 +123,7 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
         queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3),
                              corpus[rng.integers(0, n, n_drawn)]])
     k = min(k, n - exclude_self)
-    idx, sims, _ = _top_k(queries, corpus, k, exclude_self)
+    idx, sims, *_ = _top_k(queries, corpus, k, exclude_self)
     ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
@@ -152,7 +155,7 @@ def _ties(rng):
 def _cap(rng):
     # block 2 is a ring of +-w pairs at one angle around its first row c, so
     # its centroid is c to rounding and every other member lies on its
-    # bounding cap; c's seed cos(theta_(k)) then equals its k-th value
+    # bounding cap, where the cap bound is tight
     u = _chain(2600, 8, 2)
     lo = 2 * TOP_K_BLOCK
     c = u[lo + TOP_K_BLOCK // 2].copy()
@@ -200,7 +203,8 @@ def _one_sided(rng):
 
 
 def _partial_block(rng):
-    # the last block has 7 <= k rows, so it has no seed and is never skipped
+    # the last block has 7 <= k rows: glued to the block before it, whose
+    # diagonal piece gives those rows their first k-th
     return _chain(5 * TOP_K_BLOCK + 7, 8, 4)
 
 
@@ -214,7 +218,7 @@ def _noisy_tail(rng):
 
 
 def _assert_top_k_exact(u, k):
-    idx, sims, (computed, skipped) = _top_k(u, u, k, exclude_self=True)
+    idx, sims, (computed, skipped), _ = _top_k(u, u, k, exclude_self=True)
     ref_idx, ref_sims = _top_k_full_sort(u, u, k, True)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
@@ -238,7 +242,7 @@ def test_top_k_skips_no_tile_when_nothing_can_be_ruled_out():
     # a shuffle puts the whole chain in every block
     shuffled = u[np.random.default_rng(0).permutation(len(u))]
     assert _assert_top_k_exact(shuffled, 10) == 0
-    # k = n - 1 leaves every block without a seed
+    # k = n - 1 leaves every running k-th at -inf after the diagonal pieces
     assert _assert_top_k_exact(u[:2 * TOP_K_BLOCK + 6], 2 * TOP_K_BLOCK + 5) == 0
 
 
@@ -249,24 +253,63 @@ def test_top_k_skips_no_tile_for_rows_off_the_unit_sphere():
     assert _assert_top_k_exact(u / 2.0, 10) > 0
 
 
-def test_top_k_peak_memory_is_two_products():
-    # two alternating TOP_K_BLOCK x n strip products, one SELECT_ROWS x n
-    # selection copy and mask, and the (n, k) running lists; the n x n
-    # product alone is 2.7x the bound. A chain skips tiles: its runs of
-    # columns go straight into the strip buffer, with no copy of the rows
-    n = 4096
+def test_top_k_peak_memory_is_two_pieces():
+    # two piece buffers of at most TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) entries,
+    # each with a mask and a selection copy (17 bytes an entry at most), the
+    # (n, k) running lists and the tile plan's n / TOP_K_BLOCK x n angle
+    # tables: O(TOP_K_BLOCK^2 + n k) apart from the plan. The former two
+    # strip buffers alone took 2 x TOP_K_BLOCK x n x 8 bytes, more than twice
+    # the bound at this n. A chain skips tiles; the partial last block is glued
+    n, k = 16 * TOP_K_BLOCK + 300, 10
+    pieces = 2 * 17 * TOP_K_BLOCK * (2 * TOP_K_BLOCK - 1)
+    bound = pieces + 64 * n * k + 3 * 8 * n * -(-n // TOP_K_BLOCK)
     inputs = [(random_unit_rows(np.random.default_rng(0), n, 16), False),
               (_chain(n, 16, 0), True)]
     for corpus, skips in inputs:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            *_, (_, skipped) = _top_k(corpus, corpus, 10, exclude_self=True)
+            _, _, (_, skipped), held = _top_k(corpus, corpus, k, exclude_self=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (skipped > 0) == skips
-        assert peak < 3 * TOP_K_BLOCK * n * 8
+        assert held <= pieces
+        assert peak < bound < TOP_K_BLOCK * n * 8
+
+
+class _InlineExecutor:
+    # runs each submitted call at once on the calling thread
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("exclude_self", [True, False])
+def test_top_k_without_a_worker_keeps_the_threaded_bytes(monkeypatch, exclude_self):
+    # the inline "worker" takes every piece before the calling thread takes
+    # one, so pieces merge in another order, all with the second buffer set
+    rng = np.random.default_rng(7)
+    corpus = _noisy_tail(rng)
+    queries = corpus if exclude_self else random_unit_rows(rng, TOP_K_BLOCK + 190, 8)
+    threaded = _top_k(queries, corpus, 10, exclude_self)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", _InlineExecutor)
+    inline = _top_k(queries, corpus, 10, exclude_self)
+    assert inline[0].tobytes() == threaded[0].tobytes()
+    assert inline[1].tobytes() == threaded[1].tobytes()
+    assert inline[2:] == threaded[2:]
+    if exclude_self:
+        assert threaded[2][1] > 0
 
 
 # adjacency ------------------------------------------------------------
@@ -409,6 +452,24 @@ def test_adjacency_clamps_k_with_warning():
         adj = build_adjacency(_protos([[1.0, 0.0]]), None,
                               EmbeddingMatrix([[0.9, 0.1], [0.1, 0.9]]), k=10)
     assert adj.partition.n_unlabeled == 2
+
+
+def test_summary_reports_k_clamps_and_knn_scratch():
+    # the applied clamps, which also warn, and the most piece buffer and
+    # scratch bytes one top-k held; normalizing keeps both
+    with pytest.warns(UserWarning, match="clamping"):
+        adj = build_adjacency(_protos([[1.0, 0.0]]), None,
+                              EmbeddingMatrix([[0.9, 0.1], [0.1, 0.9]]), k=10)
+    assert adj.summary["k_clamps"] == {"unlabeled": 2, "intra-unlabeled": 1}
+    assert normalize(adj).summary == adj.summary
+    protos, lab, unlab = _strips_input(0)
+    summary = build_adjacency(protos, lab, unlab, k=4).summary
+    assert set(summary) == {"edges", "knn_tiles", "k_clamps", "knn_scratch_bytes"}
+    assert summary["k_clamps"] == {}
+    # two labeled strips, each as wide as the corpus with its mask, and
+    # their SELECT_ROWS-row selection copies hold the most
+    assert summary["knn_scratch_bytes"] == 2 * (9 * TOP_K_BLOCK * unlab.count
+                                                 + 8 * SELECT_ROWS * TOP_K_BLOCK)
 
 
 def test_adjacency_sparsity_bound():

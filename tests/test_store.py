@@ -355,6 +355,28 @@ def test_embedding_matrix_adopts_float64_c_order():
         assert converted is not other and converted.flags.c_contiguous
 
 
+
+def test_load_unit_matrix_checks_values_once(tmp_path, monkeypatch):
+    # unit_rows' norm check proves every value finite, so the loaded matrix
+    # runs no second max/min pass; a hand-made matrix still runs it
+    rows = random_unit_rows(np.random.default_rng(0), 6, 4) * 3.0
+    path = tmp_path / "m.npy"
+    np.save(path, rows)
+    checked = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x, *a, **kw: checked.append(np.shape(x))
+                        or isfinite(x, *a, **kw))
+    m = load_unit_matrix(path)
+    assert checked == [(6,)]
+    assert isinstance(m, EmbeddingMatrix) and m.count == 6 and m.dim == 4
+    assert m.data.dtype == np.float64 and m.data.flags.c_contiguous
+    assert not m.data.flags.writeable
+    assert m.data.tobytes() == unit_rows(rows, path).tobytes()
+    checked.clear()
+    EmbeddingMatrix(m.data)
+    assert checked == [(2,)]
+
+
 # flags ----------------------------------------------------------------
 
 def test_flags_round_trip(tmp_path):
