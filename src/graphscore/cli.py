@@ -144,7 +144,7 @@ def load_dataset(manifest_path) -> DatasetBundle:
                          prototypes=prototypes, flags=flags)
 
 
-def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
+def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig, load_s=None):
     """Score ``bundle`` with each method; returns (method, scores, diagnostics)
     triples in ``methods`` order.
 
@@ -154,14 +154,15 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
     its KNN graph and its :func:`run_gsp` are made at most once per call,
     and every set the methods need comes from one pass over the pool files,
     before the first method runs. Each method's ``timing_s`` holds the
-    stages it used, shared ones (``pool``, ``build_graph`` and the run)
-    charged in full, and ``total``, their sum.
+    stages it used, shared ones (``load``, the seconds ``load_s`` that
+    loading ``bundle`` took, if given; ``pool``, ``build_graph`` and the
+    run) charged in full, and ``total``, their sum.
     """
 
     def per_class(method):
         return cfg.clusters if method in _CLUSTERED and bundle.pool is not None else 1
 
-    sets, stages = {1: bundle.prototypes}, {}
+    sets, stages = {1: bundle.prototypes}, {} if load_s is None else {"load": load_s}
     if bundle.pool is not None:
         paths, check = bundle.pool
         sets, stages["pool"] = timed(pool_prototypes, paths,
@@ -201,8 +202,9 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig):
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    bundle = load_dataset(cfg.manifest)
-    results = compute_scores(bundle, METHODS if cfg.method == "all" else (cfg.method,), cfg)
+    bundle, load_s = timed(load_dataset, cfg.manifest)
+    results = compute_scores(bundle, METHODS if cfg.method == "all" else (cfg.method,), cfg,
+                             load_s)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -150,7 +150,9 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     intra-unlabeled top-k must compute, given each row's running k-th
     similarity ``kth``. ``need[a, b]`` is False when no entry of tile (a, b)
     can enter the k-best list of its row or of its column; a partial last
-    block is glued to the block before it (see :func:`_top_k`).
+    block is glued to the block before it (see :func:`_top_k`). Angles are
+    taken one block of rows at a time, so the plan holds O(nb (d +
+    TOP_K_BLOCK)) floats for nb blocks.
     """
     n, d = u.shape
     starts = np.arange(0, n, TOP_K_BLOCK)
@@ -158,26 +160,38 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     need = np.ones((nb, nb), dtype=bool)
     if nb < 2:
         return need
-    # one pass over each block while it is in cache: its sum and its squared norms
-    centers, squares = np.empty((nb, d)), np.empty(n)
-    for b, lo in enumerate(starts):
-        rows = u[lo:lo + TOP_K_BLOCK]
-        rows.sum(axis=0, out=centers[b])
-        np.einsum("ij,ij->i", rows, rows, out=squares[lo:lo + TOP_K_BLOCK])
+    # one pass over each block while it is in cache: its sum (as a product
+    # with ones, a few times faster than sum(axis=0)) and its squared norms
+    centers, squares = np.empty((nb, d)), np.empty(min(n, TOP_K_BLOCK))
+    ones = np.ones(min(n, TOP_K_BLOCK))
     # worst-case error of one cosine between rows this close to unit norm
     delta = 4 * (d + 2) * 2.0 ** -53
-    if np.abs(squares - 1.0).max() > delta / 2:
-        return need
+    for b, lo in enumerate(starts):
+        rows = u[lo:lo + TOP_K_BLOCK]
+        np.dot(ones[:rows.shape[0]], rows, out=centers[b])
+        sq = np.einsum("ij,ij->i", rows, rows, out=squares[:rows.shape[0]])
+        if np.abs(sq - 1.0).max() > delta / 2:
+            return need
     margin = max(SKIP_MARGIN, 2 * np.sqrt(2 * delta) + 2 * delta)
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     # a zero centroid stays zero: every angle to it is pi/2, which rules out nothing
     centers /= np.where(norms > 0, norms, 1.0)
-    # angle of every row (column) to every centroid (row)
-    theta = np.arccos(np.clip(centers @ u.T, -1.0, 1.0))
-    radius = np.maximum.reduceat(theta[np.arange(n) // TOP_K_BLOCK, np.arange(n)], starts)
-    bound = np.cos(np.maximum(0.0, theta - radius[:, None]))
+    # bound + margin < kth, that is cos(max(0, theta - radius)) < kth - margin,
+    # holds exactly when theta - arccos(kth - margin) > radius: so each block
+    # of rows reduces its angles to every centroid (row) to their least
+    # excess over arccos(kth - margin), and gives its own radius, the
+    # largest angle from its centroid to a member
+    excess, radius = np.empty((nb, nb)), np.empty(nb)
+    buf = np.empty(nb * min(n, TOP_K_BLOCK))
+    for a, lo in enumerate(starts):
+        rows = u[lo:lo + TOP_K_BLOCK]
+        theta = np.matmul(centers, rows.T, out=buf[:nb * rows.shape[0]].reshape(nb, -1))
+        np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
+        radius[a] = theta[a].max()
+        theta -= np.arccos(np.clip(kth[lo:lo + TOP_K_BLOCK] - margin, -1.0, 1.0))
+        theta.min(axis=1, out=excess[:, a])
     # all_far[b, a]: no row of block a can take a member of block b
-    all_far = np.logical_and.reduceat(bound + margin < kth, starts, axis=1)
+    all_far = excess > radius[:, None]
     need = ~(all_far & all_far.T)
     np.fill_diagonal(need, True)
     if n % TOP_K_BLOCK:  # the partial last block is glued to the block before it
@@ -213,11 +227,10 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     sim(j, i) are one value, and is skipped when a spherical-cap bound
     shows that none of its entries can enter a list. Block b has unit
     centroid mu_b and angular radius r_b, the largest angle from mu_b to a
-    member; one ``M @ u.T`` gives every row's angle to every centroid, and
-    sim(q, j) <= cos(max(0, angle(q, mu_b) - r_b)) for every j in b by the
-    triangle inequality on the sphere. Row q's running k-th kth_q after the
-    diagonal pieces is one of the computed values in its list, so its final
-    k-th is at least kth_q, bit for bit. Tile (a, b) is skipped when
+    member, and sim(q, j) <= cos(max(0, angle(q, mu_b) - r_b)) for every j
+    in b by the triangle inequality on the sphere. Row q's running k-th
+    kth_q after the diagonal pieces is one of the computed values in its
+    list, so its final k-th is at least kth_q, bit for bit. Tile (a, b) is skipped when
     bound + margin < kth_q holds for every row of a toward b and every row
     of b toward a; a skipped entry then lies strictly below the k-th value
     of both its rows, ties included.
@@ -230,7 +243,10 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     arccos magnifies near 1 to an angle error of up to sqrt(2 delta), and
     the bound takes two angles. So the margin is max(1e-6, 2 sqrt(2 delta)
     + 2 delta) (1.35e-6 at d = 512), which also covers the product's error
-    in the compared entry.
+    in the compared entry. :func:`_tile_plan` tests the same inequality in
+    angles, angle(q, mu_b) - arccos(kth_q - margin) > r_b, as cos falls on
+    [0, pi]; rounding kth_q - margin and its arccos moves the test by less
+    than delta in cosine, as rounding the cos did.
 
     The calling thread and, with more than one piece, one worker thread
     alive only for this call each take the next unclaimed piece, all first

@@ -29,6 +29,9 @@ _SUPPORTED_DESCRS = ("<f4", "<f8")
 
 # Rows with L2 norm below this are rejected by unit_rows.
 _NORM_EPS = 1e-12
+# float64 bytes per row chunk of unit_rows and of a widened '<f4' read: 256
+# rows at d = 512, so a chunk stays in a 2 MB L2 cache between its passes
+UNIT_BLOCK_BYTES = 1 << 20
 
 
 class NpyFormatError(ValueError):
@@ -89,8 +92,10 @@ def read_npy(path, rank, slot=None) -> np.ndarray:
     The payload is read straight into a new array, or into ``slot(shape)``,
     a float64 C-order array of the file's shape that a loader hands out from
     a preallocated stack; ``slot`` may raise to refuse the shape, and is only
-    called once the file size matches the header. Each distinct header is
-    parsed once per process; every file is still checked against it.
+    called once the file size matches the header. A ``'<f4'`` payload is
+    widened ``UNIT_BLOCK_BYTES`` of output at a time through one small
+    buffer. Each distinct header is parsed once per process; every file is
+    still checked against it.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -124,8 +129,13 @@ def read_npy(path, rank, slot=None) -> np.ndarray:
         out = np.empty(shape) if slot is None else slot(shape)
         if dtype == out.dtype:
             f.readinto(out)
-        else:  # '<f4', widened in one copy
-            np.copyto(out, np.frombuffer(f.read(expected), dtype=dtype).reshape(shape))
+            return out
+        step = _chunk_rows(out)
+        buf = np.empty((min(step, shape[0]), *shape[1:]), dtype=dtype)
+        for lo in range(0, shape[0], step):
+            part = buf[:min(step, shape[0] - lo)]
+            f.readinto(part)
+            out[lo:lo + step] = part
         return out
 
 
@@ -156,25 +166,44 @@ def save_vector(values, path) -> None:
     _write_npy(path, values)
 
 
+def _chunk_rows(arr: np.ndarray) -> int:
+    # rows of ``arr`` per chunk of UNIT_BLOCK_BYTES as float64
+    return max(1, UNIT_BLOCK_BYTES // (8 * math.prod(arr.shape[1:])))
+
+
 def unit_rows(rows: np.ndarray, source, out=None) -> np.ndarray:
-    """``rows`` with every row scaled to unit L2 norm, written into ``out`` if
-    given. A row whose norm is (numerically) zero or not finite, from a NaN,
-    an inf or an overflowing sum of squares, is an error naming ``source`` and the row."""
-    with np.errstate(over="ignore"):  # an overflowing row is reported below
-        norms = np.linalg.norm(rows, axis=1)
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        raise ValueError(f"{source}: non-finite norm in row {int(np.argmax(bad))}")
-    small = norms < _NORM_EPS
-    if small.any():
-        raise ValueError(f"{source}: zero-norm row {int(np.argmax(small))}")
-    return np.divide(rows, norms[:, None], out=out)
+    """``rows``, a float64 matrix, with every row scaled to unit L2 norm,
+    written into ``out`` (which may be ``rows``) or else a new array.
+
+    Rows are normalized in chunks of ``UNIT_BLOCK_BYTES``, each while it is
+    in cache, so the norms' temporaries stay that small; a row's bits do not
+    depend on the chunk. A row whose norm is (numerically) zero or not
+    finite, from a NaN, an inf or an overflowing sum of squares, is an error
+    naming ``source`` and the row, the first such row of the first chunk
+    that has one.
+    """
+    out = np.empty(rows.shape) if out is None else out
+    step = _chunk_rows(rows)
+    for lo in range(0, rows.shape[0], step):
+        chunk = rows[lo:lo + step]
+        with np.errstate(over="ignore"):  # an overflowing row is reported below
+            norms = np.linalg.norm(chunk, axis=1)
+        bad = ~np.isfinite(norms)
+        if bad.any():
+            raise ValueError(f"{source}: non-finite norm in row {lo + int(np.argmax(bad))}")
+        small = norms < _NORM_EPS
+        if small.any():
+            raise ValueError(f"{source}: zero-norm row {lo + int(np.argmax(small))}")
+        np.divide(chunk, norms[:, None], out=out[lo:lo + step])
+    return out
 
 
 def load_unit_matrix(path) -> EmbeddingMatrix:
-    """The matrix in ``path`` with every row scaled to unit L2 norm by :func:`unit_rows`."""
+    """The matrix in ``path`` with every row scaled in place to unit L2 norm
+    by :func:`unit_rows`: the load holds the matrix and one chunk."""
+    rows = read_npy(path, rank=2)
     matrix = object.__new__(EmbeddingMatrix)
-    object.__setattr__(matrix, "data", unit_rows(read_npy(path, rank=2), path))
+    object.__setattr__(matrix, "data", unit_rows(rows, path, out=rows))
     # unit_rows found every row norm finite, so every value is: skip that pass
     matrix.__post_init__(finite=True)
     return matrix

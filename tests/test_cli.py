@@ -334,21 +334,25 @@ def test_pool_manifest_with_one_cluster_shares_one_set(tmp_path, monkeypatch):
 
 
 def test_timing_total_is_the_sum_of_every_stage(tmp_path):
-    # every method reports its stages the same way, cosine included, and a
-    # pool manifest charges the one pool pass to every method
+    # every method reports its stages the same way, cosine included, and the
+    # one load, and with a pool manifest the one pool pass, are charged to
+    # every method
     manifests = {"prototypes": _synth_dataset(tmp_path / "protos") / "manifest.json",
                  "pool": _pool_manifest(tmp_path / "pool")}
     for source, manifest in manifests.items():
         run_dir = tmp_path / f"run_{source}"
         assert main(["score", "--manifest", str(manifest), "--method", "all",
                      "--out", str(run_dir)]) == 0
+        loads = set()
         for method in METHODS:
             timing = json.loads((run_dir / f"diagnostics_{method}.json").read_text())["timing_s"]
             total = timing.pop("total")
             assert abs(total - sum(timing.values())) <= 1e-12, (source, method)
             assert ("pool" in timing) == (source == "pool"), (source, method)
+            loads.add(timing["load"])
             stage = {"cosine": "cosine", "manifold": "dijkstra"}.get(method, "normalize")
             assert stage in timing, (source, method)
+        assert len(loads) == 1 and loads.pop() > 0.0, source
 
 
 def _count_calls(monkeypatch, module, *names):

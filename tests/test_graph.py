@@ -255,17 +255,19 @@ def test_top_k_skips_no_tile_for_rows_off_the_unit_sphere():
 
 def test_top_k_peak_memory_is_two_pieces():
     # two piece buffers of at most TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) entries,
-    # each with a mask and a selection copy (17 bytes an entry at most), the
-    # (n, k) running lists and the tile plan's n / TOP_K_BLOCK x n angle
-    # tables: O(TOP_K_BLOCK^2 + n k) apart from the plan. The former two
-    # strip buffers alone took 2 x TOP_K_BLOCK x n x 8 bytes, more than twice
-    # the bound at this n. A chain skips tiles; the partial last block is glued
-    n, k = 16 * TOP_K_BLOCK + 300, 10
+    # each with a mask and a selection copy (17 bytes an entry at most), and
+    # the (n, k) running lists: O(TOP_K_BLOCK^2 + n k). The tile plan's
+    # tables are O(n / TOP_K_BLOCK x (d + TOP_K_BLOCK)); the chain is long
+    # enough that n / TOP_K_BLOCK x n angle tables would break the bound.
+    # The former two strip buffers alone took 2 x TOP_K_BLOCK x n x 8 bytes,
+    # more than twice the bound. A chain skips tiles; the partial last block
+    # is glued
+    k = 10
     pieces = 2 * 17 * TOP_K_BLOCK * (2 * TOP_K_BLOCK - 1)
-    bound = pieces + 64 * n * k + 3 * 8 * n * -(-n // TOP_K_BLOCK)
-    inputs = [(random_unit_rows(np.random.default_rng(0), n, 16), False),
-              (_chain(n, 16, 0), True)]
+    inputs = [(random_unit_rows(np.random.default_rng(0), 16 * TOP_K_BLOCK + 300, 16), False),
+              (_chain(32 * TOP_K_BLOCK + 300, 16, 0), True)]
     for corpus, skips in inputs:
+        n = corpus.shape[0]
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -275,7 +277,7 @@ def test_top_k_peak_memory_is_two_pieces():
             tracemalloc.stop()
         assert (skipped > 0) == skips
         assert held <= pieces
-        assert peak < bound < TOP_K_BLOCK * n * 8
+        assert peak < held + 64 * n * k < TOP_K_BLOCK * n * 8, (n, peak, held)
 
 
 class _InlineExecutor:

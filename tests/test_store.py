@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,62 @@ def test_load_unit_matrix_equals_normalized_load(tmp_path):
     got = load_unit_matrix(path).data
     wide = raw.astype(np.float64)
     assert got.tobytes() == (wide / np.linalg.norm(wide, axis=1)[:, None]).tobytes()
+
+
+# rows of dimension _DIM per chunk of unit_rows and of a widened '<f4' read
+_DIM = 512
+_CHUNK = store.UNIT_BLOCK_BYTES // (8 * _DIM)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "zero-norm row"), (np.nan, "non-finite norm in row"),
+    (1e200, "non-finite norm in row")])
+def test_unit_rows_names_a_bad_row_after_the_first_chunk(tmp_path, bad, message):
+    rows = np.random.default_rng(3).standard_normal((3 * _CHUNK + 5, _DIM))
+    row = 2 * _CHUNK + 7
+    rows[row] = bad
+    with pytest.raises(ValueError, match=rf"^m\.npy: {message} {row}$"):
+        unit_rows(rows, "m.npy")
+    path = tmp_path / "rows.npy"
+    np.save(path, rows)
+    with pytest.raises(ValueError, match=rf"rows\.npy: {message} {row}$"):
+        load_unit_matrix(path)
+
+
+def test_float32_file_over_three_chunks_loads_as_normalized_whole(tmp_path):
+    path = tmp_path / "m.npy"
+    raw = np.random.default_rng(4).standard_normal((3 * _CHUNK + 17, _DIM)).astype(np.float32)
+    np.save(path, raw)
+    wide = raw.astype(np.float64)
+    assert read_npy(path, rank=2).tobytes() == wide.tobytes()
+    whole = wide / np.linalg.norm(wide, axis=1)[:, None]
+    assert load_unit_matrix(path).data.tobytes() == whole.tobytes()
+
+
+def test_unit_rows_without_out_leaves_rows_untouched():
+    rows = np.random.default_rng(5).standard_normal((2 * _CHUNK + 3, _DIM))
+    before = rows.copy()
+    got = unit_rows(rows, "m")
+    assert got is not rows and not np.shares_memory(got, rows)
+    assert rows.tobytes() == before.tobytes()
+    assert got.tobytes() == (before / np.linalg.norm(before, axis=1)[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_load_unit_matrix_peak_memory_is_one_input_and_a_chunk(tmp_path, dtype):
+    # rows are read into the matrix and normalized there a chunk at a time;
+    # a whole-matrix norm or division, or a bytes copy of the payload, would
+    # each take half the matrix or more on top
+    path = tmp_path / "m.npy"
+    np.save(path, np.random.default_rng(6).standard_normal((16 * _CHUNK, _DIM)).astype(dtype))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m = load_unit_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.data.nbytes + 2 * store.UNIT_BLOCK_BYTES + (64 << 10), peak
 
 
 @given(st.integers(0, 2**32 - 1))
