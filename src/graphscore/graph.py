@@ -162,15 +162,13 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
         return need
     # one pass over each block while it is in cache: its sum (as a product
     # with ones, a few times faster than sum(axis=0)) and its squared norms
-    centers, squares = np.empty((nb, d)), np.empty(min(n, TOP_K_BLOCK))
-    ones = np.ones(min(n, TOP_K_BLOCK))
+    centers, ones = np.empty((nb, d)), np.ones(TOP_K_BLOCK)
     # worst-case error of one cosine between rows this close to unit norm
     delta = 4 * (d + 2) * 2.0 ** -53
     for b, lo in enumerate(starts):
         rows = u[lo:lo + TOP_K_BLOCK]
         np.dot(ones[:rows.shape[0]], rows, out=centers[b])
-        sq = np.einsum("ij,ij->i", rows, rows, out=squares[:rows.shape[0]])
-        if np.abs(sq - 1.0).max() > delta / 2:
+        if np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() > delta / 2:
             return need
     margin = max(SKIP_MARGIN, 2 * np.sqrt(2 * delta) + 2 * delta)
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
@@ -182,7 +180,7 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     # excess over arccos(kth - margin), and gives its own radius, the
     # largest angle from its centroid to a member
     excess, radius = np.empty((nb, nb)), np.empty(nb)
-    buf = np.empty(nb * min(n, TOP_K_BLOCK))
+    buf = np.empty(nb * TOP_K_BLOCK)
     for a, lo in enumerate(starts):
         rows = u[lo:lo + TOP_K_BLOCK]
         theta = np.matmul(centers, rows.T, out=buf[:nb * rows.shape[0]].reshape(nb, -1))
