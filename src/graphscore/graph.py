@@ -11,26 +11,24 @@ sqrt(2 - 2s) (used by the shortest-path baseline).
 
 Each node's k nearest neighbors are ordered by (-similarity, index): equal
 similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
-query strips, each unlabeled pair's once, multiplied among unlabeled nodes
-in pieces of one grid-aligned column block that keep the whole strip
-product's bits. The diagonal pieces run first and set each row's running
-k-th similarity; later pieces are compared against it and only survivors
-merged, and a tile that a spherical-cap bound puts below it is skipped.
-The calling thread and a worker that lives only for the call share the
-pieces, so KNN memory is O(TOP_K_BLOCK^2 + n k) and a second core helps
-when BLAS runs on one thread; neither moves a bit.
+query strips. A prototype or labeled strip is one product as wide as the
+unlabeled corpus, selected densely. Among unlabeled nodes each pair's
+similarity is computed once, in grid-aligned column pieces that keep the
+strip product's bits; the diagonal pieces set each row's running k-th,
+later pieces are compared against it and only survivors merged, and a tile
+that a spherical-cap bound puts below it is skipped. The calling thread and
+a short-lived worker share strips and pieces; neither moves a bit.
 """
 
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .prompts import PrototypeSet
-from .store import EmbeddingMatrix, _lock
+from .store import EmbeddingMatrix, _lock, share
 
 # degrees are floored before inversion so isolated nodes do not divide by zero
 DEGREE_FLOOR = 1e-12
@@ -81,8 +79,8 @@ class BlockAdjacency:
     and frozen on construction. :func:`build_adjacency` records the
     (computed, skipped) count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the
     unlabeled x unlabeled product in ``knn_tiles``, the k each clamped
-    block got in ``k_clamps`` and the most piece buffer and scratch bytes
-    one top-k held in ``knn_scratch_bytes``.
+    block got in ``k_clamps`` and the most strip or piece buffer and scratch
+    bytes one search held in ``knn_scratch_bytes``.
     """
 
     weights: sp.csr_matrix
@@ -117,10 +115,10 @@ class BlockAdjacency:
 
 
 def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray):
-    """Column indices, ascending, and values of the k largest entries of each
-    row of ``block`` under the (-value, index) order. ``block`` may be a
-    strided view; ``part`` is flat float scratch of at least one row and
-    ``reach`` bool scratch of the block's shape, both overwritten."""
+    """Column indices and values of the k largest entries of each row of
+    ``block`` under the (-value, index) order, in that order. ``block`` may
+    be a strided view; ``part`` is flat float scratch of at least one row
+    and ``reach`` bool scratch of the block's shape, both overwritten."""
     m, n = block.shape
     kth, step = np.empty((m, 1)), part.size // n
     for lo in range(0, m, step):
@@ -140,9 +138,11 @@ def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray
         need = k - above.sum(axis=1, keepdims=True)
         reach[tied] = above | (equal & (np.cumsum(equal, axis=1) <= need))
         flat = np.flatnonzero(reach)
-    # exactly k entries per row now, in ascending column order
+    # exactly k entries per row now, columns ascending, which a stable sort keeps among ties
     cand = (flat % n).reshape(m, k)
-    return cand, np.take_along_axis(block, cand, axis=1)
+    vals = np.take_along_axis(block, cand, axis=1)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
 def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
@@ -198,28 +198,51 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     return need
 
 
-def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
+def _nearest(queries: np.ndarray, corpus: np.ndarray, k: int):
     """The k most similar corpus rows per query, ordered by (-sim, index),
-    the ``(computed, skipped)`` count of TOP_K_BLOCK x TOP_K_BLOCK tiles,
-    and the bytes of piece buffers and scratch the call held.
+    and the bytes of strip buffers and scratch the call held.
 
-    A piece is one TOP_K_BLOCK-row query strip times a column block. Each
-    strip's first TOP_K_BLOCK columns (its own block with ``exclude_self``)
-    are selected densely by :func:`_select_block`, which sets every row's
-    running k-th similarity; the rest of every piece is compared once, in
-    its own layout, against that running k-th, and only entries at or above
-    it are merged into the (n_q, k) lists. The k-th only rises, so an entry
-    below it never enters its list, and each merge keeps the exact k best
-    of a list and its candidates in the (-sim, index) order: the result
-    depends neither on the merge order nor on how stale a compared k-th
-    was. Prototype or labeled strips are one piece as wide as the corpus:
-    BLAS may round a column block of a few rows differently from the whole
-    product (2-row strips at d = 512 do).
+    Each TOP_K_BLOCK-row query strip is one product as wide as the corpus,
+    selected densely by :func:`_select_block`, as BLAS may round a column
+    block of a few rows differently from the whole product (2-row strips at
+    d = 512 do). :func:`share` runs the strips; each thread holds a strip
+    buffer and mask, 9 bytes per entry, and a selection copy.
+    """
+    n_q, n_c = queries.shape[0], corpus.shape[0]
+    idx, sim = np.empty((n_q, k), dtype=np.int64), np.empty((n_q, k))
 
-    With ``exclude_self`` (queries is corpus, of unit rows) no row selects
-    itself and only the upper triangle is multiplied, in column blocks on
-    the TOP_K_BLOCK grid, a partial last block glued to the block before
-    it, which keeps every entry's bits. The diagonal pieces run first.
+    def strip(lo, buf, part, mask):
+        hi = min(lo + TOP_K_BLOCK, n_q)
+        block = np.matmul(queries[lo:hi], corpus.T, out=buf[:(hi - lo) * n_c].reshape(hi - lo, -1))
+        reach = mask[:block.size].reshape(block.shape)
+        idx[lo:hi], sim[lo:hi] = _select_block(block, k, part, reach)
+
+    size = min(TOP_K_BLOCK, n_q) * n_c
+    # _select_block copies whole rows: fewer than n_c floats would hold none
+    select = max(min(SELECT_ROWS, n_q) * min(TOP_K_BLOCK, n_c), n_c)
+    bufs = [(np.empty(size), np.empty(select), np.empty(size, dtype=bool))
+            for _ in range(1 + (n_q > TOP_K_BLOCK))]
+    share(range(0, n_q, TOP_K_BLOCK), strip, bufs)
+    return idx, sim, sum(x.nbytes for triple in bufs for x in triple)
+
+
+def _top_k(u: np.ndarray, k: int):
+    """For each of the unit rows ``u``, its k most similar other rows in the
+    (-sim, index) order; the ``(computed, skipped)`` count of TOP_K_BLOCK x
+    TOP_K_BLOCK tiles; and the bytes of buffers and scratch the call held.
+
+    A piece is one TOP_K_BLOCK-row strip times a column block of the upper
+    triangle, on the TOP_K_BLOCK grid with a partial last block glued to the
+    block before it, which keeps every entry's bits; no row selects itself.
+    The diagonal pieces run first: :func:`_select_block` takes each strip's
+    own block densely and sets every row's running k-th similarity.
+    The rest of every piece is compared once, in its own layout, against
+    that running k-th, and only entries at or above it are merged into the
+    (n, k) lists. The k-th only rises, so an entry below it never enters
+    its list, and each merge keeps the exact k best of a list and its
+    candidates in the (-sim, index) order: the result depends neither on
+    the merge order nor on how stale a compared k-th was.
+
     Piece (a, b), b > a, is also compared against the running k-th of
     block b's rows (``P >= kth[cols][None, :]``), so sim(i, j) and
     sim(j, i) are one value, and is skipped when a spherical-cap bound
@@ -246,21 +269,16 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
     [0, pi]; rounding kth_q - margin and its arccos moves the test by less
     than delta in cosine, as rounding the cos did.
 
-    The calling thread and, with more than one piece, one worker thread
-    alive only for this call each take the next unclaimed piece, all first
-    pieces before the rest; numpy releases the GIL in the product, the
-    compare and the merge's sorts, so both multiply on two cores when BLAS
-    runs on one thread. Claims, k-th reads and merges share one lock. Each
-    thread has a piece buffer and mask, 9 bytes per entry of a TOP_K_BLOCK
-    x (2 TOP_K_BLOCK - 1) piece at most with ``exclude_self``, and a
-    SELECT_ROWS-row selection copy, all made on the calling thread: memory
-    is O(TOP_K_BLOCK^2 + n k).
+    :func:`share` runs the diagonal pieces, then the surviving tiles; k-th
+    reads and merges share one lock. Each thread holds a piece buffer and
+    mask, 9 bytes per entry of a TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) piece at
+    most, and a SELECT_ROWS-row selection copy: O(TOP_K_BLOCK^2 + n k).
     """
-    n_q, n_c = queries.shape[0], corpus.shape[0]
+    n = u.shape[0]
     # sentinel entries sort after every real candidate
-    idx, sim = np.full((n_q, k), n_c), np.full((n_q, k), -np.inf)
-    n_strips, n_blocks = -(-n_q // TOP_K_BLOCK), max(1, n_c // TOP_K_BLOCK)
-    lock = threading.RLock()  # reentrant: the dense path merges while holding it
+    idx, sim = np.full((n, k), n), np.full((n, k), -np.inf)
+    n_strips, n_blocks = -(-n // TOP_K_BLOCK), max(1, n // TOP_K_BLOCK)
+    lock = threading.RLock()  # reentrant: a diagonal piece merges while holding it
 
     def merge(rows, cand, vals):
         # each list row in ``rows`` keeps its k best of itself and its candidates
@@ -274,79 +292,52 @@ def _top_k(queries: np.ndarray, corpus: np.ndarray, k: int, exclude_self: bool):
             by_sim = np.argsort(-s)
             rank = np.empty(s.size, dtype=np.int64)
             rank[by_sim] = np.cumsum(np.r_[True, s[by_sim][1:] != s[by_sim][:-1]])
-            order = np.argsort(((r - at[0]) * (s.size + 1) + rank) * (n_c + 1) + i)
+            order = np.argsort(((r - at[0]) * (s.size + 1) + rank) * (n + 1) + i)
             take = order[np.searchsorted(r[order], at)[:, None] + np.arange(k)]
             idx[at], sim[at] = i[take], s[take]
 
-    def keep(block, lo, first, mask, column_side):
-        # merge the entries of ``block`` (query rows from lo, corpus rows from
-        # first) at or above the running k-th of their row, or of their column
-        m, w = block.shape
-        with lock:
-            kth = (sim[first:first + w, k - 1] if column_side
-                   else sim[lo:lo + m, k - 1, None]).copy()
-        hit = mask[:block.size].reshape(block.shape)
-        r, c = np.divmod(np.flatnonzero(np.greater_equal(block, kth, out=hit)), w)
-        if r.size:
-            merge(*((first + c, lo + r) if column_side else (lo + r, first + c)), block[r, c])
-
-    def piece(a, b, buf, part, mask):
-        lo, first, hi = a * TOP_K_BLOCK, b * TOP_K_BLOCK, min((a + 1) * TOP_K_BLOCK, n_q)
-        stop = n_c if not exclude_self or n_c - first < 2 * TOP_K_BLOCK else first + TOP_K_BLOCK
-        block = np.matmul(queries[lo:hi], corpus[first:stop].T,
+    def piece(ab, buf, part, mask):
+        a, b = ab
+        lo, first, hi = a * TOP_K_BLOCK, b * TOP_K_BLOCK, min((a + 1) * TOP_K_BLOCK, n)
+        stop = n if n - first < 2 * TOP_K_BLOCK else first + TOP_K_BLOCK
+        block = np.matmul(u[lo:hi], u[first:stop].T,
                           out=buf[:(hi - lo) * (stop - first)].reshape(hi - lo, -1))
-        if b == (a if exclude_self else 0):
-            # the strip's first piece: its own block, or the first columns, densely
-            own = hi - lo if exclude_self else min(TOP_K_BLOCK, n_c)
-            if exclude_self:
-                np.fill_diagonal(block, -np.inf)  # each row's own column
-            k_sel = min(k, own - exclude_self)
+        if a == b:  # the strip's own block, densely
+            own = hi - lo
+            np.fill_diagonal(block, -np.inf)  # each row's own column
+            k_sel = min(k, own - 1)
             if k_sel:
-                reach = mask[:(hi - lo) * own].reshape(hi - lo, own)
+                reach = mask[:own * own].reshape(own, own)
                 cand, vals = _select_block(block[:, :own], k_sel, part, reach)
-                # (-sim, index) order: cand ascends, and a stable sort keeps ties so
-                order = np.argsort(-vals, axis=1, kind="stable")
-                cand, vals = (np.take_along_axis(x, order, axis=1) for x in (cand + first, vals))
+                cand += first
                 with lock:  # list rows still empty take them as they are
                     if np.isneginf(sim[lo:hi, 0]).all():
                         idx[lo:hi, :k_sel], sim[lo:hi, :k_sel] = cand, vals
                     else:
                         merge(np.repeat(np.arange(lo, hi), k_sel), cand.ravel(), vals.ravel())
             block, first = block[:, own:], first + own
-        for column_side in (False, True)[:1 + exclude_self]:
-            keep(block, lo, first, mask, column_side)
+        # merge the entries at or above the running k-th of their row, then
+        # of their column (rows from lo, columns from first)
+        w = block.shape[1]
+        hit = mask[:block.size].reshape(block.shape)
+        for column_side in (False, True):
+            with lock:
+                kth = (sim[first:first + w, k - 1] if column_side
+                       else sim[lo:hi, k - 1, None]).copy()
+            r, c = np.divmod(np.flatnonzero(np.greater_equal(block, kth, out=hit)), w)
+            if r.size:
+                merge(*((first + c, lo + r) if column_side else (lo + r, first + c)), block[r, c])
 
-    size = min(TOP_K_BLOCK, n_q) * (n_c - (n_blocks - 1) * TOP_K_BLOCK if exclude_self else n_c)
-    bufs = [(np.empty(size), np.empty(min(SELECT_ROWS, n_q) * min(TOP_K_BLOCK, n_c)),
+    size = min(TOP_K_BLOCK, n) * (n - (n_blocks - 1) * TOP_K_BLOCK)
+    bufs = [(np.empty(size), np.empty(min(SELECT_ROWS, n) * min(TOP_K_BLOCK, n)),
              np.empty(size, dtype=bool)) for _ in range(1 + (n_strips > 1))]
-
-    def claim(pieces):
-        with lock:
-            return next(pieces, None)
-
-    def drain(pieces, *scratch):
-        while (ab := claim(pieces)) is not None:
-            piece(*ab, *scratch)
-
-    def run(pieces):
-        unclaimed = iter(pieces)
-        helper = pool.submit(drain, unclaimed, *bufs[1]) if len(pieces) > 1 else None
-        drain(unclaimed, *bufs[0])
-        if helper:
-            helper.result()
-
-    # the worker thread starts with the first submit, so one piece starts none
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # the last strip first: a partial one is tiny, and its rows' k-th is
-        # then set before the glued piece next to it reaches their column side
-        run([(a, a if exclude_self else 0) for a in (n_strips - 1, *range(n_strips - 1))])
-        if exclude_self:
-            need = _tile_plan(queries, sim[:, k - 1])
-            run([(a, b) for a, b in zip(*np.nonzero(np.triu(need, 1))) if b < n_blocks])
-            computed = int(need[np.triu_indices(n_strips)].sum())
-            tiles = (computed, n_strips * (n_strips + 1) // 2 - computed)
-        else:
-            tiles = (n_strips * -(-n_c // TOP_K_BLOCK), 0)
+    # the last strip first: a partial one is tiny, and its rows' k-th is
+    # then set before the glued piece next to it reaches their column side
+    share([(a, a) for a in (n_strips - 1, *range(n_strips - 1))], piece, bufs)
+    need = _tile_plan(u, sim[:, k - 1])
+    share([(a, b) for a, b in zip(*np.nonzero(np.triu(need, 1))) if b < n_blocks], piece, bufs)
+    computed = int(need[np.triu_indices(n_strips)].sum())
+    tiles = (computed, n_strips * (n_strips + 1) // 2 - computed)
     return idx, sim, tiles, sum(x.nbytes for triple in bufs for x in triple)
 
 
@@ -384,7 +375,10 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
                               "clamping", stacklevel=3)
         if k_eff < 1:
             return (0, 0), 0
-        idx, s, tiles, held = _top_k(queries, unlab, k_eff, what == "intra-unlabeled")
+        if what == "intra-unlabeled":
+            idx, s, tiles, held = _top_k(queries, k_eff)
+        else:
+            (idx, s, held), tiles = _nearest(queries, unlab, k_eff), (0, 0)
         rows.append(np.repeat(np.arange(queries.shape[0]), k_eff) + offset)
         cols.append(idx.ravel() + off_u)
         sims.append(s.ravel())

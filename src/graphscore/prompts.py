@@ -7,20 +7,19 @@ representatives per class. Clustering is fully deterministic for a given
 seed: k-means++ seeding from a PCG64 generator, Lloyd iterations capped at
 100, convergence when no center moves more than 1e-6, ties and empty
 clusters repaired by fixed index rules, and centers returned in
-lexicographic row order.
+lexicographic row order. Classes are reduced in blocks that the calling
+thread and one worker thread share (:func:`graphscore.store.share`).
 """
 
 import json
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .store import (EmbeddingMatrix, _lock, load_json, load_unit_matrix, read_npy, save_matrix,
-                    typed, typed_list, unit_rows)
+                    share, typed, typed_list, unit_rows)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
@@ -194,13 +193,8 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     normalized in place by :func:`unit_rows`, which names the file and row
     of a zero, NaN or inf row.
 
-    The calling thread and, with more than one block, one worker thread
-    alive only for this call each take the next unclaimed block until none
-    is left; numpy releases the GIL in reading and in the array work, so the
-    two overlap on a second core. Every class draws from its own PCG64
-    stream, so no output depends on which thread ran its block. After a
-    failed block neither thread claims another, and once both are done the
-    error of the lowest failed block is raised unchanged.
+    :func:`share` runs the blocks on two threads. Every class draws from its
+    own PCG64 stream, so no output depends on which thread ran its block.
     """
     if min(clusters) < 1:
         raise ValueError(f"clusters must be >= 1, got {list(clusters)}")
@@ -208,7 +202,17 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     n_classes, (n_t, dim) = len(paths), first.shape
     check(paths[0], dim)
 
-    def load(lo, hi, buf):
+    for n_c in sorted(set(clusters)):
+        if n_c > n_t:
+            warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=2)
+    counts = sorted({min(n_c, n_t) for n_c in clusters})
+    centers = {k: np.empty((n_classes, k, dim)) for k in counts}
+    block = max(1, LLOYD_BLOCK_BYTES // (n_t * dim * 8))
+    starts = range(0, n_classes, block)
+
+    def reduce(lo, buf, scratch):
+        # the block's files into ``buf``, then to every set asked for
+        hi = min(lo + block, n_classes)
         for c, rows in zip(range(lo, hi), buf):
             def slot(shape):
                 check(paths[c], shape[1])
@@ -222,48 +226,14 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
             else:
                 read_npy(paths[c], rank=2, slot=slot)
             unit_rows(rows, paths[c], out=rows)
-        return buf[:hi - lo]
+        for k, out in centers.items():
+            out[lo:hi] = (buf[:hi - lo].mean(axis=1, keepdims=True) if k == 1
+                          else _lloyd(buf[:hi - lo], k, seed, lo, scratch)[0])
 
-    for n_c in sorted(set(clusters)):
-        if n_c > n_t:
-            warnings.warn(f"n_c={n_c} exceeds template count {n_t}; clamping", stacklevel=2)
-    counts = sorted({min(n_c, n_t) for n_c in clusters})
-    centers = {k: np.empty((n_classes, k, dim)) for k in counts}
-    block = max(1, LLOYD_BLOCK_BYTES // (n_t * dim * 8))
-    starts = range(0, n_classes, block)
-    unclaimed, claim, failed = iter(starts), threading.Lock(), []
-
-    def drain(buf, scratch):
-        while True:
-            with claim:
-                lo = next(unclaimed, None)
-            if lo is None:
-                return
-            try:
-                points = load(lo, min(lo + block, n_classes), buf)
-                for k, out in centers.items():
-                    out[lo:lo + len(points)] = (points.mean(axis=1, keepdims=True) if k == 1
-                                                else _lloyd(points, k, seed, lo, scratch)[0])
-            except BaseException as exc:
-                with claim:  # the other thread takes no further block
-                    failed.append((lo, exc))
-                    for _ in unclaimed:
-                        pass
-                return
-
-    # every buffer comes from the calling thread: one freed on the
-    # short-lived worker stays resident in that thread's malloc arena
-    shape = (min(2, len(starts)), min(block, n_classes), n_t, dim)
-    bufs = np.empty(shape)
-    scratch = np.empty(shape) if max(centers) > 1 else [None] * shape[0]
-    # the worker thread starts with the first submit, so one block starts none
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for args in zip(bufs[1:], scratch[1:]):
-            worker.submit(drain, *args)
-        drain(bufs[0], scratch[0])
-    del bufs, scratch  # before the sets below are built, to lower the peak
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+    shape = (min(block, n_classes), n_t, dim)
+    bufs = [(np.empty(shape), np.empty(shape) if max(centers) > 1 else None) for _ in starts[:2]]
+    share(starts, reduce, bufs)
+    del bufs  # before the sets below are built, to lower the peak
     sets = {}
     for k, out in centers.items():
         # one norm per mean, as a dot product (norm(axis=2) sums differently)

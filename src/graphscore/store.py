@@ -1,6 +1,7 @@
 """Loading, validation, and persistence of embedding matrices, flag tables
-and JSON files. Every input file is read here; which files make up one
-dataset, and how they must agree, is the manifest schema in
+and JSON files, and :func:`share`, the two-thread task loop of the KNN build
+and the prompt pool pass. Every input file is read here; which files make up
+one dataset, and how they must agree, is the manifest schema in
 :func:`graphscore.cli.load_dataset`.
 
 NPY files are read and written with ``numpy.lib.format``, restricted to a
@@ -19,6 +20,8 @@ import io
 import json
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +44,39 @@ class NpyFormatError(ValueError):
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def share(tasks, work, scratch) -> None:
+    """Run ``work(task, *scratch[0])`` on the calling thread and, with more
+    than one task, ``work(task, *scratch[1])`` on a worker thread alive only
+    for this call, each thread claiming the next task in order. numpy
+    releases the GIL in products, sorts and file reads, so the threads
+    overlap on two cores. The caller makes every buffer on its own thread:
+    one freed on the short-lived worker would stay in that thread's malloc
+    arena. Once a task raises, neither thread claims another; when both are
+    done, the error of the first failed task in task order is raised as is.
+    """
+    unclaimed, claim, failed = enumerate(tasks), threading.Lock(), []
+
+    def drain(*buffers):
+        while True:
+            with claim:  # no further task once one has failed
+                i, task = (None, None) if failed else next(unclaimed, (None, None))
+            if i is None:
+                return
+            try:
+                work(task, *buffers)
+            except BaseException as exc:  # raised below, once both threads are done
+                failed.append((i, exc))
+
+    # the worker thread starts with the first submit, so one task starts none
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        helper = worker.submit(drain, *scratch[1]) if len(tasks) > 1 else None
+        drain(*scratch[0])
+        if helper:
+            helper.result()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,45 @@
+import threading
+from concurrent.futures import Future
+
+import pytest
+
+from graphscore import store
+
+
+class _InlineExecutor:
+    # runs each submitted call at once on the calling thread
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.fixture
+def inline_worker(monkeypatch):
+    """A switch after which the worker of ``store.share`` runs on the calling
+    thread, at once: it takes every task, with the second buffer set,
+    before the calling thread takes one."""
+    return lambda: monkeypatch.setattr(store, "ThreadPoolExecutor", _InlineExecutor)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started

@@ -2,7 +2,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from graphscore.graph import (
     TOP_K_BLOCK,
     BlockAdjacency,
     NodePartition,
+    _nearest,
     _top_k,
     build_adjacency,
     normalize,
@@ -46,8 +46,7 @@ def _dense(adj):
 # knn ------------------------------------------------------------------
 
 def test_knn_trivial():
-    idx, sims, *_ = _top_k(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                           k=1, exclude_self=False)
+    idx, sims, _ = _nearest(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]), k=1)
     assert idx.tolist() == [[0]] and sims.tolist() == [[1.0]]
 
 
@@ -66,7 +65,7 @@ def test_knn_dim_mismatch():
 
 def test_knn_matches_brute_force_oracle():
     corpus = _units(7, 50, 16).data
-    idx, sims, *_ = _top_k(corpus, corpus, k=5, exclude_self=True)
+    idx, sims, *_ = _top_k(corpus, k=5)
     expected = brute_knn(corpus, corpus, 5, True)
     assert idx.tolist() == [[c for _, c, _ in row] for row in expected]
     np.testing.assert_allclose(sims, [[s for *_, s in row] for row in expected],
@@ -74,8 +73,8 @@ def test_knn_matches_brute_force_oracle():
 
 
 def test_knn_tie_breaks_to_lower_index():
-    idx, *_ = _top_k(np.array([[1.0, 0.0]]),
-                    np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), k=2, exclude_self=False)
+    idx, *_ = _nearest(np.array([[1.0, 0.0]]),
+                       np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), k=2)
     assert idx.tolist() == [[1, 2]]
 
 
@@ -123,7 +122,7 @@ def test_top_k_matches_full_sort_reference(seed, n, n_distinct, k, exclude_self,
         queries = np.vstack([corpus[:3], random_unit_rows(rng, 2, 3),
                              corpus[rng.integers(0, n, n_drawn)]])
     k = min(k, n - exclude_self)
-    idx, sims, *_ = _top_k(queries, corpus, k, exclude_self)
+    idx, sims = (_top_k(corpus, k) if exclude_self else _nearest(queries, corpus, k))[:2]
     ref_idx, ref_sims = _top_k_full_sort(queries, corpus, k, exclude_self)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
@@ -218,7 +217,7 @@ def _noisy_tail(rng):
 
 
 def _assert_top_k_exact(u, k):
-    idx, sims, (computed, skipped), _ = _top_k(u, u, k, exclude_self=True)
+    idx, sims, (computed, skipped), _ = _top_k(u, k)
     ref_idx, ref_sims = _top_k_full_sort(u, u, k, True)
     np.testing.assert_array_equal(idx, ref_idx)
     assert sims.tobytes() == ref_sims.tobytes()
@@ -271,7 +270,7 @@ def test_top_k_peak_memory_is_two_pieces():
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            _, _, (_, skipped), held = _top_k(corpus, corpus, k, exclude_self=True)
+            _, _, (_, skipped), held = _top_k(corpus, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,38 +279,75 @@ def test_top_k_peak_memory_is_two_pieces():
         assert peak < held + 64 * n * k < TOP_K_BLOCK * n * 8, (n, peak, held)
 
 
-class _InlineExecutor:
-    # runs each submitted call at once on the calling thread
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-@pytest.mark.parametrize("exclude_self", [True, False])
-def test_top_k_without_a_worker_keeps_the_threaded_bytes(monkeypatch, exclude_self):
+@pytest.mark.parametrize("self_search", [True, False])
+def test_top_k_without_a_worker_keeps_the_threaded_bytes(inline_worker, self_search):
     # the inline "worker" takes every piece before the calling thread takes
     # one, so pieces merge in another order, all with the second buffer set
     rng = np.random.default_rng(7)
     corpus = _noisy_tail(rng)
-    queries = corpus if exclude_self else random_unit_rows(rng, TOP_K_BLOCK + 190, 8)
-    threaded = _top_k(queries, corpus, 10, exclude_self)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", _InlineExecutor)
-    inline = _top_k(queries, corpus, 10, exclude_self)
+    queries = random_unit_rows(rng, TOP_K_BLOCK + 190, 8)
+
+    def search():
+        return _top_k(corpus, 10) if self_search else _nearest(queries, corpus, 10)
+
+    threaded = search()
+    inline_worker()
+    inline = search()
     assert inline[0].tobytes() == threaded[0].tobytes()
     assert inline[1].tobytes() == threaded[1].tobytes()
     assert inline[2:] == threaded[2:]
-    if exclude_self:
+    if self_search:
         assert threaded[2][1] > 0
+
+
+@pytest.mark.parametrize("raiser", ["caller", "worker"])
+@pytest.mark.parametrize("search", ["top_k", "nearest"])
+def test_failed_selection_stops_both_threads(monkeypatch, thread_starts, search, raiser):
+    # eight strips: the diagonal pieces of _top_k, or _nearest's strips; the
+    # thread that does not fail waits in its first selection until the
+    # other one fails, then may finish at most one more, and claims nothing
+    rows = random_unit_rows(np.random.default_rng(8), 8 * TOP_K_BLOCK, 8)
+    before = threading.active_count()
+    select, caller, failed = graph._select_block, threading.current_thread(), threading.Event()
+    boom, after = RuntimeError("selection failed"), []
+
+    def flaky(*args):
+        if (threading.current_thread() is caller) == (raiser == "caller"):
+            if not failed.is_set():
+                failed.set()
+                raise boom
+        elif failed.is_set():
+            after.append(1)
+        else:
+            failed.wait(timeout=10)
+        return select(*args)
+
+    monkeypatch.setattr(graph, "_select_block", flaky)
+    with pytest.raises(RuntimeError) as caught:
+        _top_k(rows, 4) if search == "top_k" else _nearest(rows, rows[:600], 4)
+    assert caught.value is boom and failed.is_set()
+    assert len(after) <= 1
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_nearest_selects_corpus_rows_wider_than_the_selection_rows(monkeypatch):
+    # one SELECT_ROWS x TOP_K_BLOCK selection copy holds less than one row of
+    # a 700-wide corpus: the copy must grow to a row, or no row is selected
+    monkeypatch.setattr(graph, "SELECT_ROWS", 1)
+    rng = np.random.default_rng(9)
+    corpus, queries = random_unit_rows(rng, 700, 8), random_unit_rows(rng, 5, 8)
+    idx, sims, _ = _nearest(queries, corpus, 6)
+    expected = brute_knn(queries, corpus, 6)
+    assert idx.tolist() == [[c for _, c, _ in row] for row in expected]
+    np.testing.assert_allclose(sims, [[s for *_, s in row] for row in expected],
+                               rtol=0, atol=1e-12)
+    # a 2-row strip at d = 512 keeps the bits of its full-width product
+    corpus, queries = random_unit_rows(rng, 700, 512), random_unit_rows(rng, 2, 512)
+    idx, sims, _ = _nearest(queries, corpus, 6)
+    ref_idx, ref_sims = _top_k_full_sort(queries, corpus, 6, False)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert sims.tobytes() == ref_sims.tobytes()
 
 
 # adjacency ------------------------------------------------------------
@@ -379,20 +415,14 @@ def _weight_bytes(adj):
     return w.data.tobytes(), w.indices.tobytes(), w.indptr.tobytes()
 
 
-def test_top_k_leaves_no_thread_behind(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def spy(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
+def test_top_k_leaves_no_thread_behind(thread_starts):
+    started = thread_starts
     protos, lab, unlab = _strips_input(0)
     before = threading.active_count()
     build_adjacency(protos, lab, unlab, k=4)
     # the labeled and unlabeled blocks span several strips: one worker each,
-    # and neither outlives its call
+    # and neither outlives its call; the unlabeled tile pass has a single
+    # piece, glued to the partial last block, so it starts no second one
     assert len(started) == 2 and not any(t.is_alive() for t in started)
     assert threading.active_count() == before
     started.clear()

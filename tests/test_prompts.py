@@ -429,25 +429,13 @@ def test_blocks_of_classes_match_reference(tmp_path):
     _assert_matches_reference(*_pool_files(tmp_path, stack), k, seeds=(0,))
 
 
-def _spy_thread_starts(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def spy(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
-
-
-def test_threaded_blocks_match_reference(tmp_path, monkeypatch):
+def test_threaded_blocks_match_reference(tmp_path, monkeypatch, thread_starts, inline_worker):
     # nine classes in blocks of two: five blocks, shared by the calling thread
     # and one worker thread that does not outlive the call
     n_t, dim, k = 40, 32, 3
     paths, stack = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(26), 9, n_t, dim, k))
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
-    started = _spy_thread_starts(monkeypatch)
+    started = thread_starts
     before = threading.active_count()
     for seed in (0, 5):
         started.clear()
@@ -459,6 +447,10 @@ def test_threaded_blocks_match_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", stack.nbytes)
     _assert_reference_sets(pool_prototypes(paths, [k], 0), stack, 0)
     assert started == []
+    # every block on the "worker", with the second buffer set
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
+    inline_worker()
+    _assert_reference_sets(pool_prototypes(paths, [1, k], 5), stack, 5)
 
 
 def test_concurrent_callers_match_reference(tmp_path, monkeypatch):
@@ -490,11 +482,11 @@ def test_concurrent_callers_match_reference(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("raiser", ["worker", "caller"])
-def test_block_error_comes_out_unchanged(tmp_path, monkeypatch, raiser):
+def test_block_error_comes_out_unchanged(tmp_path, monkeypatch, thread_starts, raiser):
     n_t, dim, k = 40, 32, 3
     paths = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(27), 9, n_t, dim, k))[0]
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 2 * n_t * dim * 8)
-    started = _spy_thread_starts(monkeypatch)
+    started = thread_starts
     before = threading.active_count()
     lloyd, caller, failed = prompts._lloyd, threading.current_thread(), threading.Event()
     boom, streams = RuntimeError("block failed"), []

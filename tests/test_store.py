@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from graphscore.store import (
     save_matrix,
     read_npy,
     save_vector,
+    share,
     unit_rows,
 )
 
@@ -552,3 +554,41 @@ def test_manifest_repeated_key_names_the_file(tmp_path):
     (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="manifest.json: repeated keys \\['C_in'\\]"):
         load_dataset(tmp_path / "manifest.json")
+
+
+def test_share_runs_every_task_once_with_its_threads_buffers(thread_starts):
+    caller, ran = threading.current_thread(), []
+    share(range(50), lambda task, name: ran.append((task, name, threading.current_thread())),
+          [("caller",), ("worker",)])
+    assert sorted(task for task, *_ in ran) == list(range(50))
+    assert all((thread is caller) == (name == "caller") for _, name, thread in ran)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    # one task runs on the calling thread, which needs no second buffer set
+    thread_starts.clear()
+    share([7], lambda task, name: ran.append((task, name)), [("caller",)])
+    assert ran[-1] == (7, "caller") and thread_starts == []
+
+
+@pytest.mark.parametrize("late", ["caller", "worker"])
+def test_share_raises_the_first_failed_task_unchanged(thread_starts, late):
+    # each thread fails the one task it holds, the ``late`` one after the
+    # other: the error of the lower task comes out, whichever thread held
+    # it, and neither thread claims a third task
+    both, early_failed = threading.Barrier(2, timeout=10), threading.Event()
+    errors = {}
+
+    def work(task, name):
+        errors[task] = RuntimeError(f"task {task}")
+        both.wait()
+        if name == late:
+            early_failed.wait(timeout=10)
+        else:
+            early_failed.set()
+        raise errors[task]
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        share(range(8), work, [("caller",), ("worker",)])
+    assert sorted(errors) == [0, 1] and caught.value is errors[0]
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert threading.active_count() == before
