@@ -23,21 +23,27 @@ def cosine_scores(samples, prototypes: PrototypeSet, temperature: float = 1.0) -
 
     Per class, distance is 1 minus the best cosine similarity over that
     class's prototypes; the returned score is the largest softmax weight of
-    exp(-distance / temperature) across classes, in (0, 1].
+    exp(-distance / temperature) across classes, in (0, 1]. The call holds
+    the (n, P) product with the P prototypes and, unless every class has one
+    prototype in class order, one (n, C) array of class bests.
     """
     if not 0 < temperature < np.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     data = np.asarray(samples, dtype=np.float64)
-    sims = data @ prototypes.vectors.data.T
-    n_classes = prototypes.n_classes
-    class_best = np.empty((data.shape[0], n_classes))
-    for c, members in enumerate(prototypes.class_members):
-        class_best[:, c] = sims[:, members].max(axis=1)
-    logits = -(1.0 - class_best) / temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs.max(axis=1)
+    best = data @ prototypes.vectors.data.T
+    # class means (one prototype per class, in class order) need no per-class max
+    if not np.array_equal(prototypes.class_of, np.arange(prototypes.count)):
+        sims, best = best, np.empty((data.shape[0], prototypes.n_classes))
+        for c in range(best.shape[1]):
+            sims[:, prototypes.class_of == c].max(axis=1, out=best[:, c])
+        del sims
+    # (best - 1) / t has the bits of -(1 - best) / t: rounding is symmetric in sign
+    best -= 1.0
+    best /= temperature
+    best -= best.max(axis=1, keepdims=True)
+    np.exp(best, out=best)
+    best /= best.sum(axis=1, keepdims=True)
+    return best.max(axis=1)
 
 
 def shortest_path_distances(adj: BlockAdjacency, sources) -> np.ndarray:

@@ -14,17 +14,16 @@ thread and one worker thread share (:func:`graphscore.store.share`).
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .store import (EmbeddingMatrix, _lock, load_json, load_unit_matrix, read_npy, save_matrix,
-                    share, typed, typed_list, unit_rows)
+from .store import (EmbeddingMatrix, _chunk_rows, _lock, load_json, load_unit_matrix, read_npy,
+                    save_matrix, share, typed, typed_list, unit_rows)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
 # float64 templates per class block; each thread of a pass holds one block
-# buffer of this size when it reads files, and one of K-means scratch
+# buffer of this size, which it reads files into and K-means only reads
 LLOYD_BLOCK_BYTES = 8 << 20
 
 
@@ -45,7 +44,8 @@ class PrototypeSet:
         missing = np.setdiff1d(np.arange(class_of.max() + 1), class_of)
         if missing.size:
             raise ValueError(f"class_of has no prototype for class ids {missing.tolist()}")
-        norms = np.linalg.norm(self.vectors.data, axis=1)
+        # a per-row dot: norm(axis=1) would hold a (P, d) square
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors.data, self.vectors.data))
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError("prototype rows must be unit-normalized")
         object.__setattr__(self, "class_of", _lock(class_of))
@@ -58,19 +58,20 @@ class PrototypeSet:
     def n_classes(self) -> int:
         return int(self.class_of.max()) + 1
 
-    @cached_property
-    def class_members(self) -> tuple:
-        """Row indices per class, in class order."""
-        return tuple(np.nonzero(self.class_of == c)[0] for c in range(self.n_classes))
+
+def _sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # (B, T) squared distances of the templates to their class's center, a
+    # chunk of classes at a time; each sum runs over one row, so no bit moves
+    step = min(_chunk_rows(points), len(points))
+    buf, out = np.empty((step, *points.shape[1:])), np.empty(points.shape[:2])
+    for lo in range(0, len(points), step):
+        part = buf[:len(points) - lo]
+        np.subtract(points[lo:lo + step], centers[lo:lo + step, None, :], out=part)
+        np.square(part, out=part).sum(axis=2, out=out[lo:lo + step])
+    return out
 
 
-def _sq_dist(points: np.ndarray, centers: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    # (B, T) squared distances of the templates to their class's center, via the scratch
-    np.subtract(points, centers[:, None, :], out=buf)
-    return np.square(buf, out=buf).sum(axis=2)
-
-
-def _kmeans_pp_init(points: np.ndarray, k: int, seed: int, stream: int, buf) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, seed: int, stream: int) -> np.ndarray:
     n_b, n, _ = points.shape
     rows = np.arange(n_b)
     chosen = np.empty((n_b, k), dtype=np.int64)
@@ -81,7 +82,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, seed: int, stream: int, buf) -> 
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), stream + b])))
         chosen[b, 0] = rng.integers(n)
         draws[b] = rng.random(k - 1)
-    d2 = _sq_dist(points, points[rows, chosen[:, 0]], buf)
+    d2 = _sq_dist(points, points[rows, chosen[:, 0]])
     for j in range(1, k):
         total = d2.sum(axis=1)
         # searchsorted(cumsum, r, side="right") as a count of entries <= r
@@ -91,7 +92,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, seed: int, stream: int, buf) -> 
             # all mass sits on chosen points: take the lowest-index unused one
             chosen[b, j] = np.setdiff1d(np.arange(n), chosen[b, :j])[0]
         if j < k - 1:  # the last center's distances are never used
-            d2 = np.minimum(d2, _sq_dist(points, points[rows, chosen[:, j]], buf))
+            d2 = np.minimum(d2, _sq_dist(points, points[rows, chosen[:, j]]))
     return points[rows[:, None], chosen]
 
 
@@ -120,54 +121,47 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
         counts[c] += 1
 
 
-def _lloyd(points: np.ndarray, k: int, seed: int, stream: int, scratch=None):
+def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
     """Deterministic K-means over a (B, T, d) block of classes. Returns the
     (B, k, d) centers and an objective history per class.
 
     Class b draws from PCG64 stream ``stream + b`` and iterates until its own
     centers settle. Centers come back in lexicographic row order so results
-    do not depend on the order templates were supplied in. ``scratch``, an
-    array of at least B classes of the block's (T, d) shape, is used instead
-    of a fresh one; its contents do not matter.
+    do not depend on the order templates were supplied in. ``points`` is
+    only read; besides per-class arrays the call holds a chunk of whole
+    classes of at most ``UNIT_BLOCK_BYTES`` (one class, if a class is larger).
     """
-    buf = np.empty_like(points) if scratch is None else scratch[:len(points)]
-    x_sq = np.square(points, out=buf).sum(axis=2)
-    centers = _kmeans_pp_init(points, k, seed, stream, buf)
+    x_sq = _sq_dist(points, np.zeros((len(points), points.shape[2])))  # to 0: squared norms
+    centers = _kmeans_pp_init(points, k, seed, stream)
     history = [[] for _ in points]
     live = np.arange(len(points))  # classes still iterating
-    x, cur = points, centers
-    assign, d2 = _assign(x, x_sq, cur)
+    # settled classes stay in the batched assignment, whose rows have the
+    # same bits whatever else is in the batch, and keep their centers
+    assign, d2 = _assign(points, x_sq, centers)
     for it in range(_LLOYD_MAX_ITER):
-        rows = np.arange(live.size)
-        counts = (assign[:, :, None] == np.arange(k)).sum(axis=1)
+        rows, prev = np.arange(live.size), assign[live]
+        counts = (prev[:, :, None] == np.arange(k)).sum(axis=1)
         for b in np.nonzero(counts.min(axis=1) == 0)[0]:
-            _repair_empty(assign[b], d2[b], k)
-            counts[b] = np.bincount(assign[b], minlength=k)
+            _repair_empty(prev[b], d2[live[b]], k)
+            counts[b] = np.bincount(prev[b], minlength=k)
         # summed template by template from -0.0: the bits of points[assign == c].mean(axis=0)
-        new = np.full_like(cur, -0.0)
-        for t in range(x.shape[1]):
-            new[rows, assign[:, t]] += x[:, t]
+        new = np.full((live.size, k, points.shape[2]), -0.0)
+        for t in range(points.shape[1]):
+            new[rows, prev[:, t]] += points[live, t]
         new /= counts[:, :, None]
-        prev = assign
-        assign, d2 = _assign(x, x_sq, new)
+        settled = np.max(np.linalg.norm(new - centers[live], axis=2), axis=1) < _LLOYD_TOL
+        centers[live] = new
+        assign, d2 = _assign(points, x_sq, centers)
         # the objective: every template's squared distance to its updated center
-        objective = np.take_along_axis(d2, prev[:, :, None], axis=2).sum(axis=(1, 2))
-        settled = np.max(np.linalg.norm(new - cur, axis=2), axis=1) < _LLOYD_TOL
+        objective = np.take_along_axis(d2[live], prev[:, :, None], axis=2).sum(axis=(1, 2))
         # an unchanged assignment rebuilds the same centers bit for bit, so
         # the next step could only repeat this objective and settle
-        repeat = ~settled & (assign == prev).all(axis=1) & (it + 1 < _LLOYD_MAX_ITER)
+        repeat = ~settled & (assign[live] == prev).all(axis=1) & (it + 1 < _LLOYD_MAX_ITER)
         for b, obj, again in zip(live, objective, repeat):
             history[b] += [float(obj)] * (1 + again)
-        settled |= repeat
-        centers[live] = new
-        if settled.all():
+        live = live[~(settled | repeat)]
+        if not live.size:
             break
-        if settled.any():
-            live, x_sq, new, assign, d2 = (a[~settled] for a in (live, x_sq, new, assign, d2))
-            # the remaining classes move to the front of the scratch; the indices
-            # are in range, and "clip" skips the buffered copy "raise" makes
-            x = np.take(points, live, axis=0, out=buf[:live.size], mode="clip")
-        cur = new
     if any((np.diff(h) > 1e-9).any() for h in history):
         raise RuntimeError("k-means objective increased between iterations")
     # lexicographic order: column 0 decides unless two of a class's centers tie on it
@@ -188,8 +182,9 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     count are clamped with a warning. Classes run in blocks of
     ``LLOYD_BLOCK_BYTES``: a block's files are read into a block buffer,
     each file once, and reduced to every set asked for before the next
-    block, so no ``(C, T, d)`` stack is ever held. Every file must have the
-    first file's shape and pass ``check(path, dim)``, and its rows are
+    block, so no ``(C, T, d)`` stack is ever held; :func:`_lloyd` only reads
+    the block, so every count clusters the same buffer. Every file must have
+    the first file's shape and pass ``check(path, dim)``, and its rows are
     normalized in place by :func:`unit_rows`, which names the file and row
     of a zero, NaN or inf row.
 
@@ -210,7 +205,7 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     block = max(1, LLOYD_BLOCK_BYTES // (n_t * dim * 8))
     starts = range(0, n_classes, block)
 
-    def reduce(lo, buf, scratch):
+    def reduce(lo, buf):
         # the block's files into ``buf``, then to every set asked for
         hi = min(lo + block, n_classes)
         for c, rows in zip(range(lo, hi), buf):
@@ -228,12 +223,10 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
             unit_rows(rows, paths[c], out=rows)
         for k, out in centers.items():
             out[lo:hi] = (buf[:hi - lo].mean(axis=1, keepdims=True) if k == 1
-                          else _lloyd(buf[:hi - lo], k, seed, lo, scratch)[0])
+                          else _lloyd(buf[:hi - lo], k, seed, lo)[0])
 
-    shape = (min(block, n_classes), n_t, dim)
-    bufs = [(np.empty(shape), np.empty(shape) if max(centers) > 1 else None) for _ in starts[:2]]
-    share(starts, reduce, bufs)
-    del bufs  # before the sets below are built, to lower the peak
+    # one block buffer per thread, freed before the sets below are built
+    share(starts, reduce, [(np.empty((min(block, n_classes), n_t, dim)),) for _ in starts[:2]])
     sets = {}
     for k, out in centers.items():
         # one norm per mean, as a dot product (norm(axis=2) sums differently)
@@ -243,7 +236,8 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
         if small.any():
             raise ValueError(f"zero-norm {'mean' if k == 1 else 'cluster center'} "
                              f"for class {int(np.argmax(small))}")
-        sets[k] = PrototypeSet(EmbeddingMatrix((out / norms[:, :, None]).reshape(-1, dim)),
+        out /= norms[:, :, None]  # in place, so the matrix adopts ``out`` without a copy
+        sets[k] = PrototypeSet(EmbeddingMatrix(out.reshape(-1, dim)),
                                class_of=np.repeat(np.arange(n_classes), k), clusters_per_class=k)
     return {n_c: sets[min(n_c, n_t)] for n_c in clusters}
 

@@ -89,6 +89,58 @@ def test_temperature_sharpens_softmax():
     assert abs(scores[2] - 1.0 / (1.0 + math.exp(-2.0))) < 1e-12
 
 
+def _ref_cosine_scores(samples, prototypes, temperature=1.0):
+    # a verbatim copy of the formula that the in-place version replaced, with
+    # the class_members property it read spelled out
+    data = np.asarray(samples, dtype=np.float64)
+    sims = data @ prototypes.vectors.data.T
+    n_classes = prototypes.n_classes
+    class_best = np.empty((data.shape[0], n_classes))
+    for c in range(n_classes):
+        members = np.nonzero(prototypes.class_of == c)[0]
+        class_best[:, c] = sims[:, members].max(axis=1)
+    logits = -(1.0 - class_best) / temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs.max(axis=1)
+
+
+def _cosine_cases(n=500, n_classes=100, dim=16):
+    """(samples, prototypes, temperature): one prototype per class in class
+    order, three per class under a shuffled ``class_of``, and tau = 0.5.
+    Some samples are copies of prototypes, so some class bests are exactly 1."""
+    rng = np.random.default_rng(41)
+    ordered = _protos(random_unit_rows(rng, n_classes, dim))
+    shuffled = _protos(random_unit_rows(rng, 3 * n_classes, dim),
+                       class_of=rng.permutation(np.repeat(np.arange(n_classes), 3)))
+    samples = random_unit_rows(rng, n, dim)
+    samples[:10] = ordered.vectors.data[:10]
+    samples[10:20] = shuffled.vectors.data[:10]
+    return [(samples, ordered, 1.0), (samples, shuffled, 1.0), (samples, ordered, 0.5)]
+
+
+def test_cosine_scores_match_the_reference_bytes():
+    for samples, protos, tau in _cosine_cases():
+        got = cosine_scores(samples, protos, tau)
+        assert got.tobytes() == _ref_cosine_scores(samples, protos, tau).tobytes(), tau
+
+
+def test_cosine_scores_hold_one_product_and_one_class_array():
+    import tracemalloc
+
+    for samples, protos, tau in _cosine_cases():
+        bound = 8 * samples.shape[0] * (protos.count + protos.n_classes) + (64 << 10)
+        tracemalloc.start()
+        try:
+            cosine_scores(samples, protos, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, P) product, the (n, C) class bests and small temporaries
+        assert peak <= bound, (peak, bound)
+
+
 # manifold ---------------------------------------------------------------
 
 def _manual_adjacency(w_dense, n_proto, n_labeled=0):

@@ -13,7 +13,8 @@ from graphscore.prompts import (
     pool_prototypes,
     save_prototypes,
 )
-from graphscore.store import EmbeddingMatrix, NpyFormatError, save_matrix, unit_rows
+from graphscore.store import (UNIT_BLOCK_BYTES, EmbeddingMatrix, NpyFormatError, save_matrix,
+                              unit_rows)
 
 from oracles import exhaustive_kmeans_2, random_unit_rows
 
@@ -162,6 +163,22 @@ def test_prototype_set_requires_unit_rows():
     with pytest.raises(ValueError, match="unit-normalized"):
         PrototypeSet(vectors=EmbeddingMatrix([[2.0, 0.0]]), class_of=[0],
                      clusters_per_class=1)
+
+
+def test_prototype_set_holds_no_copy_of_its_rows():
+    # the unit-norm check of 3,000 x 512 rows takes per-row dots, not a
+    # 12.3 MB square of the matrix
+    import tracemalloc
+
+    vectors = EmbeddingMatrix(random_unit_rows(np.random.default_rng(7), 3000, 512))
+    class_of = np.repeat(np.arange(1000), 3)
+    tracemalloc.start()
+    try:
+        PrototypeSet(vectors=vectors, class_of=class_of, clusters_per_class=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_prototype_round_trip(tmp_path):
@@ -491,13 +508,13 @@ def test_block_error_comes_out_unchanged(tmp_path, monkeypatch, thread_starts, r
     lloyd, caller, failed = prompts._lloyd, threading.current_thread(), threading.Event()
     boom, streams = RuntimeError("block failed"), []
 
-    def flaky(points, k, seed, stream, scratch=None):
+    def flaky(points, k, seed, stream):
         streams.append(stream)
         if (threading.current_thread() is caller) == (raiser == "caller"):
             failed.set()
             raise boom
         failed.wait(timeout=10)  # the other thread's block fails first
-        return lloyd(points, k, seed, stream, scratch)
+        return lloyd(points, k, seed, stream)
 
     monkeypatch.setattr(prompts, "_lloyd", flaky)
     with pytest.raises(RuntimeError) as caught:
@@ -509,6 +526,20 @@ def test_block_error_comes_out_unchanged(tmp_path, monkeypatch, thread_starts, r
         # the worker's block, and at most the one the caller holds; the
         # caller claims no block after the failure
         assert len(streams) <= 2
+
+
+def test_several_counts_match_single_count_passes(tmp_path, monkeypatch):
+    # every count of one pass is clustered from the same block buffer, so
+    # K-means must hand each block back unchanged; blocks of three classes
+    # whose classes settle after different numbers of iterations
+    n_t, dim = 40, 32
+    paths = _pool_files(tmp_path, _bundled_stack(np.random.default_rng(33), 9, n_t, dim, 3))[0]
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 3 * n_t * dim * 8)
+    for seed in (0, 1):
+        sets = pool_prototypes(paths, [2, 3, 5], seed)
+        for n_c in (2, 3, 5):
+            single = pool_prototypes(paths, [n_c], seed)[n_c]
+            assert sets[n_c].vectors.data.tobytes() == single.vectors.data.tobytes(), (seed, n_c)
 
 
 def test_centers_tied_in_column_0_match_reference(tmp_path):
@@ -559,9 +590,10 @@ def _traced_peak(paths):
 
 
 def test_file_pass_memory_does_not_grow_with_the_pool(tmp_path, monkeypatch):
-    # blocks of four 80 x 32 classes: the pass holds two block buffers and two
-    # scratch arrays, 320 KB in all, whatever the class count. Only the
-    # prototype sets grow with C: 4 rows per class against the stack's 80
+    # blocks of four 80 x 32 classes: the pass holds two block buffers and
+    # K-means' chunk of whole classes, at most one block, whatever the class
+    # count. Only the prototype sets grow with C: 4 rows per class against
+    # the stack's 80
     n_t, dim = 80, 32
     monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 4 * n_t * dim * 8)
     rng = np.random.default_rng(31)
@@ -574,7 +606,8 @@ def test_file_pass_memory_does_not_grow_with_the_pool(tmp_path, monkeypatch):
         peak[n_classes], sets = _traced_peak(paths[:n_classes])
         sets_bytes[n_classes] = sum(s.vectors.data.nbytes for s in sets.values())
     # a few copies of the sets while they are normalized and checked
-    assert peak[200] < 4 * prompts.LLOYD_BLOCK_BYTES + 4 * sets_bytes[200] + (64 << 10), peak
+    buffers = 2 * prompts.LLOYD_BLOCK_BYTES + min(prompts.LLOYD_BLOCK_BYTES, UNIT_BLOCK_BYTES)
+    assert peak[200] < buffers + 4 * sets_bytes[200] + (64 << 10), peak
     growth = peak[200] - peak[100]
     assert growth < 4 * (sets_bytes[200] - sets_bytes[100]), (growth, sets_bytes)
     assert growth < raw[100:].nbytes / 4, growth
