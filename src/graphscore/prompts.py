@@ -59,15 +59,17 @@ class PrototypeSet:
         return int(self.class_of.max()) + 1
 
 
-def _sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (B, T) squared distances of the templates to their class's center, a
-    # chunk of classes at a time; each sum runs over one row, so no bit moves
+def _sq_dist(points: np.ndarray, centers=None) -> np.ndarray:
+    # (B, T) squared distances of the templates to their class's center, or
+    # with none their squared norms, a chunk of classes at a time; each sum
+    # runs over one row, so no bit moves
     step = min(_chunk_rows(points), len(points))
     buf, out = np.empty((step, *points.shape[1:])), np.empty(points.shape[:2])
     for lo in range(0, len(points), step):
         part = buf[:len(points) - lo]
-        np.subtract(points[lo:lo + step], centers[lo:lo + step, None, :], out=part)
-        np.square(part, out=part).sum(axis=2, out=out[lo:lo + step])
+        diff = (points[lo:lo + step] if centers is None
+                else np.subtract(points[lo:lo + step], centers[lo:lo + step, None, :], out=part))
+        np.square(diff, out=part).sum(axis=2, out=out[lo:lo + step])
     return out
 
 
@@ -127,42 +129,58 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
 
     Class b draws from PCG64 stream ``stream + b`` and iterates until its own
     centers settle. Centers come back in lexicographic row order so results
-    do not depend on the order templates were supplied in. ``points`` is
-    only read; besides per-class arrays the call holds a chunk of whole
-    classes of at most ``UNIT_BLOCK_BYTES`` (one class, if a class is larger).
+    do not depend on the order templates were supplied in. Each iteration
+    works on the runs of consecutive classes still iterating: per run, one
+    masked sum per cluster updates the centers and one batched product
+    assigns the templates, numpy calls that release the GIL, so two
+    threads' blocks overlap; the per-class bookkeeping is held in arrays.
+    ``points`` is only read; besides per-class arrays the call holds a
+    chunk of whole classes of at most ``UNIT_BLOCK_BYTES`` (one class, if a
+    class is larger).
     """
-    x_sq = _sq_dist(points, np.zeros((len(points), points.shape[2])))  # to 0: squared norms
+    n_b, _, dim = points.shape
+    x_sq = _sq_dist(points)
     centers = _kmeans_pp_init(points, k, seed, stream)
-    history = [[] for _ in points]
-    live = np.arange(len(points))  # classes still iterating
-    # settled classes stay in the batched assignment, whose rows have the
-    # same bits whatever else is in the batch, and keep their centers
+    # a class's objectives, one per iteration and at most one repeat, which
+    # only an iteration before the last adds; NaN past its ``length``
+    history, length = np.full((n_b, _LLOYD_MAX_ITER), np.nan), np.zeros(n_b, dtype=np.int64)
+    live, sums = np.arange(n_b), np.empty((n_b, k, dim))  # classes still iterating
     assign, d2 = _assign(points, x_sq, centers)
     for it in range(_LLOYD_MAX_ITER):
-        rows, prev = np.arange(live.size), assign[live]
+        # runs of consecutive live classes, each a view of the block; a
+        # class's product has the same bits whatever else is in the batch,
+        # and a settled class keeps its centers
+        spans = [slice(run[0], run[-1] + 1)
+                 for run in np.split(live, np.flatnonzero(np.diff(live) > 1) + 1)]
+        prev = assign[live]
         counts = (prev[:, :, None] == np.arange(k)).sum(axis=1)
         for b in np.nonzero(counts.min(axis=1) == 0)[0]:
             _repair_empty(prev[b], d2[live[b]], k)
             counts[b] = np.bincount(prev[b], minlength=k)
-        # summed template by template from -0.0: the bits of points[assign == c].mean(axis=0)
-        new = np.full((live.size, k, points.shape[2]), -0.0)
-        for t in range(points.shape[1]):
-            new[rows, prev[:, t]] += points[live, t]
-        new /= counts[:, :, None]
+        assign[live] = prev
+        for span in spans:
+            for c in range(k):
+                # a masked sum, template by template from add's identity
+                # +0.0: the bits of points[assign == c].mean(axis=0)
+                np.add.reduce(points[span], axis=1, where=(assign[span] == c)[:, :, None],
+                              out=sums[span, c])
+        new = sums[live] / counts[:, :, None]
         settled = np.max(np.linalg.norm(new - centers[live], axis=2), axis=1) < _LLOYD_TOL
         centers[live] = new
-        assign, d2 = _assign(points, x_sq, centers)
+        for span in spans:
+            assign[span], d2[span] = _assign(points[span], x_sq[span], centers[span])
         # the objective: every template's squared distance to its updated center
         objective = np.take_along_axis(d2[live], prev[:, :, None], axis=2).sum(axis=(1, 2))
         # an unchanged assignment rebuilds the same centers bit for bit, so
         # the next step could only repeat this objective and settle
         repeat = ~settled & (assign[live] == prev).all(axis=1) & (it + 1 < _LLOYD_MAX_ITER)
-        for b, obj, again in zip(live, objective, repeat):
-            history[b] += [float(obj)] * (1 + again)
+        for rows, obj in ((live, objective), (live[repeat], objective[repeat])):
+            history[rows, length[rows]] = obj
+            length[rows] += 1
         live = live[~(settled | repeat)]
         if not live.size:
             break
-    if any((np.diff(h) > 1e-9).any() for h in history):
+    if (np.diff(history, axis=1) > 1e-9).any():  # NaN compares false
         raise RuntimeError("k-means objective increased between iterations")
     # lexicographic order: column 0 decides unless two of a class's centers tie on it
     order = np.argsort(centers[:, :, 0], axis=1, kind="stable")
@@ -170,7 +188,8 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
     tied = (first[:, 1:] == first[:, :-1]).any(axis=1)
     if tied.any():
         order[tied] = np.lexsort(centers[tied].transpose(2, 0, 1)[::-1], axis=-1)
-    return np.take_along_axis(centers, order[:, :, None], axis=1), history
+    return (np.take_along_axis(centers, order[:, :, None], axis=1),
+            [h[:n].tolist() for h, n in zip(history, length)])
 
 
 def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) -> dict:
@@ -181,12 +200,14 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     normalized K-means centers of :func:`_lloyd`; counts above the template
     count are clamped with a warning. Classes run in blocks of
     ``LLOYD_BLOCK_BYTES``: a block's files are read into a block buffer,
-    each file once, and reduced to every set asked for before the next
+    each file once, normalized in place by one :func:`unit_rows` call over
+    the block's rows, and reduced to every set asked for before the next
     block, so no ``(C, T, d)`` stack is ever held; :func:`_lloyd` only reads
     the block, so every count clusters the same buffer. Every file must have
-    the first file's shape and pass ``check(path, dim)``, and its rows are
-    normalized in place by :func:`unit_rows`, which names the file and row
-    of a zero, NaN or inf row.
+    the first file's shape and pass ``check(path, dim)``. The error is the
+    one a file-by-file pass would raise: a zero, NaN or inf row is named by
+    its file and its row in that file, and it comes before a read error in
+    a later file of the block.
 
     :func:`share` runs the blocks on two threads. Every class draws from its
     own PCG64 stream, so no output depends on which thread ran its block.
@@ -206,8 +227,9 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     starts = range(0, n_classes, block)
 
     def reduce(lo, buf):
-        # the block's files into ``buf``, then to every set asked for
-        hi = min(lo + block, n_classes)
+        # the block's files into ``buf``, normalized as one (B * T, d)
+        # matrix, then to every set asked for
+        hi, failed = min(lo + block, n_classes), None
         for c, rows in zip(range(lo, hi), buf):
             def slot(shape):
                 check(paths[c], shape[1])
@@ -216,11 +238,24 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
                                      f"{paths[0]}: {first.shape}")
                 return rows
 
-            if c == 0:  # read once already, to size the blocks
-                np.copyto(rows, first)
-            else:
-                read_npy(paths[c], rank=2, slot=slot)
-            unit_rows(rows, paths[c], out=rows)
+            try:
+                if c == 0:  # read once already, to size the blocks
+                    np.copyto(rows, first)
+                else:
+                    read_npy(paths[c], rank=2, slot=slot)
+            except Exception as exc:  # a bad row in an earlier file comes first
+                hi, failed = c, exc
+                break
+        try:
+            flat = buf[:hi - lo].reshape(-1, dim)
+            unit_rows(flat, paths[lo], out=flat)
+        except ValueError:
+            # the first bad row lies in the first file that fails on its own
+            for c, rows in zip(range(lo, hi), buf):
+                unit_rows(rows, paths[c], out=rows)
+            raise
+        if failed is not None:
+            raise failed
         for k, out in centers.items():
             out[lo:hi] = (buf[:hi - lo].mean(axis=1, keepdims=True) if k == 1
                           else _lloyd(buf[:hi - lo], k, seed, lo)[0])
@@ -229,8 +264,9 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     share(starts, reduce, [(np.empty((min(block, n_classes), n_t, dim)),) for _ in starts[:2]])
     sets = {}
     for k, out in centers.items():
-        # one norm per mean, as a dot product (norm(axis=2) sums differently)
-        norms = (np.linalg.norm(out, axis=2) if k > 1
+        # one norm per mean, as a dot product (norm(axis=2) sums differently);
+        # the centers' norms are norm(axis=2)'s, a chunk of classes at a time
+        norms = (np.sqrt(_sq_dist(out)) if k > 1
                  else np.array([[np.linalg.norm(mean)] for mean in out[:, 0]]))
         small = (norms < 1e-12).any(axis=1)
         if small.any():

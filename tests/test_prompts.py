@@ -578,12 +578,12 @@ def test_file_pass_matches_reference_bytes(tmp_path, monkeypatch, dtype):
         _assert_reference_sets(pool_prototypes(paths, [n_c], seed=4), stack, 4)
 
 
-def _traced_peak(paths):
+def _traced_peak(paths, clusters=(1, 3)):
     import tracemalloc
 
     tracemalloc.start()
     try:
-        sets = pool_prototypes(paths, [1, 3], seed=0)
+        sets = pool_prototypes(paths, clusters, seed=0)
         return tracemalloc.get_traced_memory()[1], sets
     finally:
         tracemalloc.stop()
@@ -638,3 +638,56 @@ def test_lowest_failed_block_is_reported(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=r"f8_002\.npy: non-finite norm in row 3$"):
         pool_prototypes(paths, [1, 2], seed=0)
     assert order.index(paths[4]) < order.index(paths[2])
+
+
+def test_bad_row_before_a_read_error_in_one_block(tmp_path):
+    # both files in one block, normalized together once both are read: a
+    # NaN row in the first file is still reported before the truncated
+    # second file, as a file-by-file pass reports it
+    first, second = tmp_path / "p0.npy", tmp_path / "p1.npy"
+    rows = np.ones((4, 3))
+    rows[2, 1] = np.nan
+    np.save(first, rows)
+    np.save(second, np.ones((4, 3)))
+    second.write_bytes(second.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"p0\.npy: non-finite norm in row 2$"):
+        _file_means([first, second])
+    # with the first file sound, the read error is raised
+    np.save(first, np.ones((4, 3)))
+    with pytest.raises(NpyFormatError, match=r"p1\.npy: truncated payload"):
+        _file_means([first, second])
+
+
+def test_center_update_keeps_signed_zeros(tmp_path, monkeypatch):
+    # the last two coordinates are exact zeros, -0.0 in every template but
+    # the first: the reference's mean sums from +0.0, so a cluster without
+    # template 0 has a +0.0 center coordinate there, which a sum started
+    # from -0.0 makes -0.0. Blocks of three classes that settle after
+    # different numbers of iterations
+    n_t, dim, k = 40, 32, 3
+    stack = _bundled_stack(np.random.default_rng(34), 9, n_t, dim, k)
+    stack[:, :, -2:] = -0.0
+    stack[:, 0, -2:] = 0.0
+    paths, stack = _pool_files(tmp_path, stack)
+    assert np.signbit(stack[:, 1:, -2:]).all() and not np.signbit(stack[:, 0, -2:]).any()
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", 3 * n_t * dim * 8)
+    for seed in (0, 1):
+        centers = _lloyd(stack, k, seed, stream=0)[0]
+        ref = np.stack([_ref_lloyd(points, k, seed, c)[0] for c, points in enumerate(stack)])
+        assert (ref[:, :, -2:] == 0.0).all() and not np.signbit(ref[:, :, -2:]).any()
+        assert centers.tobytes() == ref.tobytes(), seed
+        _assert_reference_sets(pool_prototypes(paths, [k], seed), stack, seed)
+
+
+def test_set_norms_hold_one_chunk(tmp_path, monkeypatch):
+    # after the pass, each set of centers is normalized a chunk of at most
+    # UNIT_BLOCK_BYTES at a time, not through a (C, k, d) square as large
+    # as the set; one-class blocks of four templates keep the pass small
+    n_classes, n_t, dim, k = 400, 4, 512, 3
+    raw = np.random.default_rng(35).standard_normal((n_classes, n_t, dim))
+    paths = _write_raw_pools(tmp_path, raw, "<f8")
+    monkeypatch.setattr(prompts, "LLOYD_BLOCK_BYTES", n_t * dim * 8)
+    peak, sets = _traced_peak(paths, [k])
+    set_bytes = sets[k].vectors.data.nbytes
+    assert set_bytes > 4 * UNIT_BLOCK_BYTES
+    assert peak < set_bytes + UNIT_BLOCK_BYTES + (64 << 10), (peak, set_bytes)
