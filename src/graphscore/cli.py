@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -104,7 +105,11 @@ def load_dataset(manifest_path) -> DatasetBundle:
         raise ValueError(f"{path}: exactly one of prompt_pools or prototypes required")
     pools = []
     if "prompt_pools" in doc:
-        pools = [path.parent / p
+        # str paths: Python 3.11's pathlib interns every part of a Path, so
+        # each call would leave one dead interned name per pool file, and
+        # rebuilding the full table adds megabytes to the process
+        root = os.path.dirname(manifest_path)
+        pools = [os.path.join(root, p)
                  for p in store.typed_list(doc["prompt_pools"], str, "prompt_pools", path)]
         if len(pools) != c_in:
             raise ValueError(f"{path}: key 'prompt_pools' lists {len(pools)} files, "
@@ -113,7 +118,7 @@ def load_dataset(manifest_path) -> DatasetBundle:
         if _PARTNER.get(key, key) not in files:
             raise ValueError(f"{path}: {key} requires {_PARTNER[key]}")
     for p in (*files.values(), *pools):
-        if not p.exists():
+        if not os.path.exists(p):
             raise FileNotFoundError(f"{path}: referenced file does not exist: {p}")
 
     unlabeled = load_unit_matrix(files["unlabeled"])

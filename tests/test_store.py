@@ -352,12 +352,29 @@ def test_float32_file_over_three_chunks_loads_as_normalized_whole(tmp_path):
 
 
 def test_unit_rows_without_out_leaves_rows_untouched():
-    rows = np.random.default_rng(5).standard_normal((2 * _CHUNK + 3, _DIM))
-    before = rows.copy()
-    got = unit_rows(rows, "m")
-    assert got is not rows and not np.shares_memory(got, rows)
-    assert rows.tobytes() == before.tobytes()
-    assert got.tobytes() == (before / np.linalg.norm(before, axis=1)[:, None]).tobytes()
+    for n in (2 * _CHUNK + 3, _CHUNK // 4 + 5):
+        rows = np.random.default_rng(5).standard_normal((n, _DIM))
+        before = rows.copy()
+        got = unit_rows(rows, "m")
+        assert got is not rows and not np.shares_memory(got, rows)
+        assert rows.tobytes() == before.tobytes()
+        assert got.tobytes() == (before / np.linalg.norm(before, axis=1)[:, None]).tobytes()
+
+
+def test_unit_rows_in_place_holds_a_quarter_chunk():
+    # the squares are taken a quarter chunk at a time: a chunk-sized square,
+    # freed and faulted back in, cost every small call about a millisecond.
+    # The 80 KB are numpy's own 64 KB buffer for the broadcast division, the
+    # norms and small objects
+    rows = np.random.default_rng(8).standard_normal((_CHUNK, _DIM))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        unit_rows(rows, "m", out=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= store.UNIT_BLOCK_BYTES // 4 + (80 << 10), peak
 
 
 @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
@@ -496,7 +513,7 @@ def test_manifest_good(tmp_path):
     assert bundle.unlabeled.count == 6 and bundle.unlabeled.dim == 4
     # the pool files are kept as a list, read only when the pool is reduced
     paths, check = bundle.pool
-    assert paths == [tmp_path / "pool0.npy", tmp_path / "pool1.npy"] and callable(check)
+    assert paths == [str(tmp_path / "pool0.npy"), str(tmp_path / "pool1.npy")] and callable(check)
     assert bundle.labeled is None and bundle.prototypes is None and bundle.flags is None
 
 
