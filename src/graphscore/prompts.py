@@ -33,7 +33,6 @@ class PrototypeSet:
 
     vectors: EmbeddingMatrix
     class_of: np.ndarray
-    clusters_per_class: int
 
     def __post_init__(self):
         class_of = np.array(self.class_of, dtype=np.int64, copy=True)
@@ -274,26 +273,32 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
                              f"for class {int(np.argmax(small))}")
         out /= norms[:, :, None]  # in place, so the matrix adopts ``out`` without a copy
         sets[k] = PrototypeSet(EmbeddingMatrix(out.reshape(-1, dim)),
-                               class_of=np.repeat(np.arange(n_classes), k), clusters_per_class=k)
+                               class_of=np.repeat(np.arange(n_classes), k))
     return {n_c: sets[min(n_c, n_t)] for n_c in clusters}
 
 
 def load_prototypes(matrix_path, classes_path) -> PrototypeSet:
-    """Load a pre-built prototype matrix plus its JSON class map."""
+    """Load a pre-built prototype matrix plus its JSON class map. A map may keep
+    the ``clusters_per_class`` key of earlier versions if every class has that many rows."""
     doc = load_json(classes_path, "prototype class map", ("class_of", "clusters_per_class"),
                     required=("class_of",))
     class_of = typed_list(doc["class_of"], int, "class_of", classes_path)
-    clusters = typed(doc.get("clusters_per_class", 1), int, "clusters_per_class", classes_path)
+    per_class = typed(doc.get("clusters_per_class", 1), int, "clusters_per_class", classes_path)
     vectors = load_unit_matrix(matrix_path)
     try:
-        return PrototypeSet(vectors=vectors, class_of=class_of, clusters_per_class=clusters)
+        protos = PrototypeSet(vectors=vectors, class_of=class_of)
     except ValueError as exc:
         raise ValueError(f"{classes_path}: {exc}") from exc
+    counts = np.bincount(protos.class_of)
+    if "clusters_per_class" in doc and (counts != per_class).any():
+        c = int(np.argmax(counts != per_class))
+        raise ValueError(f"{classes_path}: key 'clusters_per_class' is {per_class}, "
+                         f"but class {c} has {counts[c]} rows")
+    return protos
 
 
 def save_prototypes(protos: PrototypeSet, matrix_path, classes_path) -> None:
     save_matrix(protos.vectors, matrix_path)
     with open(classes_path, "w", encoding="utf-8") as f:
-        json.dump({"class_of": [int(c) for c in protos.class_of],
-                   "clusters_per_class": protos.clusters_per_class}, f, indent=2)
+        json.dump({"class_of": [int(c) for c in protos.class_of]}, f, indent=2)
         f.write("\n")

@@ -188,17 +188,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
             rows.append(_blob(rng_lab, means[c], spec.spread, spec.labeled_per_class))
         labeled = EmbeddingMatrix(np.vstack(rows))
 
-    prototypes = PrototypeSet(
-        vectors=EmbeddingMatrix(protos),
-        class_of=np.arange(spec.n_classes, dtype=np.int64),
-        clusters_per_class=1,
-    )
-    return SynthDataset(
-        prototypes=prototypes,
-        unlabeled=unlabeled,
-        is_id=is_id,
-        labeled=labeled,
-    )
+    prototypes = PrototypeSet(EmbeddingMatrix(protos), class_of=np.arange(spec.n_classes))
+    return SynthDataset(prototypes=prototypes, unlabeled=unlabeled, is_id=is_id, labeled=labeled)
 
 
 def blob_benchmark_spec(seed: int = 0) -> SynthSpec:

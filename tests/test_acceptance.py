@@ -46,7 +46,7 @@ def _random_graph(seed, max_nodes, k_max):
     k = int(rng.integers(1, min(k_max, n_u - 1) + 1))
     protos = gs.PrototypeSet(
         vectors=EmbeddingMatrix(random_unit_rows(rng, n_p, 8)),
-        class_of=np.arange(n_p), clusters_per_class=1)
+        class_of=np.arange(n_p))
     labeled = EmbeddingMatrix(random_unit_rows(rng, n_l, 8)) if n_l else None
     unlabeled = EmbeddingMatrix(random_unit_rows(rng, n_u, 8))
     return gs.build_adjacency(protos, labeled, unlabeled, k=k)
@@ -92,7 +92,7 @@ def test_criterion_3_knn_graph_oracle():
         if seed % 7 == 0 and n_u >= 3:
             unlab_rows[2] = unlab_rows[0]  # force similarity ties
         protos = gs.PrototypeSet(vectors=EmbeddingMatrix(proto_rows),
-                                 class_of=np.arange(n_p), clusters_per_class=1)
+                                 class_of=np.arange(n_p))
         labeled = EmbeddingMatrix(lab_rows) if n_l else None
         adj = gs.build_adjacency(protos, labeled,
                                  EmbeddingMatrix(unlab_rows), k=k)

@@ -19,8 +19,7 @@ from oracles import floyd_warshall, random_unit_rows
 def _protos(rows, class_of=None):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     class_of = np.arange(rows.shape[0]) if class_of is None else class_of
-    return PrototypeSet(vectors=EmbeddingMatrix(rows), class_of=class_of,
-                        clusters_per_class=1)
+    return PrototypeSet(vectors=EmbeddingMatrix(rows), class_of=class_of)
 
 
 def _one(sample, protos):

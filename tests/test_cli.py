@@ -20,6 +20,7 @@ from graphscore.store import (
 )
 
 from test_prompts import _normalized, _ref_cluster, _ref_means
+from test_scale import _assert_same_files
 
 
 def _synth_dataset(tmp_path, preset="bridge_benchmark", seed=3):
@@ -76,18 +77,24 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
 
 
 def test_score_all_methods_writes_ablation_csv(tmp_path):
-    data_dir = _synth_dataset(tmp_path)
+    data_dir = _synth_dataset(tmp_path, seed=0)
     run_dir = tmp_path / "sweep"
     assert main(["score", "--manifest", str(data_dir / "manifest.json"),
                  "--method", "all", "--out", str(run_dir)]) == 0
     for method in ("gsp", "cosine", "manifold", "score_prop_only",
                    "gsp_no_cluster", "gsp_no_neg"):
         assert (run_dir / f"scores_{method}.npy").exists()
-    lines = (run_dir / "ablation.csv").read_text().strip().splitlines()
+    text = (run_dir / "ablation.csv").read_text()
+    assert text.count("\n") == len(lines := text.splitlines()) == 7
     assert lines[0] == "method,auroc,fpr95"
     methods = [line.split(",")[0] for line in lines[1:]]
     assert methods == ["gsp", "cosine", "manifold", "score_prop_only",
                        "gsp_no_cluster", "gsp_no_neg"]
+    # eval reads a written score file back; its row must match the ablation row
+    assert main(["eval", "--scores", str(run_dir / "scores_gsp.npy"), "--names", "gsp",
+                 "--flags", str(data_dir / "flags.csv"), "--out", str(tmp_path / "ev")]) == 0
+    row = (tmp_path / "ev" / "report.csv").read_text().splitlines()[1]
+    assert row.startswith("gsp,") and row in lines
 
 
 def test_eval_length_mismatch_errors(tmp_path, capsys):
@@ -120,14 +127,13 @@ def test_synth_deterministic_directories(tmp_path):
 
 
 def test_score_reruns_byte_identical(tmp_path):
-    data_dir = _synth_dataset(tmp_path)
+    data_dir = _synth_dataset(tmp_path, seed=0)
     run_a = tmp_path / "a"
     run_b = tmp_path / "b"
     for out in (run_a, run_b):
         assert main(["score", "--manifest", str(data_dir / "manifest.json"),
-                     "--method", "gsp", "--out", str(out)]) == 0
-    assert ((run_a / "scores_gsp.npy").read_bytes()
-            == (run_b / "scores_gsp.npy").read_bytes())
+                     "--method", "all", "--out", str(out)]) == 0
+    _assert_same_files(run_a, run_b)
 
 
 def _write_pools(tmp_path, n_classes=2, templates=8, dim=6):
@@ -163,7 +169,7 @@ def test_cluster_prompts_sweep_emits_one_file_per_value(tmp_path):
         assert (out / f"prototypes_nc{v}.npy").exists()
         protos = load_prototypes(out / f"prototypes_nc{v}.npy",
                                  out / f"prototype_classes_nc{v}.json")
-        assert protos.clusters_per_class == min(v, 8)
+        assert (np.bincount(protos.class_of) == min(v, 8)).all()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -367,7 +373,7 @@ def _count_calls(monkeypatch, module, *names):
 
 
 def test_score_all_builds_one_graph_for_prebuilt_prototypes(tmp_path, monkeypatch):
-    data_dir = _synth_dataset(tmp_path)
+    data_dir = _synth_dataset(tmp_path, seed=0)
     manifest = str(data_dir / "manifest.json")
     calls = _count_calls(monkeypatch, cli, "build_adjacency")
     prop_calls = _count_calls(monkeypatch, propagation,
@@ -417,7 +423,10 @@ def test_diagnostics_hold_no_lists(tmp_path):
                                            (["--tau", "nan"], "tau must be positive"),
                                            (["--tau", "inf"], "tau must be positive"),
                                            (["--clusters", "0"], "clusters must be >= 1"),
-                                           (["--seed", "-1"], "seed must be >= 0, got -1")])
+                                           (["--seed", "-1"], "seed must be >= 0, got -1"),
+                                           (["--tau", "nan"],
+                                            "tau must be positive and finite, got nan\n"),
+                                           (["--seed", "-1"], "seed must be >= 0, got -1\n")])
 def test_bad_run_config_rejected_before_loading(tmp_path, capsys, flag, message):
     data_dir = _synth_dataset(tmp_path)
     run_dir = tmp_path / "run"
@@ -445,6 +454,7 @@ def test_unknown_method_rejected_by_parser(tmp_path):
 
 
 def _assert_one_error_line(capsys, *names):
+    # a name that ends in a newline must end the line
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for name in names:
@@ -469,12 +479,15 @@ def _assert_one_error_line(capsys, *names):
     # the retired stacked pool: rejected before any file is read
     ({"pool_matrix": "pool.npy", "pool_boundaries": "pool_bounds.json"},
      "unknown manifest keys ['pool_boundaries', 'pool_matrix']"),
+    ({"prototypes": None, "prototype_classes": None, "pool_matrix": "pool.npy",
+      "pool_boundaries": "pool_bounds.json"},
+     "edited_manifest.json: unknown manifest keys ['pool_boundaries', 'pool_matrix']\n"),
 ])
 def test_bad_manifest_field_named_before_scoring(tmp_path, capsys, edit, key):
     data_dir = _synth_dataset(tmp_path)
     manifest = json.loads((data_dir / "manifest.json").read_text())
     manifest.update(edit)
-    if "prompt_pools" in edit:
+    if "prototypes" in edit:
         del manifest["prototypes"], manifest["prototype_classes"]
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 1
@@ -503,7 +516,7 @@ def test_labeled_stands_alone_and_labels_key_is_rejected(tmp_path, capsys):
     manifest["labels"] = "labels.csv"
     run_dir = tmp_path / "run"
     assert _score_all(data_dir, manifest, run_dir) == 1
-    _assert_one_error_line(capsys, "edited_manifest.json: unknown manifest keys ['labels']")
+    _assert_one_error_line(capsys, "edited_manifest.json: unknown manifest keys ['labels']\n")
     assert not run_dir.exists()
 
 
@@ -517,7 +530,7 @@ def test_zero_norm_row_names_its_file(tmp_path, capsys, name, row):
     run_dir = tmp_path / "run"
     assert main(["score", "--manifest", str(data_dir / "manifest.json"), "--method", "all",
                  "--out", str(run_dir)]) == 1
-    _assert_one_error_line(capsys, f"{name}.npy", f"zero-norm row {row}")
+    _assert_one_error_line(capsys, f"{name}.npy: zero-norm row {row}\n")
     assert not run_dir.exists()
 
 
@@ -561,7 +574,8 @@ def test_embedding_dim_checked_against_unlabeled(tmp_path, capsys, source, metho
     run_dir = tmp_path / "run"
     assert main(["score", "--manifest", str(path), "--method", method,
                  "--out", str(run_dir)]) == 1
-    _assert_one_error_line(capsys, f"{bad}: dimension 20", "unlabeled.npy has dimension 16")
+    _assert_one_error_line(
+        capsys, f"{bad}: dimension 20, but {data_dir / 'unlabeled.npy'} has dimension 16\n")
     assert not run_dir.exists()
 
 
@@ -599,6 +613,9 @@ def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
     ({"preset": "bridge_benchmark", "seed": -1}, "seed must be >= 0, got -1"),
     ({"dim": 3}, "dim too small"),
     ({"shape": "ring"}, "unknown shape 'ring'"),
+    ({"shape": "bridged_chain", "branch_deg": 60},
+     "spec.json: unknown synth spec keys ['branch_deg']\n"),
+    ({"seed": -1}, "spec.json: seed must be >= 0, got -1\n"),
 ])
 def test_bad_synth_spec_key_named(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -631,12 +648,20 @@ def test_explicit_synth_spec_equals_its_preset(tmp_path):
     ("score", {"manifest": "m.json", "k": 0}, "k must be >= 1, got 0"),
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": [0]}, "clusters must be >= 1, got [0]"),
     ("cluster-prompts", {"pools": ["p.npy"], "seed": -2}, "seed must be >= 0, got -2"),
+    ("score", {"manifest": "m.json", "tau": float("inf")},
+     "run.json: key 'tau' must be a finite number, got Infinity\n"),
+    ("cluster-prompts", {"pools": ["p.npy"], "clusters": []},
+     "run.json: key 'clusters' must list at least one count\n"),
+    ("score", {"manifest": "m.json", "k": 0}, "run.json: k must be >= 1, got 0\n"),
 ])
 def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main([command, "--config", str(cfg_path)]) == 1
+    out = tmp_path / "out"  # a config file's own 'out' is the value under test
+    assert main([command, "--config", str(cfg_path),
+                 *([] if "out" in config else ["--out", str(out)])]) == 1
     _assert_one_error_line(capsys, "run.json", key)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, rc, names", [

@@ -31,8 +31,7 @@ from oracles import brute_knn, dense_block_adjacency, random_unit_rows, spectral
 def _protos(rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return PrototypeSet(vectors=EmbeddingMatrix(rows),
-                        class_of=np.arange(rows.shape[0]),
-                        clusters_per_class=1)
+                        class_of=np.arange(rows.shape[0]))
 
 
 def _units(seed, n, d):

@@ -101,7 +101,6 @@ def test_three_clusters_per_class(tmp_path):
     stack = _unit_stack(np.random.default_rng(5), 3, 10, 6)
     protos = _prototypes(tmp_path, stack, 3)
     assert protos.count == 9
-    assert protos.clusters_per_class == 3
     np.testing.assert_array_equal(protos.class_of, [0, 0, 0, 1, 1, 1, 2, 2, 2])
     np.testing.assert_allclose(
         np.linalg.norm(protos.vectors.data, axis=1), 1.0, atol=1e-9
@@ -112,7 +111,7 @@ def test_clamp_when_clusters_exceed_templates(tmp_path):
     stack = _unit_stack(np.random.default_rng(1), 2, 4, 6)
     with pytest.warns(UserWarning, match="clamping"):
         protos = _prototypes(tmp_path, stack, 9)
-    assert protos.clusters_per_class == 4
+    np.testing.assert_array_equal(np.bincount(protos.class_of), [4, 4])
 
 
 def test_objective_monotone_nonincreasing():
@@ -161,8 +160,7 @@ def test_pool_shape_validation(tmp_path):
 
 def test_prototype_set_requires_unit_rows():
     with pytest.raises(ValueError, match="unit-normalized"):
-        PrototypeSet(vectors=EmbeddingMatrix([[2.0, 0.0]]), class_of=[0],
-                     clusters_per_class=1)
+        PrototypeSet(vectors=EmbeddingMatrix([[2.0, 0.0]]), class_of=[0])
 
 
 def test_prototype_set_holds_no_copy_of_its_rows():
@@ -174,7 +172,7 @@ def test_prototype_set_holds_no_copy_of_its_rows():
     class_of = np.repeat(np.arange(1000), 3)
     tracemalloc.start()
     try:
-        PrototypeSet(vectors=vectors, class_of=class_of, clusters_per_class=3)
+        PrototypeSet(vectors=vectors, class_of=class_of)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -187,17 +185,25 @@ def test_prototype_round_trip(tmp_path):
     loaded = load_prototypes(tmp_path / "p.npy", tmp_path / "p.json")
     np.testing.assert_allclose(loaded.vectors.data, protos.vectors.data, atol=1e-12)
     np.testing.assert_array_equal(loaded.class_of, protos.class_of)
-    assert loaded.clusters_per_class == 2
+    np.testing.assert_array_equal(np.bincount(loaded.class_of), [2, 2])
+    assert json.loads((tmp_path / "p.json").read_text()) == {"class_of": [0, 0, 1, 1]}
 
 
 def test_load_prototypes_checks_class_map(tmp_path):
     save_matrix(EmbeddingMatrix(random_unit_rows(np.random.default_rng(3), 2, 4)),
                 tmp_path / "p.npy")
     for doc, message in (({"class_of": [0, 2]}, "class ids \\[1\\]"),
-                         ({"clusters_per_class": 1}, "missing field 'class_of'")):
+                         ({"clusters_per_class": 1}, "missing field 'class_of'"),
+                         # the per-class count that earlier versions wrote must hold
+                         ({"class_of": [0, 1], "clusters_per_class": 5}, "5, but class 0 has 1"),
+                         ({"class_of": [0, 0], "clusters_per_class": 1}, "1, but class 0 has 2"),
+                         ({"class_of": [0, 1], "clusters_per_class": None}, "integer, got null")):
         (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match=f"p.json: .*{message}"):
             load_prototypes(tmp_path / "p.npy", tmp_path / "p.json")
+    # a map that holds, as every map written before the key was dropped does, loads
+    (tmp_path / "p.json").write_text('{"class_of": [1, 0], "clusters_per_class": 1}')
+    assert load_prototypes(tmp_path / "p.npy", tmp_path / "p.json").class_of.tolist() == [1, 0]
 
 
 def _file_means(paths):

@@ -37,7 +37,7 @@ def _random_graph(seed, max_nodes=64, k=5):
     n_u = int(rng.integers(5, max_nodes - n_p - n_l))
     protos = PrototypeSet(
         vectors=EmbeddingMatrix(random_unit_rows(rng, n_p, 8)),
-        class_of=np.arange(n_p), clusters_per_class=1,
+        class_of=np.arange(n_p),
     )
     labeled = EmbeddingMatrix(random_unit_rows(rng, n_l, 8)) if n_l else None
     unlabeled = EmbeddingMatrix(random_unit_rows(rng, n_u, 8))
@@ -328,7 +328,7 @@ def test_run_gsp_separates_blob_clusters():
 
 def test_run_gsp_single_unlabeled_node():
     protos = PrototypeSet(vectors=EmbeddingMatrix([[1.0, 0.0]]),
-                          class_of=[0], clusters_per_class=1)
+                          class_of=[0])
     unlabeled = EmbeddingMatrix([[1.0, 0.0]])
     pass1, scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
     pass1_unlab = diag["pass1_unlabeled"]
@@ -372,8 +372,7 @@ def test_scores_invariant_under_rotation(data_seed, rotation_seed, few_shot):
     rng = np.random.default_rng(rotation_seed)
     rotation, _ = np.linalg.qr(rng.standard_normal((spec.dim, spec.dim)))
     protos = data.prototypes
-    turned = PrototypeSet(vectors=_rotated(protos.vectors, rotation), class_of=protos.class_of,
-                          clusters_per_class=protos.clusters_per_class)
+    turned = PrototypeSet(vectors=_rotated(protos.vectors, rotation), class_of=protos.class_of)
     results = []
     for prototypes, labeled, unlabeled in (
             (protos, data.labeled, data.unlabeled),
