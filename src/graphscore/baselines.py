@@ -2,13 +2,15 @@
 
 The cosine scorer softmaxes negated per-class cosine distances and returns
 the winning class's probability; higher means more in-distribution. The
-manifold scorer runs a multi-source Dijkstra from every prototype and
-labeled node over the graph's L2 edge distances and scores each unlabeled
-node by the reciprocal of its shortest-path distance.
+manifold scorer takes the shortest-path distance from the nearest prototype
+or labeled node over the graph's L2 edge lengths, found by a frontier
+search in numpy, and scores each unlabeled node by its reciprocal. The
+search returns Dijkstra's distances bit for bit without importing
+``scipy.sparse.csgraph``, which loads ``scipy.linalg``: about 10 MB of RSS
+and 0.1-0.2 s of import time in every process that scores ``manifold``.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import BlockAdjacency
 from .prompts import PrototypeSet
@@ -47,21 +49,42 @@ def cosine_scores(samples, prototypes: PrototypeSet, temperature: float = 1.0) -
 
 
 def shortest_path_distances(adj: BlockAdjacency, sources) -> np.ndarray:
-    """Multi-source Dijkstra over the graph's L2 edge lengths, derived from
-    each edge's similarity s as sqrt(2 - 2s) on the same CSR structure.
+    """Distance from the nearest of ``sources`` to every node over the
+    graph's L2 edge lengths, sqrt(2 - 2s) for an edge of similarity s; +inf
+    where no path leads. Every stored edge counts, one of length 0 too.
 
-    Returns the distance from the nearest source to every node; unreachable
-    nodes get +inf. Edges between equal embeddings keep a stored length of 0,
-    so they stay edges rather than becoming missing entries.
+    Each round relaxes every edge out of the nodes whose distance fell in
+    the previous round (the sources first), and the search stops once a
+    round lowers no distance. The result is Dijkstra's, bit for bit: edge
+    lengths are non-negative and float addition is monotone, so a search
+    that stops only when no edge relaxation lowers a distance holds, for
+    each node, the least left-to-right float64 sum over all paths from a
+    source. Every value it holds is such a sum, so none is lower; and by
+    induction along the best path, each node's value is at most that path's
+    sum. So the value is unique, whatever order finds it.
+
+    A round costs about 30-45 us of numpy calls plus its edges, and there
+    are as many rounds as the most hops on any shortest path, plus one:
+    3-29 on the benchmark graphs, and 32 on bridged chains of 16k and 64k
+    nodes. On 2 shared CPUs the 64k search takes 16 ms against 11 ms for
+    scipy's Dijkstra, but a bare path of 20,000 nodes takes 0.5-1 s
+    against 1 ms.
     """
-    # imported here: csgraph loads scipy.linalg, which costs every run that
-    # never takes a shortest path about 10 MB of RSS and 70 ms of import time
-    from scipy.sparse.csgraph import dijkstra
-
     w = adj.weights
     lengths = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * w.data))
-    graph = sp.csr_matrix((lengths, w.indices, w.indptr), shape=w.shape)
-    return dijkstra(graph, indices=sources, min_only=True)
+    dist = np.full(w.shape[0], np.inf)
+    frontier = np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0.0
+    while frontier.size:
+        stops = w.indptr[frontier + 1]
+        counts = stops - w.indptr[frontier]
+        # the positions of every edge out of the frontier, row after row
+        edges = np.repeat(stops - np.cumsum(counts), counts) + np.arange(counts.sum())
+        lowered = dist.copy()
+        np.minimum.at(lowered, w.indices[edges], np.repeat(dist[frontier], counts) + lengths[edges])
+        frontier = np.flatnonzero(lowered < dist)
+        dist = lowered
+    return dist
 
 
 def manifold_score(adj: BlockAdjacency) -> np.ndarray:

@@ -190,7 +190,9 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig, load_s=None):
             adj, timing["build_graph"] = graph(n_c)
             if method == "manifold":
                 scores, timing["dijkstra"] = timed(manifold_score, adj)
-                diag = {"graph": adj.summary}
+                # exactly the unlabeled nodes that no source reaches score 0
+                diag = {"graph": {**adj.summary,
+                                  "unreachable": int((scores == 0.0).sum())}}
             else:
                 # one run per graph gives both passes: self-training methods
                 # report pass 2, the others pass 1

@@ -218,3 +218,50 @@ def test_manifold_seeds_from_labeled_nodes_too():
     adj = _manual_adjacency(w, n_proto=1, n_labeled=1)
     scores = manifold_score(adj)
     assert scores[0] == pytest.approx(1.0 / (0.125 + 1e-9))
+
+
+def _scipy_distances(adj, sources):
+    # the reference: scipy's multi-source Dijkstra over the same lengths and CSR structure
+    from scipy.sparse.csgraph import dijkstra
+
+    w = adj.weights
+    lengths = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * w.data))
+    graph = sp.csr_matrix((lengths, w.indices, w.indptr), shape=w.shape)
+    return dijkstra(graph, indices=sources, min_only=True)
+
+
+def test_distances_equal_scipy_dijkstra_bit_for_bit():
+    seen_zero = seen_unreachable = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_proto, n_lab, n_unlab = 1 + seed % 3, seed % 4, 40
+        rows = random_unit_rows(rng, n_proto + n_lab + n_unlab, 6)
+        # copied rows give edges of length 0; on odd seeds, a tight cluster on
+        # the far side of the first axis is a component that no source reaches
+        rows[rng.integers(rows.shape[0], size=8)] = rows[rng.integers(rows.shape[0], size=8)]
+        if seed % 2:
+            rows[:, 0] = -np.abs(rows[:, 0])
+            rows[-10:] = random_unit_rows(rng, 10, 6) * 0.01 + [1.0, 0, 0, 0, 0, 0]
+            rows[-10:] /= np.linalg.norm(rows[-10:], axis=1, keepdims=True)
+        protos = _protos(rows[:n_proto])
+        labeled = EmbeddingMatrix(rows[n_proto:n_proto + n_lab]) if n_lab else None
+        adj = build_adjacency(protos, labeled, EmbeddingMatrix(rows[n_proto + n_lab:]), k=3)
+        for sources in (range(adj.partition.unlabeled_offset), [n_proto + n_lab + seed % 7]):
+            got = shortest_path_distances(adj, sources)
+            assert np.array_equal(got, _scipy_distances(adj, sources)), (seed, sources)
+            seen_unreachable += np.isinf(got).any()
+        edges = adj.weights.tocoo()
+        seen_zero += ((edges.data >= 1.0) & (edges.row != edges.col)).any()
+    assert seen_zero > 0 and seen_unreachable > 0, (seen_zero, seen_unreachable)
+
+
+def test_distances_equal_scipy_dijkstra_on_a_long_path():
+    # 2,000 nodes in a line: one round per hop
+    n = 2000
+    steps = _similarity(np.random.default_rng(0).uniform(0.0, 0.5, n - 1))
+    w = sp.diags([steps, steps], [1, -1], shape=(n, n), format="csr")
+    adj = _manual_adjacency(w, n_proto=1)
+    for sources in ([0], [0, n // 2, n - 1]):
+        got = shortest_path_distances(adj, sources)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, _scipy_distances(adj, sources)), sources

@@ -402,19 +402,23 @@ def test_score_all_builds_one_graph_for_prebuilt_prototypes(tmp_path, monkeypatc
 
 
 def test_diagnostics_hold_no_lists(tmp_path):
-    data_dir = _synth_dataset(tmp_path)
-    run_dir = tmp_path / "run"
-    assert main(["score", "--manifest", str(data_dir / "manifest.json"),
-                 "--method", "all", "--out", str(run_dir)]) == 0
-
     def walk(value, path):
         assert not isinstance(value, list), f"list at {path}"
         if isinstance(value, dict):
             for key, item in value.items():
                 walk(item, f"{path}.{key}")
 
-    for method in METHODS:
-        walk(json.loads((run_dir / f"diagnostics_{method}.json").read_text()), method)
+    # the blob preset's 100 OOD nodes lie opposite the ID blobs, with no path to them
+    for preset, unreachable in (("bridge_benchmark", 0), ("blob_benchmark", 100)):
+        data_dir = _synth_dataset(tmp_path / preset, preset)
+        run_dir = tmp_path / preset / "run"
+        assert main(["score", "--manifest", str(data_dir / "manifest.json"),
+                     "--method", "all", "--out", str(run_dir)]) == 0
+        for method in METHODS:
+            walk(json.loads((run_dir / f"diagnostics_{method}.json").read_text()), method)
+        graph = json.loads((run_dir / "diagnostics_manifold.json").read_text())["graph"]
+        zeros = int((load_vector(run_dir / "scores_manifold.npy") == 0.0).sum())
+        assert graph["unreachable"] == zeros == unreachable, (preset, graph)
 
 
 @pytest.mark.parametrize("flag, message", [(["--k", "0"], "k must be >= 1"),

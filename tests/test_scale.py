@@ -34,15 +34,30 @@ _SETTINGS = {"blas1": ({"OPENBLAS_NUM_THREADS": "1"}, []),
              "one_core": ({}, ["taskset", "-c", "0"])}
 
 
-def _child(*argv, setting="blas1", module=("-m", "graphscore.cli")):
-    """The stdout of ``python -m graphscore.cli argv`` (``python argv`` with no ``module``)."""
+def _start(*argv, setting="blas1", module=("-m", "graphscore.cli")):
+    """Start ``python -m graphscore.cli argv`` (``python argv`` with no ``module``)."""
     env, prefix = _SETTINGS[setting]
     base = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    done = subprocess.run([*prefix, sys.executable, *module, *map(str, argv)],
-                          env={**base, "PYTHONPATH": str(REPO / "src"), **env},
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    return subprocess.Popen([*prefix, sys.executable, *module, *map(str, argv)],
+                            env={**base, "PYTHONPATH": str(REPO / "src"), **env},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _wait(*children):
+    """The stdout of each started child, once every one has exited zero."""
+    try:
+        done = [child.communicate(timeout=300) for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    for child, (_, stderr) in zip(children, done):
+        assert child.returncode == 0, stderr
+    return [stdout for stdout, _ in done]
+
+
+def _child(*argv, **options):
+    """The stdout of one child process that :func:`_start` starts."""
+    return _wait(_start(*argv, **options))[0]
 
 
 def _write_pools(out):
@@ -87,13 +102,13 @@ def _dataset(root, name):
     return out
 
 
-@functools.cache
-def _child_run(root, name, setting):
-    """``score --method all`` on dataset ``name`` in a child process under ``setting``."""
-    out = root / f"{name}_{setting}"
-    _child("score", "--manifest", _dataset(root, name) / "manifest.json", "--method", "all",
-           "--out", out, setting=setting)
-    return out
+def _child_runs(root, name, *settings):
+    """``score --method all`` on dataset ``name`` in a child process under
+    each setting, the runs not yet made started together."""
+    manifest, outs = _dataset(root, name) / "manifest.json", [root / f"{name}_{s}" for s in settings]
+    _wait(*[_start("score", "--manifest", manifest, "--method", "all", "--out", out, setting=s)
+            for s, out in zip(settings, outs) if not out.exists()])
+    return outs
 
 
 def _score_all(manifest, out):
@@ -124,7 +139,7 @@ def test_rerun_byte_identical(root, tmp_path, name):
 @pytest.mark.parametrize("name", ["strips", "skip", "pools"])
 def test_scores_equal_across_blas_threads(root, name):
     # neither the BLAS thread count nor the thread that runs a strip or block may move a bit
-    one, two = _child_run(root, name, "blas1"), _child_run(root, name, "blas2")
+    one, two = _child_runs(root, name, "blas1", "blas2")
     _assert_same_files(one, two)
     for out in (one, two) if name == "skip" else ():
         tiles = json.loads((out / "diagnostics_gsp.json").read_text())["graph"]["knn_tiles"]
@@ -136,7 +151,7 @@ def test_scores_equal_across_blas_threads(root, name):
 @pytest.mark.parametrize("name", ["skip", "labstrips"])
 def test_scores_equal_with_both_threads_on_one_core(root, name):
     # pinned to one core, the two threads interleave their pieces in another order
-    _assert_same_files(_child_run(root, name, "blas2"), _child_run(root, name, "one_core"))
+    _assert_same_files(*_child_runs(root, name, "blas2", "one_core"))
 
 
 def test_prompt_clustering_byte_identical(root, tmp_path):
@@ -149,9 +164,10 @@ def test_prompt_clustering_byte_identical(root, tmp_path):
                      "--out", str(tmp_path / out)]) == 0
     _assert_same_files(tmp_path / "small_a", tmp_path / "small_b", 4, "*", ())
     pools = sorted(map(str, _dataset(root, "pools").glob("pool*.npy")))
-    for out in ("blas1a", "blas1b", "blas2a", "blas2b"):
-        _child("cluster-prompts", "--pools", *pools, "--clusters", "1", "3", "--seed", "0",
-               "--out", tmp_path / out, setting=out[:-1])
+    runs = ("blas1a", "blas1b", "blas2a", "blas2b")
+    _wait(*[_start("cluster-prompts", "--pools", *pools, "--clusters", "1", "3", "--seed", "0",
+                   "--out", tmp_path / out, setting=out[:-1]) for out in runs])
+    for out in runs:
         _assert_same_files(tmp_path / "blas1a", tmp_path / out, 4, "*", ())
     # K-means hands each block buffer back unchanged, so counts together equal counts apart
     for counts in (["1", "2", "3", "5"], ["2"], ["5"]):
@@ -217,3 +233,19 @@ def test_small_calls_take_no_page_faults(root, tmp_path):
     stdout = _child("-c", _FAULTS, _dataset(root, "batches"), tmp_path / "run", module=())
     count, per_call = json.loads(stdout.splitlines()[-1])
     assert count == 64 and per_call < 64, per_call
+
+
+_MODULES = """
+import json, sys
+from graphscore.cli import main
+assert main(["score", "--manifest", sys.argv[1], "--method", "all", "--out", sys.argv[2]]) == 0
+print(json.dumps([name for name in ("scipy.linalg", "scipy.sparse.csgraph") if name in sys.modules]))
+"""
+
+
+def test_score_all_loads_no_scipy_linalg(root, tmp_path):
+    # scipy.sparse.csgraph imports scipy.linalg, about 10 MB of RSS in every
+    # process that scores manifold; the shortest-path search needs neither
+    stdout = _child("-c", _MODULES, _dataset(root, "strips") / "manifest.json", tmp_path / "run",
+                    module=())
+    assert json.loads(stdout.splitlines()[-1]) == []
