@@ -105,7 +105,8 @@ def _dataset(root, name):
 def _child_runs(root, name, *settings):
     """``score --method all`` on dataset ``name`` in a child process under
     each setting, the runs not yet made started together."""
-    manifest, outs = _dataset(root, name) / "manifest.json", [root / f"{name}_{s}" for s in settings]
+    manifest = _dataset(root, name) / "manifest.json"
+    outs = [root / f"{name}_{setting}" for setting in settings]
     _wait(*[_start("score", "--manifest", manifest, "--method", "all", "--out", out, setting=s)
             for s, out in zip(settings, outs) if not out.exists()])
     return outs
@@ -239,7 +240,7 @@ _MODULES = """
 import json, sys
 from graphscore.cli import main
 assert main(["score", "--manifest", sys.argv[1], "--method", "all", "--out", sys.argv[2]]) == 0
-print(json.dumps([name for name in ("scipy.linalg", "scipy.sparse.csgraph") if name in sys.modules]))
+print(json.dumps([m for m in ("scipy.linalg", "scipy.sparse.csgraph") if m in sys.modules]))
 """
 
 
