@@ -14,10 +14,10 @@ similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
 query strips. A prototype or labeled strip is one product as wide as the
 unlabeled corpus, selected densely. Among unlabeled nodes each pair's
 similarity is computed once, in grid-aligned column pieces that keep the
-strip product's bits; the diagonal pieces set each row's running k-th,
-later pieces are compared against it and only survivors merged, and a tile
-that a spherical-cap bound puts below it is skipped. The calling thread and
-a short-lived worker share strips and pieces; neither moves a bit.
+strip product's bits; the diagonal pieces, each run by the task that owns
+its rows, set each row's running k-th, later pieces are compared against it
+and only survivors merged, and a tile that a spherical-cap bound puts below
+it is skipped. Two threads share strips and pieces; neither moves a bit.
 """
 
 import threading
@@ -74,13 +74,13 @@ class NodePartition:
 class BlockAdjacency:
     """Symmetric weighted graph over the partition's nodes.
 
-    ``weights`` is one canonical CSR matrix (sorted indices, no duplicate
-    entries) holding both directions of every edge; its arrays are copied
-    and frozen on construction. :func:`build_adjacency` records the
-    (computed, skipped) count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the
-    unlabeled x unlabeled product in ``knn_tiles``, the k each clamped
-    block got in ``k_clamps`` and the most strip or piece buffer and scratch
-    bytes one search held in ``knn_scratch_bytes``.
+    ``weights`` is one canonical CSR matrix (sorted indices, no duplicates)
+    holding both directions of every edge; a canonical float64 CSR is adopted
+    and its arrays frozen in place, anything else copied first.
+    :func:`build_adjacency` records the (computed, skipped) count of TOP_K_BLOCK
+    x TOP_K_BLOCK tiles of the unlabeled x unlabeled product in ``knn_tiles``,
+    the k each clamped block got in ``k_clamps`` and the most strip or piece
+    buffer and scratch bytes one search held in ``knn_scratch_bytes``.
     """
 
     weights: sp.csr_matrix
@@ -91,7 +91,9 @@ class BlockAdjacency:
 
     def __post_init__(self):
         n = self.partition.n_total
-        weights = sp.csr_matrix(self.weights, dtype=np.float64, copy=True)
+        w = self.weights
+        adopt = isinstance(w, sp.csr_matrix) and w.dtype == np.float64 and w.has_canonical_format
+        weights = w if adopt else sp.csr_matrix(w, dtype=np.float64, copy=True)
         if weights.shape != (n, n):
             raise ValueError(f"weights shape {weights.shape} does not match partition total {n}")
         weights.sum_duplicates()
@@ -269,16 +271,18 @@ def _top_k(u: np.ndarray, k: int):
     [0, pi]; rounding kth_q - margin and its arccos moves the test by less
     than delta in cosine, as rounding the cos did.
 
-    :func:`share` runs the diagonal pieces, then the surviving tiles; k-th
-    reads and merges share one lock. Each thread holds a piece buffer and
-    mask, 9 bytes per entry of a TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) piece at
+    :func:`share` runs one diagonal task per block, which writes each selection
+    into the rows it owns (a glued block's task does the partial last strip
+    first), then the surviving tiles; the k-th reads and merges of a glued
+    remainder and of the tiles share one lock. Each thread holds a piece buffer
+    and mask, 9 bytes per entry of a TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) piece at
     most, and a SELECT_ROWS-row selection copy: O(TOP_K_BLOCK^2 + n k).
     """
     n = u.shape[0]
     # sentinel entries sort after every real candidate
     idx, sim = np.full((n, k), n), np.full((n, k), -np.inf)
     n_strips, n_blocks = -(-n // TOP_K_BLOCK), max(1, n // TOP_K_BLOCK)
-    lock = threading.RLock()  # reentrant: a diagonal piece merges while holding it
+    lock = threading.Lock()
 
     def merge(rows, cand, vals):
         # each list row in ``rows`` keeps its k best of itself and its candidates
@@ -309,12 +313,7 @@ def _top_k(u: np.ndarray, k: int):
             if k_sel:
                 reach = mask[:own * own].reshape(own, own)
                 cand, vals = _select_block(block[:, :own], k_sel, part, reach)
-                cand += first
-                with lock:  # list rows still empty take them as they are
-                    if np.isneginf(sim[lo:hi, 0]).all():
-                        idx[lo:hi, :k_sel], sim[lo:hi, :k_sel] = cand, vals
-                    else:
-                        merge(np.repeat(np.arange(lo, hi), k_sel), cand.ravel(), vals.ravel())
+                idx[lo:hi, :k_sel], sim[lo:hi, :k_sel] = cand + first, vals
             block, first = block[:, own:], first + own
         # merge the entries at or above the running k-th of their row, then
         # of their column (rows from lo, columns from first)
@@ -328,12 +327,14 @@ def _top_k(u: np.ndarray, k: int):
             if r.size:
                 merge(*((first + c, lo + r) if column_side else (lo + r, first + c)), block[r, c])
 
+    def diagonal(a, *scratch):  # block a's own strip, after the partial last strip glued to it
+        for s in range(n_strips - 1 if a == n_blocks - 1 else a, a - 1, -1):
+            piece((s, s), *scratch)
+
     size = min(TOP_K_BLOCK, n) * (n - (n_blocks - 1) * TOP_K_BLOCK)
     bufs = [(np.empty(size), np.empty(min(SELECT_ROWS, n) * min(TOP_K_BLOCK, n)),
              np.empty(size, dtype=bool)) for _ in range(1 + (n_strips > 1))]
-    # the last strip first: a partial one is tiny, and its rows' k-th is
-    # then set before the glued piece next to it reaches their column side
-    share([(a, a) for a in (n_strips - 1, *range(n_strips - 1))], piece, bufs)
+    share(range(n_blocks), diagonal, bufs)
     need = _tile_plan(u, sim[:, k - 1])
     share([(a, b) for a, b in zip(*np.nonzero(np.triu(need, 1))) if b < n_blocks], piece, bufs)
     computed = int(need[np.triu_indices(n_strips)].sum())
@@ -404,9 +405,7 @@ def normalize(adj: BlockAdjacency) -> BlockAdjacency:
     w = adj.weights
     n = adj.partition.n_total
     rows = np.repeat(np.arange(n), np.diff(w.indptr))
-    degree = np.zeros(n)
-    np.add.at(degree, rows, w.data)
-    degree = np.maximum(degree, DEGREE_FLOOR)
+    degree = np.maximum(w @ np.ones(n), DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(degree)
     # the two factors multiply first so (i,j) and (j,i) round identically
     scaled = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])

@@ -620,6 +620,7 @@ def test_orphan_sidecar_rejected(tmp_path, capsys, orphan, partner, edit):
     ({"shape": "bridged_chain", "branch_deg": 60},
      "spec.json: unknown synth spec keys ['branch_deg']\n"),
     ({"seed": -1}, "spec.json: seed must be >= 0, got -1\n"),
+    ({"labeled_per_class": -1}, "labeled_per_class must be >= 0"),
 ])
 def test_bad_synth_spec_key_named(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -657,6 +658,8 @@ def test_explicit_synth_spec_equals_its_preset(tmp_path):
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": []},
      "run.json: key 'clusters' must list at least one count\n"),
     ("score", {"manifest": "m.json", "k": 0}, "run.json: k must be >= 1, got 0\n"),
+    ("score", {"manifest": "m.json", "method": "nope"}, "unknown method 'nope'"),
+    ("score", ["m.json"], "expected a JSON object, got list"),
 ])
 def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "run.json"

@@ -1,7 +1,9 @@
+import gc
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +301,22 @@ def test_top_k_without_a_worker_keeps_the_threaded_bytes(inline_worker, self_sea
         assert threaded[2][1] > 0
 
 
+@pytest.mark.parametrize("make", [_partial_block, _noisy_tail, lambda rng: _chain(700, 8, 7)],
+                         ids=["partial_block", "noisy_tail", "one_block_and_a_strip"])
+def test_top_k_keeps_its_bytes_with_the_tasks_reversed(monkeypatch, make):
+    # each diagonal task owns the rows it writes, a partial last strip
+    # running in the task of the block glued to it (at 700 rows, the only
+    # diagonal task), so neither pass depends on the order tasks are taken in
+    u = make(np.random.default_rng(5))
+    default = _top_k(u, 10)
+    share = graph.share
+    monkeypatch.setattr(graph, "share", lambda tasks, *args: share(list(tasks)[::-1], *args))
+    backwards = _top_k(u, 10)
+    assert backwards[0].tobytes() == default[0].tobytes()
+    assert backwards[1].tobytes() == default[1].tobytes()
+    assert backwards[2:] == default[2:]
+
+
 @pytest.mark.parametrize("raiser", ["caller", "worker"])
 @pytest.mark.parametrize("search", ["top_k", "nearest"])
 def test_failed_selection_stops_both_threads(monkeypatch, thread_starts, search, raiser):
@@ -432,6 +450,21 @@ def test_top_k_leaves_no_thread_behind(thread_starts):
     assert threading.active_count() == before
 
 
+def test_build_frees_its_input_without_the_cycle_collector():
+    # a nested function of the search that refers to itself would keep the
+    # arrays it closes over, the unlabeled rows among them, alive until the
+    # next collection: one copy more per call
+    protos, lab, unlab = _strips_input(1)
+    rows = weakref.ref(unlab.data)
+    gc.disable()
+    try:
+        build_adjacency(protos, lab, unlab, k=4)
+        del unlab
+        assert rows() is None
+    finally:
+        gc.enable()
+
+
 def test_concurrent_callers_match_sequential_builds():
     # more caller threads than cores, each with its own worker, under a short
     # switch interval; every graph must keep the bytes of a sequential build
@@ -547,6 +580,29 @@ def test_block_adjacency_validation():
         BlockAdjacency(sp.csr_matrix([[1.0, -0.5], [-0.5, 0.0]]), part)
     with pytest.raises(ValueError, match="does not match partition"):
         BlockAdjacency(sp.csr_matrix(np.eye(3)), part)
+
+
+def test_block_adjacency_adopts_a_canonical_float64_csr():
+    part = NodePartition(1, 0, 2)
+    dense = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.25], [0.5, 0.25, 0.0]])
+    w = sp.csr_matrix(dense)
+    adj = BlockAdjacency(w, part)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(adj.weights, name) is getattr(w, name)
+        assert not getattr(w, name).flags.writeable
+    # normalize hands its scaled weights over on the same index arrays
+    norm = normalize(adj).weights
+    assert np.shares_memory(norm.indices, w.indices) and norm.indptr is w.indptr
+    # unsorted columns and a duplicate entry: summed on a copy, the caller's arrays untouched
+    raw = sp.csr_matrix((np.array([0.5, 1.0, 0.125, 0.125, 0.5, 0.25]),
+                         np.array([2, 0, 2, 2, 0, 1]), np.array([0, 2, 4, 6])), shape=(3, 3))
+    before = [x.copy() for x in (raw.data, raw.indices, raw.indptr)]
+    for other in (raw, sp.csr_matrix(dense, dtype=np.float32), sp.coo_matrix(dense), dense):
+        adj = BlockAdjacency(other, part)
+        assert adj.weights.has_canonical_format and adj.weights.dtype == np.float64
+        assert adj.weights.toarray().tobytes() == dense.tobytes()
+    for arr, old in zip((raw.data, raw.indices, raw.indptr), before):
+        assert arr.flags.writeable and arr.tobytes() == old.tobytes()
 
 
 @given(st.integers(0, 10_000), st.integers(0, 2), st.booleans(), st.integers(0, 3))

@@ -127,6 +127,10 @@ def test_single_class_inputs_rejected():
         auroc(np.array([0.1, 0.2]), np.array([True, True]))
     with pytest.raises(ValueError, match="at least one"):
         fpr_at_tpr(np.array([0.1, 0.2]), np.array([False, False]))
+    with pytest.raises(ValueError, match="the same length"):
+        evaluate(np.array([0.1, 0.2, 0.3]), np.array([True, False]))
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(np.array([0.1, np.nan]), np.array([True, False]))
 
 
 def test_evaluate_bundles_report():

@@ -156,6 +156,8 @@ def test_pool_shape_validation(tmp_path):
     save_matrix(EmbeddingMatrix(zero), tmp_path / "zero.npy")
     with pytest.raises(ValueError, match=r"zero\.npy: zero-norm row 2"):
         _file_means([first, tmp_path / "zero.npy"])
+    with pytest.raises(ValueError, match=r"clusters must be >= 1, got \[0\]"):
+        pool_prototypes([first], [0], 0)
 
 
 def test_prototype_set_requires_unit_rows():

@@ -412,6 +412,8 @@ def test_normalized_dot_equals_explicit_cosine(seed):
 def test_embedding_matrix_validation():
     with pytest.raises(ValueError, match="2-D"):
         EmbeddingMatrix(np.zeros(3))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        EmbeddingMatrix(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="row 0"):
         EmbeddingMatrix([[np.inf, 0.0]])
     with pytest.raises(ValueError, match="row 1 contains non-finite"):
@@ -460,6 +462,9 @@ def test_flags_round_trip(tmp_path):
     path = tmp_path / "flags.csv"
     save_flags(flags, path)
     np.testing.assert_array_equal(load_flags(path), flags)
+    # a blank line is skipped
+    path.write_text("index,is_id\n0,1\n\n1,0\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_flags(path), [True, False])
 
 
 @pytest.mark.parametrize("text, message", [
