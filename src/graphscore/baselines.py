@@ -96,8 +96,5 @@ def manifold_score(adj: BlockAdjacency) -> np.ndarray:
     part = adj.partition
     sources = range(part.unlabeled_offset)
     dist = shortest_path_distances(adj, sources)
-    unlab = dist[part.unlabeled_slice]
-    reachable = np.isfinite(unlab)
-    scores = np.zeros(part.n_unlabeled)
-    scores[reachable] = 1.0 / (unlab[reachable] + EPSILON)
-    return scores
+    # an unreachable node's inf distance gives exactly +0.0
+    return 1.0 / (dist[part.unlabeled_slice] + EPSILON)

@@ -160,7 +160,7 @@ def _tile_plan(u: np.ndarray, kth: np.ndarray) -> np.ndarray:
     starts = np.arange(0, n, TOP_K_BLOCK)
     nb = starts.size
     need = np.ones((nb, nb), dtype=bool)
-    if nb < 2:
+    if n < 2 * TOP_K_BLOCK:  # one full block: no tile to plan
         return need
     # one pass over each block while it is in cache: its sum (as a product
     # with ones, a few times faster than sum(axis=0)) and its squared norms
@@ -274,9 +274,10 @@ def _top_k(u: np.ndarray, k: int):
     :func:`share` runs one diagonal task per block, which writes each selection
     into the rows it owns (a glued block's task does the partial last strip
     first), then the surviving tiles; the k-th reads and merges of a glued
-    remainder and of the tiles share one lock. Each thread holds a piece buffer
-    and mask, 9 bytes per entry of a TOP_K_BLOCK x (2 TOP_K_BLOCK - 1) piece at
-    most, and a SELECT_ROWS-row selection copy: O(TOP_K_BLOCK^2 + n k).
+    remainder and of the tiles share one lock. Each thread, one below two full
+    blocks, holds a piece buffer and mask, 9 bytes per entry of a TOP_K_BLOCK x
+    (2 TOP_K_BLOCK - 1) piece at most, and a SELECT_ROWS-row selection copy:
+    O(TOP_K_BLOCK^2 + n k).
     """
     n = u.shape[0]
     # sentinel entries sort after every real candidate
@@ -333,7 +334,7 @@ def _top_k(u: np.ndarray, k: int):
 
     size = min(TOP_K_BLOCK, n) * (n - (n_blocks - 1) * TOP_K_BLOCK)
     bufs = [(np.empty(size), np.empty(min(SELECT_ROWS, n) * min(TOP_K_BLOCK, n)),
-             np.empty(size, dtype=bool)) for _ in range(1 + (n_strips > 1))]
+             np.empty(size, dtype=bool)) for _ in range(1 + (n_blocks > 1))]
     share(range(n_blocks), diagonal, bufs)
     need = _tile_plan(u, sim[:, k - 1])
     share([(a, b) for a, b in zip(*np.nonzero(np.triu(need, 1))) if b < n_blocks], piece, bufs)
@@ -403,10 +404,8 @@ def normalize(adj: BlockAdjacency) -> BlockAdjacency:
     degree vector floored at DEGREE_FLOOR before inversion. The result has
     the same edges as ``adj``, with scaled weights."""
     w = adj.weights
-    n = adj.partition.n_total
-    rows = np.repeat(np.arange(n), np.diff(w.indptr))
-    degree = np.maximum(w @ np.ones(n), DEGREE_FLOOR)
+    degree = np.maximum(w @ np.ones(adj.partition.n_total), DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(degree)
     # the two factors multiply first so (i,j) and (j,i) round identically
-    scaled = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
+    scaled = w.data * (np.repeat(inv_sqrt, np.diff(w.indptr)) * inv_sqrt[w.indices])
     return replace(adj, weights=sp.csr_matrix((scaled, w.indices, w.indptr), shape=w.shape))

@@ -49,17 +49,11 @@ def auroc(scores, is_id) -> float:
     """Probability a random ID sample outscores a random OOD sample, with
     ties credited 0.5. Exact: the pair counts are accumulated as integers."""
     scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    ids = is_id[order]
-    starts = np.nonzero(np.concatenate(([True], s[1:] != s[:-1])))[0]
-    ends = np.append(starts[1:], s.size)
-    id_cum = np.concatenate(([0], np.cumsum(ids)))
-    id_per = id_cum[ends] - id_cum[starts]
-    ood_per = (ends - starts) - id_per
-    ood_below = np.concatenate(([0], np.cumsum(ood_per)))[:-1]
-    wins = int(np.sum(id_per * ood_below))
-    ties = int(np.sum(id_per * ood_per))
+    id_scores, ood_scores = np.sort(scores[is_id]), np.sort(scores[~is_id])
+    # per ID score: the OOD scores below it, then those at or below it
+    below = np.searchsorted(ood_scores, id_scores, side="left")
+    wins = int(below.sum())
+    ties = int(np.searchsorted(ood_scores, id_scores, side="right").sum()) - wins
     return (wins + 0.5 * ties) / (n_id * n_ood)
 
 

@@ -534,6 +534,13 @@ def test_summary_reports_k_clamps_and_knn_scratch():
     # their SELECT_ROWS-row selection copies hold the most
     assert summary["knn_scratch_bytes"] == 2 * (9 * TOP_K_BLOCK * unlab.count
                                                  + 8 * SELECT_ROWS * TOP_K_BLOCK)
+    # below two full blocks one diagonal task runs and no tile exists: one
+    # thread's piece buffer and mask, as wide as all n rows, and its
+    # selection copy
+    n = TOP_K_BLOCK + 188
+    rows = random_unit_rows(np.random.default_rng(1), n + 1, 512)
+    summary = build_adjacency(_protos(rows[:1]), None, EmbeddingMatrix(rows[1:]), k=10).summary
+    assert summary["knn_scratch_bytes"] == 9 * TOP_K_BLOCK * n + 8 * SELECT_ROWS * TOP_K_BLOCK
 
 
 def test_adjacency_sparsity_bound():

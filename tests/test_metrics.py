@@ -40,6 +40,12 @@ def test_auroc_matches_pairwise_oracle_exactly():
             is_id[0] = True
             is_id[-1] = False
         assert auroc(scores, is_id) == pairwise_auroc(scores, is_id)
+    # unreached nodes score exactly 0.0: signed zeros tie, and a mix may be all zeros
+    signed = np.array([0.0, -0.0, 0.3, -0.0, 0.0, -0.2, 0.0])
+    for scores, is_id in [(signed, np.array([True, False, True, True, False, False, False])),
+                          (signed, np.array([False, True, False, False, True, True, True])),
+                          (np.zeros(5), np.array([True, False, False, True, False]))]:
+        assert auroc(scores, is_id) == pairwise_auroc(scores, is_id)
 
 
 def test_fpr_perfect_separation():
