@@ -363,6 +363,8 @@ def _dispatch(args) -> int:
         if key in flags:  # typed by argparse; the command checks its range
             return flags[key]
         value = config.get(key, default)
+        if many and value == []:  # argparse takes one or more, a config file may list none
+            raise ValueError(f"{args.config}: key {key!r} must list at least one entry")
         return (store.typed_list if many else store.typed)(value, typ, key, args.config)
 
     if args.command == "score":
@@ -376,7 +378,7 @@ def _dispatch(args) -> int:
             raise ValueError(f"{args.config}: {exc}") from None
         return cmd_score(replace(cfg, **{key: v for key, v in flags.items() if key in types}))
     if args.command == "eval":
-        if not opts.get("scores") or opts.get("flags") is None:
+        if opts.get("scores") is None or opts.get("flags") is None:
             raise ValueError("eval needs --scores and --flags")
         return cmd_eval(opt("scores", str, many=True), opt("flags", str), opt("out", str, "runs"),
                         names=opt("names", str, many=True) if "names" in opts else None)
@@ -385,11 +387,9 @@ def _dispatch(args) -> int:
             raise ValueError("synth needs --spec")
         return cmd_synth(opt("spec", str), opt("out", str, "synth_out"))
     if args.command == "cluster-prompts":
-        if not opts.get("pools"):
+        if opts.get("pools") is None:
             raise ValueError("cluster-prompts needs --pools")
         clusters, seed = opt("clusters", int, [3], many=True), opt("seed", int, 0)
-        if not clusters:  # only a config file can give an empty list
-            raise ValueError(f"{args.config}: key 'clusters' must list at least one count")
         # a range error names the config file when the value came from it
         where = {key: "" if key in flags else f"{args.config}: " for key in ("seed", "clusters")}
         if seed < 0:

@@ -20,6 +20,7 @@ and only survivors merged, and a tile that a spherical-cap bound puts below
 it is skipped. Two threads share strips and pieces; neither moves a bit.
 """
 
+import copy
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -77,17 +78,16 @@ class BlockAdjacency:
     ``weights`` is one canonical CSR matrix (sorted indices, no duplicates)
     holding both directions of every edge; a canonical float64 CSR is adopted
     and its arrays frozen in place, anything else copied first.
-    :func:`build_adjacency` records the (computed, skipped) count of TOP_K_BLOCK
-    x TOP_K_BLOCK tiles of the unlabeled x unlabeled product in ``knn_tiles``,
-    the k each clamped block got in ``k_clamps`` and the most strip or piece
-    buffer and scratch bytes one search held in ``knn_scratch_bytes``.
+    ``report`` holds what :func:`build_adjacency` measured: the computed and
+    skipped count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the unlabeled x
+    unlabeled product in ``knn_tiles``, the k each clamped block got in
+    ``k_clamps`` and the most strip or piece buffer and scratch bytes one
+    search held in ``knn_scratch_bytes``; a hand-built graph's is empty.
     """
 
     weights: sp.csr_matrix
     partition: NodePartition
-    knn_tiles: tuple = (0, 0)
-    k_clamps: dict = field(default_factory=dict)
-    knn_scratch_bytes: int = 0
+    report: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.partition.n_total
@@ -109,11 +109,8 @@ class BlockAdjacency:
 
     @property
     def summary(self) -> dict:
-        """Edge count, KNN tile counts, k clamps and KNN scratch bytes, as
-        the diagnostics report them."""
-        computed, skipped = self.knn_tiles
-        return {"edges": self.nnz, "knn_tiles": {"computed": computed, "skipped": skipped},
-                "k_clamps": dict(self.k_clamps), "knn_scratch_bytes": self.knn_scratch_bytes}
+        """Edge count and a copy of ``report``, as the diagnostics report them."""
+        return {"edges": self.nnz, **copy.deepcopy(self.report)}
 
 
 def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray):
@@ -366,37 +363,38 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
     # identity diagonal on prototype and labeled segments
     diag = np.arange(off_u)
     rows, cols, sims = [diag], [diag], [np.ones(off_u)]
-    clamps = {}
+    report = {"knn_tiles": {"computed": 0, "skipped": 0}, "k_clamps": {},
+              "knn_scratch_bytes": 0}
 
     def add_block(queries, offset, available, what):
         k_eff = min(k, available)
         if k_eff < k:
-            clamps[what] = k_eff
+            report["k_clamps"][what] = k_eff
             if k_eff:
                 warnings.warn(f"k={k} exceeds available {what} neighbors ({available}); "
                               "clamping", stacklevel=3)
         if k_eff < 1:
-            return (0, 0), 0
+            return
         if what == "intra-unlabeled":
-            idx, s, tiles, held = _top_k(queries, k_eff)
+            idx, s, (computed, skipped), held = _top_k(queries, k_eff)
+            report["knn_tiles"] = {"computed": computed, "skipped": skipped}
         else:
-            (idx, s, held), tiles = _nearest(queries, unlab, k_eff), (0, 0)
+            idx, s, held = _nearest(queries, unlab, k_eff)
+        report["knn_scratch_bytes"] = max(report["knn_scratch_bytes"], held)
         rows.append(np.repeat(np.arange(queries.shape[0]), k_eff) + offset)
         cols.append(idx.ravel() + off_u)
         sims.append(s.ravel())
-        return tiles, held
 
-    done = [add_block(proto, 0, part.n_unlabeled, "unlabeled")]
+    add_block(proto, 0, part.n_unlabeled, "unlabeled")
     if part.n_labeled:
-        done.append(add_block(lab, part.n_proto, part.n_unlabeled, "unlabeled"))
-    done.append(add_block(unlab, off_u, part.n_unlabeled - 1, "intra-unlabeled"))
+        add_block(lab, part.n_proto, part.n_unlabeled, "unlabeled")
+    add_block(unlab, off_u, part.n_unlabeled - 1, "intra-unlabeled")
 
     r, c, s = (np.concatenate(parts) for parts in (rows, cols, sims))
     keep = s > 0.0
     n = part.n_total
     directed = sp.csr_matrix((s[keep], (r[keep], c[keep])), shape=(n, n))
-    return BlockAdjacency(directed.maximum(directed.T), part, done[-1][0], clamps,
-                          max(held for _, held in done))
+    return BlockAdjacency(directed.maximum(directed.T), part, report)
 
 
 def normalize(adj: BlockAdjacency) -> BlockAdjacency:

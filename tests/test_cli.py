@@ -163,8 +163,12 @@ def test_cluster_prompts_sweep_emits_one_file_per_value(tmp_path):
     pools = _write_pools(tmp_path)
     out = tmp_path / "protos"
     values = [str(v) for v in range(1, 11)]
-    assert main(["cluster-prompts", "--pools", *pools, "--clusters", *values,
-                 "--seed", "0", "--out", str(out)]) == 0
+    # the 8 templates per class clamp n_c = 9 and 10, each with a warning
+    with pytest.warns(UserWarning, match="exceeds template count 8; clamping") as caught:
+        assert main(["cluster-prompts", "--pools", *pools, "--clusters", *values,
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert [str(w.message) for w in caught] == [
+        f"n_c={v} exceeds template count 8; clamping" for v in (9, 10)]
     for v in range(1, 11):
         assert (out / f"prototypes_nc{v}.npy").exists()
         protos = load_prototypes(out / f"prototypes_nc{v}.npy",
@@ -656,10 +660,15 @@ def test_explicit_synth_spec_equals_its_preset(tmp_path):
     ("score", {"manifest": "m.json", "tau": float("inf")},
      "run.json: key 'tau' must be a finite number, got Infinity\n"),
     ("cluster-prompts", {"pools": ["p.npy"], "clusters": []},
-     "run.json: key 'clusters' must list at least one count\n"),
+     "run.json: key 'clusters' must list at least one entry\n"),
     ("score", {"manifest": "m.json", "k": 0}, "run.json: k must be >= 1, got 0\n"),
     ("score", {"manifest": "m.json", "method": "nope"}, "unknown method 'nope'"),
     ("score", ["m.json"], "expected a JSON object, got list"),
+    ("eval", {"scores": [], "flags": "f.csv"},
+     "run.json: key 'scores' must list at least one entry\n"),
+    ("eval", {"scores": ["s.npy"], "flags": "f.csv", "names": []},
+     "run.json: key 'names' must list at least one entry\n"),
+    ("cluster-prompts", {"pools": []}, "run.json: key 'pools' must list at least one entry\n"),
 ])
 def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import copy
 import gc
 import sys
 import threading
@@ -541,6 +542,23 @@ def test_summary_reports_k_clamps_and_knn_scratch():
     rows = random_unit_rows(np.random.default_rng(1), n + 1, 512)
     summary = build_adjacency(_protos(rows[:1]), None, EmbeddingMatrix(rows[1:]), k=10).summary
     assert summary["knn_scratch_bytes"] == 9 * TOP_K_BLOCK * n + 8 * SELECT_ROWS * TOP_K_BLOCK
+
+
+def test_summary_copies_the_build_report():
+    # a hand-built graph ran no KNN search: its summary holds only the edge count
+    w = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
+    assert BlockAdjacency(w, NodePartition(1, 0, 1)).summary == {"edges": w.nnz}
+    with pytest.warns(UserWarning, match="clamping"):
+        adj = build_adjacency(_protos([[1.0, 0.0]]), None,
+                              EmbeddingMatrix([[0.9, 0.1], [0.1, 0.9]]), k=10)
+    first = adj.summary
+    assert list(first) == ["edges", "knn_tiles", "k_clamps", "knn_scratch_bytes"]
+    expected = copy.deepcopy(first)
+    # editing a returned summary's nested dicts leaves the next one as it was
+    first["k_clamps"]["unlabeled"] = 0
+    first["knn_tiles"]["computed"] = 99
+    assert adj.summary == expected
+    assert normalize(adj).report == adj.report
 
 
 def test_adjacency_sparsity_bound():

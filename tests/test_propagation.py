@@ -330,7 +330,8 @@ def test_run_gsp_single_unlabeled_node():
     protos = PrototypeSet(vectors=EmbeddingMatrix([[1.0, 0.0]]),
                           class_of=[0])
     unlabeled = EmbeddingMatrix([[1.0, 0.0]])
-    pass1, scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
+    with pytest.warns(UserWarning, match=r"k=10 exceeds available unlabeled neighbors \(1\)"):
+        pass1, scores, diag = run_gsp(build_adjacency(protos, None, unlabeled))
     pass1_unlab = diag["pass1_unlabeled"]
     assert pass1_unlab["min"] == pass1_unlab["max"] == pass1[0] > 0.0
     assert pass1_unlab["n_zero"] == 0

@@ -1,8 +1,9 @@
 """Byte identity, load errors and page faults where the KNN build runs several
-512-row strips and skips tiles, and K-means runs in 8 MB blocks on two threads.
-A check that needs a process setting (BLAS threads, one core, page faults) runs
-in a child process with ``PYTHONPATH`` at ``src`` and the setting in its
-environment, as OpenBLAS reads its thread count once, at import."""
+512-row strips and skips tiles, and K-means runs in 8 MB blocks on two threads;
+and a quality rung on which every method's AUROC can still fall. A check that
+needs a process setting (BLAS threads, one core, page faults) runs in a child
+process with ``PYTHONPATH`` at ``src`` and the setting in its environment, as
+OpenBLAS reads its thread count once, at import."""
 
 import functools
 import json
@@ -250,3 +251,29 @@ def test_score_all_loads_no_scipy_linalg(root, tmp_path):
     stdout = _child("-c", _MODULES, _dataset(root, "strips") / "manifest.json", tmp_path / "run",
                     module=())
     assert json.loads(stdout.splitlines()[-1]) == []
+
+
+def test_reachable_ood_rung_ranks_methods_as_the_paper_claims(tmp_path):
+    # a bridged chain at d = 512 whose chain noise, 10x the benchmark's, lets
+    # a source reach every OOD node, so no method scores 1.000 at either depth:
+    # propagation beats cosine, and self-training beats propagation alone
+    scale = np.sqrt(15 / 511)
+    spec = {"shape": "bridged_chain", "dim": 512, "id_counts": [1200, 1000], "ood_count": 700,
+            "labeled_per_class": 0, "seed": 1, "spread": 0.08 * scale,
+            "proto_jitter": 0.02 * scale, "chain_noise": 0.5 * scale}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    for iters in ("5", "40"):
+        out = tmp_path / f"iters{iters}"
+        assert main(["score", "--manifest", str(data / "manifest.json"), "--method", "all",
+                     "--iters", iters, "--out", str(out)]) == 0
+        graph = json.loads((out / "diagnostics_manifold.json").read_text())["graph"]
+        assert graph["unreachable"] == 0, graph
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        auroc = {method: float(value) for method, value, _ in (row.split(",") for row in rows)}
+        gated = {m: auroc[m] for m in ("gsp", "score_prop_only", "manifold", "cosine")}
+        assert all(0.5 < value < 1.0 for value in gated.values()), (iters, gated)
+        assert gated["gsp"] == max(auroc.values()), (iters, auroc)
+        assert gated["gsp"] > max(gated["score_prop_only"], gated["manifold"], gated["cosine"])
+        assert gated["score_prop_only"] > gated["cosine"], (iters, gated)
