@@ -367,6 +367,12 @@ def _dispatch(args) -> int:
             raise ValueError(f"{args.config}: key {key!r} must list at least one entry")
         return (store.typed_list if many else store.typed)(value, typ, key, args.config)
 
+    # the options each command needs; score's manifest is checked on its own,
+    # as a missing file
+    required = {"eval": ("scores", "flags"), "synth": ("spec",),
+                "cluster-prompts": ("pools",)}.get(args.command, ())
+    if any(opts.get(key) is None for key in required):
+        raise ValueError(f"{args.command} needs {' and '.join('--' + key for key in required)}")
     if args.command == "score":
         if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
@@ -378,27 +384,20 @@ def _dispatch(args) -> int:
             raise ValueError(f"{args.config}: {exc}") from None
         return cmd_score(replace(cfg, **{key: v for key, v in flags.items() if key in types}))
     if args.command == "eval":
-        if opts.get("scores") is None or opts.get("flags") is None:
-            raise ValueError("eval needs --scores and --flags")
         return cmd_eval(opt("scores", str, many=True), opt("flags", str), opt("out", str, "runs"),
                         names=opt("names", str, many=True) if "names" in opts else None)
     if args.command == "synth":
-        if opts.get("spec") is None:
-            raise ValueError("synth needs --spec")
         return cmd_synth(opt("spec", str), opt("out", str, "synth_out"))
-    if args.command == "cluster-prompts":
-        if opts.get("pools") is None:
-            raise ValueError("cluster-prompts needs --pools")
-        clusters, seed = opt("clusters", int, [3], many=True), opt("seed", int, 0)
-        # a range error names the config file when the value came from it
-        where = {key: "" if key in flags else f"{args.config}: " for key in ("seed", "clusters")}
-        if seed < 0:
-            raise ValueError(f"{where['seed']}seed must be >= 0, got {seed}")
-        if min(clusters) < 1:
-            raise ValueError(f"{where['clusters']}clusters must be >= 1, got {clusters}")
-        return cmd_cluster_prompts(opt("pools", str, many=True), clusters, seed,
-                                   opt("out", str, "prototypes_out"))
-    raise ValueError(f"unknown command {args.command!r}")
+    # cluster-prompts: argparse admits no other command
+    clusters, seed = opt("clusters", int, [3], many=True), opt("seed", int, 0)
+    # a range error names the config file when the value came from it
+    where = {key: "" if key in flags else f"{args.config}: " for key in ("seed", "clusters")}
+    if seed < 0:
+        raise ValueError(f"{where['seed']}seed must be >= 0, got {seed}")
+    if min(clusters) < 1:
+        raise ValueError(f"{where['clusters']}clusters must be >= 1, got {clusters}")
+    return cmd_cluster_prompts(opt("pools", str, many=True), clusters, seed,
+                               opt("out", str, "prototypes_out"))
 
 
 def main(argv=None) -> int:

@@ -31,50 +31,36 @@ class EvalReport:
             raise ValueError("need at least one ID and one OOD sample")
 
 
-def _check_inputs(scores, is_id):
+def auroc(scores, is_id) -> float:
+    """Probability a random ID sample outscores a random OOD sample, with
+    ties credited 0.5. Exact: the pair counts are accumulated as integers."""
+    return evaluate(scores, is_id).auroc
+
+
+def fpr_at_tpr(scores, is_id) -> float:
+    """False positive rate at the largest threshold keeping ID recall >= 95%."""
+    return evaluate(scores, is_id).fpr95
+
+
+def evaluate(scores, is_id, method: str = "") -> EvalReport:
+    """Both metrics in a report, from one sort of each class's scores."""
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
     if scores.ndim != 1 or is_id.ndim != 1 or scores.size != is_id.size:
         raise ValueError("scores and is_id must be 1-D and the same length")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    n_id = int(np.count_nonzero(is_id))
-    n_ood = scores.size - n_id
+    id_scores, ood_scores = np.sort(scores[is_id]), np.sort(scores[~is_id])
+    n_id, n_ood = id_scores.size, ood_scores.size
     if n_id == 0 or n_ood == 0:
         raise ValueError("need at least one ID and one OOD sample")
-    return scores, is_id, n_id, n_ood
-
-
-def auroc(scores, is_id) -> float:
-    """Probability a random ID sample outscores a random OOD sample, with
-    ties credited 0.5. Exact: the pair counts are accumulated as integers."""
-    scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
-    id_scores, ood_scores = np.sort(scores[is_id]), np.sort(scores[~is_id])
     # per ID score: the OOD scores below it, then those at or below it
-    below = np.searchsorted(ood_scores, id_scores, side="left")
-    wins = int(below.sum())
+    wins = int(np.searchsorted(ood_scores, id_scores, side="left").sum())
     ties = int(np.searchsorted(ood_scores, id_scores, side="right").sum()) - wins
-    return (wins + 0.5 * ties) / (n_id * n_ood)
-
-
-def fpr_at_tpr(scores, is_id) -> float:
-    """False positive rate at the largest threshold keeping ID recall >= 95%."""
-    scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
-    id_scores = np.sort(scores[is_id])
     # smallest ID count whose recall reaches 95%, in 1..n_id; the tiny slack
     # keeps exact products like 0.95 * 100 from rounding up past the ceiling
     need = math.ceil(0.95 * n_id - 1e-9)
-    threshold = id_scores[n_id - need]
-    return float(np.count_nonzero(scores[~is_id] >= threshold)) / n_ood
-
-
-def evaluate(scores, is_id, method: str = "") -> EvalReport:
-    """Bundle both metrics into a report."""
-    scores, is_id, n_id, n_ood = _check_inputs(scores, is_id)
-    return EvalReport(
-        auroc=auroc(scores, is_id),
-        fpr95=fpr_at_tpr(scores, is_id),
-        n_id=n_id,
-        n_ood=n_ood,
-        method=method,
-    )
+    # the OOD scores at or above the threshold
+    false_pos = n_ood - int(np.searchsorted(ood_scores, id_scores[n_id - need], side="left"))
+    return EvalReport(auroc=(wins + 0.5 * ties) / (n_id * n_ood), fpr95=false_pos / n_ood,
+                      n_id=n_id, n_ood=n_ood, method=method)

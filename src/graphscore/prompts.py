@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import (EmbeddingMatrix, _chunk_rows, _lock, load_json, load_unit_matrix, read_npy,
-                    save_matrix, share, typed, typed_list, unit_rows)
+from .store import (_NORM_EPS, EmbeddingMatrix, _chunk_rows, _lock, load_json, load_unit_matrix,
+                    read_npy, save_matrix, share, typed, typed_list, unit_rows)
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-6
@@ -267,10 +267,11 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
         # the centers' norms are norm(axis=2)'s, a chunk of classes at a time
         norms = (np.sqrt(_sq_dist(out)) if k > 1
                  else np.array([[np.linalg.norm(mean)] for mean in out[:, 0]]))
-        small = (norms < 1e-12).any(axis=1)
+        small = (norms < _NORM_EPS).any(axis=1)
         if small.any():
-            raise ValueError(f"zero-norm {'mean' if k == 1 else 'cluster center'} "
-                             f"for class {int(np.argmax(small))}")
+            c = int(np.argmax(small))
+            raise ValueError(f"{paths[c]}: zero-norm {'mean' if k == 1 else 'cluster center'} "
+                             f"for class {c}")
         out /= norms[:, :, None]  # in place, so the matrix adopts ``out`` without a copy
         sets[k] = PrototypeSet(EmbeddingMatrix(out.reshape(-1, dim)),
                                class_of=np.repeat(np.arange(n_classes), k))

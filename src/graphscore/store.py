@@ -261,36 +261,39 @@ def load_unit_matrix(path) -> EmbeddingMatrix:
 def load_flags(path) -> np.ndarray:
     """Load ground-truth ID/OOD flags from a CSV with header ``index,is_id``.
 
-    Blank lines are skipped. Indices must cover 0..n-1 exactly once; returns
-    a boolean array where True marks in-distribution samples.
+    Blank lines are skipped. Indices must cover 0..n-1 exactly once, and
+    both values must occur, as AUROC and FPR95 need both classes; returns a
+    boolean array where True marks in-distribution samples.
     """
     header = ["index", "is_id"]
     pairs = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        first = next(reader, None)
-        if first != header:
-            raise ValueError(f"{path}: expected header {','.join(header)!r}, "
-                             f"got {','.join(first or [])!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
-            try:
-                idx, val = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer entry") from None
-            if idx in pairs:
-                raise ValueError(f"{path}: duplicate index {idx}")
-            if val not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
-            pairs[idx] = bool(val)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    first = next(reader, None)
+    if first != header:
+        raise ValueError(f"{path}: expected header {','.join(header)!r}, "
+                         f"got {','.join(first or [])!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
+        try:
+            idx, val = int(row[0]), int(row[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer entry") from None
+        if idx in pairs:
+            raise ValueError(f"{path}: duplicate index {idx}")
+        if val not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: is_id must be 0 or 1")
+        pairs[idx] = bool(val)
     n = len(pairs)
     if n == 0:
         raise ValueError(f"{path}: no flag rows")
     if set(pairs) != set(range(n)):
         raise ValueError(f"{path}: indices must cover 0..{n - 1} exactly")
+    if len(set(pairs.values())) == 1:
+        raise ValueError(f"{path}: every row has is_id {int(pairs[0])}; "
+                         f"AUROC and FPR95 need both classes")
     return np.array([pairs[i] for i in range(n)], dtype=bool)
 
 
@@ -304,6 +307,15 @@ def save_flags(is_id, path) -> None:
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _read_text(path) -> str:
+    """The whole of ``path`` decoded as UTF-8; other bytes are an error naming
+    the file and the offset of the first bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def load_json(path, what, keys, required=()) -> dict:
@@ -324,15 +336,12 @@ def load_json(path, what, keys, required=()) -> dict:
             raise ValueError(f"{path}: repeated keys {repeated}")
         return dict(pairs)
 
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f, object_pairs_hook=unique)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    try:
+        doc = json.loads(_read_text(path), object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
+        ) from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(keys))

@@ -282,6 +282,19 @@ def test_short_flags_file_rejected_before_scoring(tmp_path, capsys):
     assert not list(run_dir.glob("scores_*.npy"))
 
 
+def test_one_class_flags_file_rejected_before_scoring(tmp_path, capsys):
+    data_dir = _synth_dataset(tmp_path, seed=0)
+    n = np.load(data_dir / "unlabeled.npy").shape[0]
+    save_flags(np.ones(n, dtype=bool), data_dir / "id_only.csv")
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest["flags"] = "id_only.csv"
+    run_dir = tmp_path / "run"
+    assert _score_all(data_dir, manifest, run_dir) == 1
+    _assert_one_error_line(
+        capsys, "id_only.csv: every row has is_id 1; AUROC and FPR95 need both classes\n")
+    assert not run_dir.exists()
+
+
 def _pool_manifest(tmp_path):
     # the synthetic dataset with prompt pools instead of prebuilt prototypes
     data_dir = _synth_dataset(tmp_path)
@@ -692,9 +705,12 @@ def test_bad_config_value_named_for_every_command(tmp_path, capsys, command, con
       "{tmp}/flags.csv"], 1, ["--names", "--scores"]),
     (["eval", "--scores", "{tmp}/nan.npy", "--flags", "{tmp}/flags.csv"], 1,
      ["nan.npy: entry 2 is non-finite"]),
+    (["eval", "--scores", "{tmp}/s.npy", "--flags", "{tmp}/bad_utf8.csv"], 1,
+     ["bad_utf8.csv: not UTF-8 text (byte 18)\n"]),
 ])
 def test_bad_command_line_named_before_writing(tmp_path, capsys, argv, rc, names):
     save_flags([True, False, True], tmp_path / "flags.csv")
+    (tmp_path / "bad_utf8.csv").write_bytes(b"index,is_id\n0,1\n1,\xff\n2,1\n")
     save_vector([0.3, 0.1, 0.2], tmp_path / "s.npy")
     np.save(tmp_path / "nan.npy", np.array([0.3, 0.1, np.nan]))
     out = tmp_path / "out"

@@ -80,8 +80,11 @@ def test_mean_single_template_identity(tmp_path):
 
 
 def test_antipodal_templates_error(tmp_path):
-    with pytest.raises(ValueError, match="zero-norm mean"):
+    with pytest.raises(ValueError, match=r"f8_000\.npy: zero-norm mean for class 0$"):
         _prototypes(tmp_path, [[[1.0, 0.0], [-1.0, 0.0]]], 1)
+    # the error names the file of the class whose mean vanishes
+    with pytest.raises(ValueError, match=r"f8_001\.npy: zero-norm mean for class 1$"):
+        _prototypes(tmp_path, [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0]]], 1)
 
 
 def test_cluster_matches_exhaustive_partition_oracle(tmp_path):

@@ -467,6 +467,9 @@ def test_flags_round_trip(tmp_path):
     np.testing.assert_array_equal(load_flags(path), [True, False])
 
 
+_LONG_FLAGS = b"index,is_id\n" + b"".join(b"%d,%d\n" % (i, i % 2) for i in range(2000))
+
+
 @pytest.mark.parametrize("text, message", [
     ("index,is_id\n0,1,junk\n", "flags.csv:2: expected two fields, got 3"),
     ("index,is_id\n0\n", "flags.csv:2: expected two fields, got 1"),
@@ -476,10 +479,17 @@ def test_flags_round_trip(tmp_path):
     ("index,is_id\n0,1\n0,0\n", "flags.csv: duplicate index 0"),
     ("index,is_id\n", "flags.csv: no flag rows"),
     ("", "flags.csv: expected header 'index,is_id'"),
+    # the offset counts from the start of the file, past csv's read chunks too
+    (b"index,is_id\n0,1\n1,\xff\n", "flags.csv: not UTF-8 text (byte 18)"),
+    pytest.param(_LONG_FLAGS + b"\xff\n", f"flags.csv: not UTF-8 text (byte {len(_LONG_FLAGS)})",
+                 id="not-utf8-past-8k"),
+    ("index,is_id\n0,1\n1,1\n",
+     "flags.csv: every row has is_id 1; AUROC and FPR95 need both classes"),
+    ("index,is_id\n0,0\n", "flags.csv: every row has is_id 0"),
 ])
 def test_flags_malformed_rows_named(tmp_path, text, message):
     path = tmp_path / "flags.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(ValueError, match=re.escape(message)):
         load_flags(path)
 
