@@ -31,7 +31,6 @@ _SELF_TRAIN = frozenset({"gsp", "gsp_no_cluster"})
 
 @dataclass(frozen=True)
 class RunConfig:
-    manifest: str
     method: str = "gsp"
     k: int = 10
     clusters: int = 3
@@ -40,7 +39,6 @@ class RunConfig:
     m_percent: float = 5.0
     tau: float = 1.0
     seed: int = 0
-    out: str = "runs"
 
     def __post_init__(self):
         if self.method not in METHODS + ("all",):
@@ -65,7 +63,7 @@ class RunConfig:
 class DatasetBundle:
     unlabeled: object
     labeled: object
-    pool: object  # (pool files, one per class; the dimension check for each), read when scored
+    pool: object  # (pool files, one per class; the first file's dimension check), read when scored
     prototypes: object
     flags: object
 
@@ -208,12 +206,12 @@ def compute_scores(bundle: DatasetBundle, methods, cfg: RunConfig, load_s=None):
     return results
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    bundle, load_s = timed(load_dataset, cfg.manifest)
+def cmd_score(manifest, out_dir, cfg: RunConfig) -> int:
+    bundle, load_s = timed(load_dataset, manifest)
     results = compute_scores(bundle, METHODS if cfg.method == "all" else (cfg.method,), cfg,
                              load_s)
 
-    out = Path(cfg.out)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for method, scores, diag in results:
         store.save_vector(scores, out / f"scores_{method}.npy")
@@ -376,13 +374,15 @@ def _dispatch(args) -> int:
     if args.command == "score":
         if opts.get("manifest") is None:
             raise FileNotFoundError("no manifest given (use --manifest or config)")
+        manifest, out = opt("manifest", str), opt("out", str, "runs")
         types = {f.name: f.type for f in fields(RunConfig)}
-        given = {key: opt(key, types[key]) for key in config if key not in flags}
+        given = {key: opt(key, types[key]) for key in config if key in types and key not in flags}
         try:  # the config file's values on their own first, so a range error among them names it
-            cfg = RunConfig(**{"manifest": opts["manifest"], **given})
+            cfg = RunConfig(**given)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-        return cmd_score(replace(cfg, **{key: v for key, v in flags.items() if key in types}))
+        return cmd_score(manifest, out,
+                         replace(cfg, **{key: v for key, v in flags.items() if key in types}))
     if args.command == "eval":
         return cmd_eval(opt("scores", str, many=True), opt("flags", str), opt("out", str, "runs"),
                         names=opt("names", str, many=True) if "names" in opts else None)

@@ -31,17 +31,6 @@ class EvalReport:
             raise ValueError("need at least one ID and one OOD sample")
 
 
-def auroc(scores, is_id) -> float:
-    """Probability a random ID sample outscores a random OOD sample, with
-    ties credited 0.5. Exact: the pair counts are accumulated as integers."""
-    return evaluate(scores, is_id).auroc
-
-
-def fpr_at_tpr(scores, is_id) -> float:
-    """False positive rate at the largest threshold keeping ID recall >= 95%."""
-    return evaluate(scores, is_id).fpr95
-
-
 def evaluate(scores, is_id, method: str = "") -> EvalReport:
     """Both metrics in a report, from one sort of each class's scores."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -203,10 +203,10 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     the block's rows, and reduced to every set asked for before the next
     block, so no ``(C, T, d)`` stack is ever held; :func:`_lloyd` only reads
     the block, so every count clusters the same buffer. Every file must have
-    the first file's shape and pass ``check(path, dim)``. The error is the
-    one a file-by-file pass would raise: a zero, NaN or inf row is named by
-    its file and its row in that file, and it comes before a read error in
-    a later file of the block.
+    the first file's shape, and the first must pass ``check(path, dim)``.
+    The error is the one a file-by-file pass would raise: a zero, NaN or inf
+    row is named by its file and its row in that file, and it comes before
+    a read error in a later file of the block.
 
     :func:`share` runs the blocks on two threads. Every class draws from its
     own PCG64 stream, so no output depends on which thread ran its block.
@@ -231,7 +231,6 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
         hi, failed = min(lo + block, n_classes), None
         for c, rows in zip(range(lo, hi), buf):
             def slot(shape):
-                check(paths[c], shape[1])
                 if shape != first.shape:
                     raise ValueError(f"{paths[c]}: shape {shape} differs from "
                                      f"{paths[0]}: {first.shape}")

@@ -141,8 +141,8 @@ def test_criterion_5_metric_oracles():
         if is_id.all() or not is_id.any():
             is_id[0] = True
             is_id[-1] = False
-        ok &= gs.auroc(scores, is_id) == pairwise_auroc(scores, is_id)
-        ok &= gs.fpr_at_tpr(scores, is_id) == sweep_fpr(scores, is_id)
+        ok &= gs.evaluate(scores, is_id).auroc == pairwise_auroc(scores, is_id)
+        ok &= gs.evaluate(scores, is_id).fpr95 == sweep_fpr(scores, is_id)
     _report(5, ok, "(1000 instances, exact equality incl. ties)")
 
 
@@ -177,7 +177,7 @@ def test_criterion_6_kmeans_monotone_and_exhaustive_optimum(tmp_path):
 @pytest.fixture(scope="module")
 def bridge_sweep():
     """AUROC per method over 100 seeds of the frozen bridge benchmark."""
-    cfg = RunConfig(manifest="unused")
+    cfg = RunConfig()
     out = {m: [] for m in ("cosine", "score_prop_only", "gsp", "gsp_no_neg")}
     start = time.monotonic()
     for seed in range(100):
@@ -185,7 +185,7 @@ def bridge_sweep():
         bundle = DatasetBundle(unlabeled=data.unlabeled, labeled=data.labeled,
                                pool=None, prototypes=data.prototypes, flags=None)
         for method, scores, _ in compute_scores(bundle, tuple(out), cfg):
-            out[method].append(gs.auroc(scores, data.is_id))
+            out[method].append(gs.evaluate(scores, data.is_id).auroc)
     elapsed = time.monotonic() - start
     return {m: np.array(v) for m, v in out.items()}, elapsed
 
@@ -235,9 +235,9 @@ def test_criterion_9_invariant_suite(tmp_path):
     is_id = rng.random(64) < 0.5
     is_id[0] = True
     is_id[-1] = False
-    base = gs.auroc(scores, is_id)
+    base = gs.evaluate(scores, is_id).auroc
     for transform in (lambda s: 10.0 * s - 2.0, np.exp, np.tanh):
-        ok &= gs.auroc(transform(scores), is_id) == base
+        ok &= gs.evaluate(transform(scores), is_id).auroc == base
     # byte-identical reruns of the seeded pipeline
     data = gs.generate(gs.bridge_benchmark_spec(seed=12))
     paths = []

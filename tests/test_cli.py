@@ -128,12 +128,22 @@ def test_synth_deterministic_directories(tmp_path):
 
 def test_score_reruns_byte_identical(tmp_path):
     data_dir = _synth_dataset(tmp_path, seed=0)
-    run_a = tmp_path / "a"
-    run_b = tmp_path / "b"
-    for out in (run_a, run_b):
-        assert main(["score", "--manifest", str(data_dir / "manifest.json"),
+    # a copy under a longer directory, scored into a longer --out: no output
+    # may depend on where the data or the run directory lives
+    moved = shutil.copytree(data_dir, tmp_path / "a_much_longer_directory_name" / "data")
+    runs = [(data_dir, tmp_path / "a"), (data_dir, tmp_path / "b"),
+            (moved, moved.parent / "scores_written_under_a_longer_path")]
+    for data, out in runs:
+        assert main(["score", "--manifest", str(data / "manifest.json"),
                      "--method", "all", "--out", str(out)]) == 0
-    _assert_same_files(run_a, run_b)
+    first = runs[0][1]
+    for _, out in runs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in first.iterdir())
+        _assert_same_files(first, out)
+        for path in first.glob("diagnostics_*.json"):
+            a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (path, out / path.name))
+            del a["timing_s"], b["timing_s"]
+            assert json.dumps(a) == json.dumps(b), (out.name, path.name)  # key order too
 
 
 def _write_pools(tmp_path, n_classes=2, templates=8, dim=6):
@@ -796,13 +806,12 @@ def _route_last_file(monkeypatch, pools, reader):
 
 
 _POOL_FAULTS = {
-    "nan_row": ("non-finite norm in row 2", None),
-    "zero_row": ("zero-norm row 1", None),
-    "truncated": ("truncated payload (760 of 768 bytes)", None),
-    "shape": (r"shape (7, 16) differs from {first}: (6, 16)", None),
-    # cluster-prompts has no unlabeled rows, so only the first file's shape applies
-    "dimension": ("dimension 20, but {unlabeled} has dimension 16",
-                  "shape (6, 20) differs from {first}: (6, 16)"),
+    "nan_row": "non-finite norm in row 2",
+    "zero_row": "zero-norm row 1",
+    "truncated": "truncated payload (760 of 768 bytes)",
+    "shape": "shape (7, 16) differs from {first}: (6, 16)",
+    # only the first file's dimension is checked; every later file must have its shape
+    "dimension": "shape (6, 20) differs from {first}: (6, 16)",
 }
 
 
@@ -825,10 +834,7 @@ def test_pool_fault_in_last_block_names_its_file(tmp_path, monkeypatch, capsys, 
     np.save(last, rows)
     if fault == "truncated":
         last.write_bytes(last.read_bytes()[:-8])
-    message, other = _POOL_FAULTS[fault]
-    if command == "cluster-prompts" and other:
-        message = other
-    message = message.format(first=pools[0], unlabeled=manifest.parent / "unlabeled.npy")
+    message = _POOL_FAULTS[fault].format(first=pools[0])
     readers = _route_last_file(monkeypatch, pools, reader)
     before = threading.active_count()
     out = tmp_path / "out"

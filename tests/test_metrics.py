@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphscore.metrics import EvalReport, auroc, evaluate, fpr_at_tpr
+from graphscore.metrics import EvalReport, evaluate
 
 from oracles import pairwise_auroc, sweep_fpr
 
@@ -13,19 +13,19 @@ from oracles import pairwise_auroc, sweep_fpr
 def test_auroc_perfect_separation():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     is_id = np.array([True, True, False, False])
-    assert auroc(scores, is_id) == 1.0
+    assert evaluate(scores, is_id).auroc == 1.0
 
 
 def test_auroc_all_ties():
     scores = np.full(6, 0.5)
     is_id = np.array([True, False] * 3)
-    assert auroc(scores, is_id) == 0.5
+    assert evaluate(scores, is_id).auroc == 0.5
 
 
 def test_auroc_inverted():
     scores = np.array([0.1, 0.2, 0.8, 0.9])
     is_id = np.array([True, True, False, False])
-    assert auroc(scores, is_id) == 0.0
+    assert evaluate(scores, is_id).auroc == 0.0
 
 
 def test_auroc_matches_pairwise_oracle_exactly():
@@ -39,25 +39,25 @@ def test_auroc_matches_pairwise_oracle_exactly():
         if is_id.all() or not is_id.any():
             is_id[0] = True
             is_id[-1] = False
-        assert auroc(scores, is_id) == pairwise_auroc(scores, is_id)
+        assert evaluate(scores, is_id).auroc == pairwise_auroc(scores, is_id)
     # unreached nodes score exactly 0.0: signed zeros tie, and a mix may be all zeros
     signed = np.array([0.0, -0.0, 0.3, -0.0, 0.0, -0.2, 0.0])
     for scores, is_id in [(signed, np.array([True, False, True, True, False, False, False])),
                           (signed, np.array([False, True, False, False, True, True, True])),
                           (np.zeros(5), np.array([True, False, False, True, False]))]:
-        assert auroc(scores, is_id) == pairwise_auroc(scores, is_id)
+        assert evaluate(scores, is_id).auroc == pairwise_auroc(scores, is_id)
 
 
 def test_fpr_perfect_separation():
     scores = np.array([0.9, 0.8, 0.7, 0.2, 0.1])
     is_id = np.array([True, True, True, False, False])
-    assert fpr_at_tpr(scores, is_id) == 0.0
+    assert evaluate(scores, is_id).fpr95 == 0.0
 
 
 def test_fpr_all_equal_scores():
     scores = np.full(8, 0.3)
     is_id = np.array([True] * 4 + [False] * 4)
-    assert fpr_at_tpr(scores, is_id) == 1.0
+    assert evaluate(scores, is_id).fpr95 == 1.0
 
 
 def test_fpr_matches_sweep_oracle_exactly():
@@ -71,17 +71,17 @@ def test_fpr_matches_sweep_oracle_exactly():
         if is_id.all() or not is_id.any():
             is_id[0] = True
             is_id[-1] = False
-        assert fpr_at_tpr(scores, is_id) == sweep_fpr(scores, is_id)
+        assert evaluate(scores, is_id).fpr95 == sweep_fpr(scores, is_id)
 
 
 def test_fpr_nonincreasing_under_id_shift():
     rng = np.random.default_rng(7)
     scores = rng.standard_normal(80)
     is_id = rng.random(80) < 0.5
-    base = fpr_at_tpr(scores, is_id)
+    base = evaluate(scores, is_id).fpr95
     shifted = scores.copy()
     shifted[is_id] += 0.7
-    assert fpr_at_tpr(shifted, is_id) <= base
+    assert evaluate(shifted, is_id).fpr95 <= base
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -94,9 +94,9 @@ def test_auroc_invariant_under_monotone_transforms(seed):
     if is_id.all() or not is_id.any():
         is_id[0] = True
         is_id[-1] = False
-    base = auroc(scores, is_id)
+    base = evaluate(scores, is_id).auroc
     for transform in (lambda s: 3.0 * s + 1.0, np.exp, lambda s: s ** 3):
-        assert auroc(transform(scores), is_id) == base
+        assert evaluate(transform(scores), is_id).auroc == base
 
 
 def test_auroc_negation_antisymmetry_no_ties():
@@ -105,7 +105,7 @@ def test_auroc_negation_antisymmetry_no_ties():
     is_id = rng.random(40) < 0.5
     is_id[0] = True
     is_id[-1] = False
-    assert auroc(scores, is_id) + auroc(-scores, is_id) == 1.0
+    assert evaluate(scores, is_id).auroc + evaluate(-scores, is_id).auroc == 1.0
 
 
 def test_negated_scores_match_oracle_with_ties():
@@ -114,7 +114,7 @@ def test_negated_scores_match_oracle_with_ties():
     is_id = rng.random(50) < 0.5
     is_id[0] = True
     is_id[-1] = False
-    assert auroc(-scores, is_id) == pairwise_auroc(-scores, is_id)
+    assert evaluate(-scores, is_id).auroc == pairwise_auroc(-scores, is_id)
 
 
 def test_metrics_permutation_invariant():
@@ -124,15 +124,15 @@ def test_metrics_permutation_invariant():
     is_id[0] = True
     is_id[-1] = False
     perm = rng.permutation(30)
-    assert auroc(scores, is_id) == auroc(scores[perm], is_id[perm])
-    assert fpr_at_tpr(scores, is_id) == fpr_at_tpr(scores[perm], is_id[perm])
+    assert evaluate(scores, is_id).auroc == evaluate(scores[perm], is_id[perm]).auroc
+    assert evaluate(scores, is_id).fpr95 == evaluate(scores[perm], is_id[perm]).fpr95
 
 
 def test_single_class_inputs_rejected():
     with pytest.raises(ValueError, match="at least one"):
-        auroc(np.array([0.1, 0.2]), np.array([True, True]))
+        evaluate(np.array([0.1, 0.2]), np.array([True, True])).auroc
     with pytest.raises(ValueError, match="at least one"):
-        fpr_at_tpr(np.array([0.1, 0.2]), np.array([False, False]))
+        evaluate(np.array([0.1, 0.2]), np.array([False, False])).fpr95
     with pytest.raises(ValueError, match="the same length"):
         evaluate(np.array([0.1, 0.2, 0.3]), np.array([True, False]))
     with pytest.raises(ValueError, match="non-finite"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscore import propagation as propagation_module
+from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores
 from graphscore.graph import (
     BlockAdjacency,
     NodePartition,
@@ -343,16 +344,16 @@ def test_run_gsp_single_unlabeled_node():
 def test_run_gsp_ablation_direction_spot_check():
     aucs = {"cosine": [], "score_prop_only": [], "gsp": []}
     from graphscore.baselines import cosine_scores
-    from graphscore.metrics import auroc
+    from graphscore.metrics import evaluate
 
     for seed in range(10):
         data = generate(bridge_benchmark_spec(seed=seed))
         aucs["cosine"].append(
-            auroc(cosine_scores(data.unlabeled, data.prototypes), data.is_id))
+            evaluate(cosine_scores(data.unlabeled, data.prototypes), data.is_id).auroc)
         single, full, _ = run_gsp(build_adjacency(data.prototypes, data.labeled,
                                                   data.unlabeled))
-        aucs["score_prop_only"].append(auroc(single, data.is_id))
-        aucs["gsp"].append(auroc(full, data.is_id))
+        aucs["score_prop_only"].append(evaluate(single, data.is_id).auroc)
+        aucs["gsp"].append(evaluate(full, data.is_id).auroc)
     means = {m: np.mean(v) for m, v in aucs.items()}
     assert means["cosine"] < means["score_prop_only"] < means["gsp"]
 
@@ -383,6 +384,27 @@ def test_scores_invariant_under_rotation(data_seed, rotation_seed, few_shot):
                         cosine_scores(unlabeled, prototypes)))
     for base, turned_scores in zip(*results):
         np.testing.assert_allclose(turned_scores, base, rtol=0, atol=1e-9)
+
+
+@given(st.integers(0, 10_000), st.integers(4, 32), st.integers(20, 300), st.integers(0, 6),
+       st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_every_method_invariant_under_rotation(seed, dim, n_unlabeled, n_labeled, k):
+    # every score is a function of inner products, which an orthogonal Q keeps
+    rng = np.random.default_rng(seed)
+    rows = random_unit_rows(rng, 3 + n_labeled + n_unlabeled, dim)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    results = []
+    for matrix in (rows, rows @ rotation.T):
+        bundle = DatasetBundle(
+            unlabeled=EmbeddingMatrix(matrix[3 + n_labeled:]),
+            labeled=EmbeddingMatrix(matrix[3:3 + n_labeled]) if n_labeled else None,
+            pool=None, prototypes=PrototypeSet(vectors=EmbeddingMatrix(matrix[:3]),
+                                               class_of=np.arange(3)),
+            flags=None)
+        results.append(compute_scores(bundle, METHODS, RunConfig(k=k)))
+    for (method, base, _), (_, turned, _) in zip(*results):
+        np.testing.assert_allclose(turned, base, rtol=1e-9, atol=1e-12, err_msg=method)
 
 
 def test_run_gsp_deterministic():

@@ -5,7 +5,7 @@ import pytest
 
 from graphscore.baselines import cosine_scores
 from graphscore.graph import build_adjacency
-from graphscore.metrics import auroc
+from graphscore.metrics import evaluate
 from graphscore.propagation import run_gsp
 from graphscore.synth import (
     SynthSpec,
@@ -51,15 +51,15 @@ def test_blob_benchmark_cosine_separates():
     for seed in (0, 1, 2, 3, 4):
         data = generate(blob_benchmark_spec(seed=seed))
         scores = cosine_scores(data.unlabeled, data.prototypes)
-        assert auroc(scores, data.is_id) >= 0.99
+        assert evaluate(scores, data.is_id).auroc >= 0.99
 
 
 def test_bridge_benchmark_gsp_beats_cosine():
     for seed in (0, 1, 2, 3, 4):
         data = generate(bridge_benchmark_spec(seed=seed))
-        cos_auc = auroc(cosine_scores(data.unlabeled, data.prototypes), data.is_id)
+        cos_auc = evaluate(cosine_scores(data.unlabeled, data.prototypes), data.is_id).auroc
         _, gsp_scores, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
-        assert auroc(gsp_scores, data.is_id) >= cos_auc + 0.05
+        assert evaluate(gsp_scores, data.is_id).auroc >= cos_auc + 0.05
 
 
 def test_blob_ranking_holds_across_seeds():
@@ -69,7 +69,7 @@ def test_blob_ranking_holds_across_seeds():
     for seed in range(100):
         data = generate(blob_benchmark_spec(seed=seed))
         _, scores, _ = run_gsp(build_adjacency(data.prototypes, data.labeled, data.unlabeled))
-        perfect += auroc(scores, data.is_id) == 1.0
+        perfect += evaluate(scores, data.is_id).auroc == 1.0
     assert perfect >= 95
 
 
