@@ -5,9 +5,8 @@ the winning class's probability; higher means more in-distribution. The
 manifold scorer takes the shortest-path distance from the nearest prototype
 or labeled node over the graph's L2 edge lengths, found by a frontier
 search in numpy, and scores each unlabeled node by its reciprocal. The
-search returns Dijkstra's distances bit for bit without importing
-``scipy.sparse.csgraph``, which loads ``scipy.linalg``: about 10 MB of RSS
-and 0.1-0.2 s of import time in every process that scores ``manifold``.
+search returns Dijkstra's distances bit for bit; scipy's, which would load
+``scipy.linalg`` (about 10 MB of RSS), is the test oracle only.
 """
 
 import numpy as np
@@ -70,18 +69,17 @@ def shortest_path_distances(adj: BlockAdjacency, sources) -> np.ndarray:
     scipy's Dijkstra, but a bare path of 20,000 nodes takes 0.5-1 s
     against 1 ms.
     """
-    w = adj.weights
-    lengths = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * w.data))
-    dist = np.full(w.shape[0], np.inf)
+    lengths = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * adj.data))
+    dist = np.full(adj.partition.n_total, np.inf)
     frontier = np.asarray(sources, dtype=np.intp)
     dist[frontier] = 0.0
     while frontier.size:
-        stops = w.indptr[frontier + 1]
-        counts = stops - w.indptr[frontier]
+        stops = adj.indptr[frontier + 1]
+        counts = stops - adj.indptr[frontier]
         # the positions of every edge out of the frontier, row after row
         edges = np.repeat(stops - np.cumsum(counts), counts) + np.arange(counts.sum())
         lowered = dist.copy()
-        np.minimum.at(lowered, w.indices[edges], np.repeat(dist[frontier], counts) + lengths[edges])
+        np.minimum.at(lowered, adj.indices[edges], np.repeat(dist[frontier], counts) + lengths[edges])
         frontier = np.flatnonzero(lowered < dist)
         dist = lowered
     return dist

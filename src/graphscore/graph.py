@@ -5,9 +5,9 @@ identity self-loops and are never connected to each other; prototypes and
 labeled samples each connect to their k nearest unlabeled samples; unlabeled
 samples connect to their k nearest other unlabeled samples. Edge weights are
 clamped cosine similarities and the result is symmetrized by elementwise
-max. The graph is one CSR matrix of those weights; on unit vectors the L2
-distance between an edge's endpoints is derived from its weight s as
-sqrt(2 - 2s) (used by the shortest-path baseline).
+max. The graph is one CSR matrix of those weights in three numpy arrays;
+on unit vectors the L2 distance between an edge's endpoints is derived
+from its weight s as sqrt(2 - 2s) (used by the shortest-path baseline).
 
 Each node's k nearest neighbors are ordered by (-similarity, index): equal
 similarities go to the lower index. Similarities come from TOP_K_BLOCK-row
@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .prompts import PrototypeSet
 from .store import EmbeddingMatrix, _lock, share
@@ -39,6 +38,10 @@ TOP_K_BLOCK = 512
 SELECT_ROWS = 128
 # least similarity margin of the tile-skip test (see _top_k)
 SKIP_MARGIN = 1e-6
+
+# freeing a block glibc mapped raises its mmap threshold to the block's size and its trim threshold
+# to twice that: after this 8 MiB block, small calls reuse heap pages instead of faulting new ones
+np.empty(1 << 20)
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,9 @@ class NodePartition:
 class BlockAdjacency:
     """Symmetric weighted graph over the partition's nodes.
 
-    ``weights`` is one canonical CSR matrix (sorted indices, no duplicates)
-    holding both directions of every edge; a canonical float64 CSR is adopted
-    and its arrays frozen in place, anything else copied first.
+    One canonical CSR matrix (``indptr``, ``indices``, ``data``) of both
+    directions of every edge; intp and float64 arrays are adopted and frozen,
+    others copied. ``rows``, each entry's row, is made once: leave it unset.
     ``report`` holds what :func:`build_adjacency` measured: the computed and
     skipped count of TOP_K_BLOCK x TOP_K_BLOCK tiles of the unlabeled x
     unlabeled product in ``knn_tiles``, the k each clamped block got in
@@ -85,32 +88,41 @@ class BlockAdjacency:
     search held in ``knn_scratch_bytes``; a hand-built graph's is empty.
     """
 
-    weights: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     partition: NodePartition
     report: dict = field(default_factory=dict)
+    rows: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.partition.n_total
-        w = self.weights
-        adopt = isinstance(w, sp.csr_matrix) and w.dtype == np.float64 and w.has_canonical_format
-        weights = w if adopt else sp.csr_matrix(w, dtype=np.float64, copy=True)
-        if weights.shape != (n, n):
-            raise ValueError(f"weights shape {weights.shape} does not match partition total {n}")
-        weights.sum_duplicates()
-        if (weights.data < 0).any():
+        for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("data", np.float64)):
+            object.__setattr__(self, name, _lock(np.asarray(getattr(self, name), dtype=dtype)))
+        ptr, cols, n = self.indptr, self.indices, self.partition.n_total
+        if (self.data < 0).any():
             raise ValueError("negative edge weight")
-        for arr in (weights.data, weights.indices, weights.indptr):
-            _lock(arr)
-        object.__setattr__(self, "weights", weights)
+        if self.rows is None:  # a new structure: check it, then index each entry's row
+            if (ptr.shape != (n + 1,) or ptr[0] != 0 or (np.diff(ptr) < 0).any()
+                    or not ptr[-1] == cols.size == self.data.size):
+                raise ValueError(f"indptr does not match partition total {n}")
+            rows = np.repeat(np.arange(n), np.diff(ptr))
+            if (np.diff(rows * n + cols) <= 0).any() or not ((0 <= cols) & (cols < n)).all():
+                raise ValueError("columns must lie in [0, n) and ascend within each row")
+            object.__setattr__(self, "rows", _lock(rows))
 
     @property
     def nnz(self) -> int:
-        return self.weights.nnz
+        return self.data.size
 
     @property
     def summary(self) -> dict:
         """Edge count and a copy of ``report``, as the diagnostics report them."""
         return {"edges": self.nnz, **copy.deepcopy(self.report)}
+
+
+def product(adj: BlockAdjacency, x: np.ndarray) -> np.ndarray:
+    """W @ x with scipy's bits: each row's terms summed in column order from +0.0."""
+    return np.bincount(adj.rows, weights=adj.data * x[adj.indices], minlength=x.size)
 
 
 def _select_block(block: np.ndarray, k: int, part: np.ndarray, reach: np.ndarray):
@@ -391,19 +403,34 @@ def build_adjacency(prototypes: PrototypeSet, labeled, unlabeled: EmbeddingMatri
     add_block(unlab, off_u, part.n_unlabeled - 1, "intra-unlabeled")
 
     r, c, s = (np.concatenate(parts) for parts in (rows, cols, sims))
-    keep = s > 0.0
-    n = part.n_total
-    directed = sp.csr_matrix((s[keep], (r[keep], c[keep])), shape=(n, n))
-    return BlockAdjacency(directed.maximum(directed.T), part, report)
+    keep = np.flatnonzero(s > 0.0)
+    return BlockAdjacency(*_symmetric_csr(r[keep], c[keep], s[keep], part.n_total), part, report)
+
+
+def _symmetric_csr(r, c, s, n):
+    """The canonical CSR arrays of max(A, A.T), A[r, c] = s with no pair given
+    twice, in scipy's bits: entries and transposes sorted by (row, column) in
+    one integer sort, positions packed below; a pair given twice keeps its max."""
+    bits, shift = n.bit_length(), (2 * r.size).bit_length()
+    if 2 * bits + shift > 63:
+        raise ValueError(f"{n} nodes and {r.size} edges overflow the 64-bit sort key")
+    key = np.concatenate([r << bits | c, c << bits | r]) << shift | np.arange(2 * r.size)
+    key.sort()
+    weights = np.concatenate([s, s])[key & ((1 << shift) - 1)]
+    key >>= shift
+    dup = np.flatnonzero(key[1:] == key[:-1])  # a pair given both ways: equal neighbors
+    weights[dup + 1] = np.maximum(weights[dup], weights[dup + 1])
+    keep = np.flatnonzero(np.bincount(dup, minlength=key.size) == 0)
+    key, weights = key[keep], weights[keep]
+    return np.searchsorted(key, np.arange(n + 1) << bits), key & ((1 << bits) - 1), weights
 
 
 def normalize(adj: BlockAdjacency) -> BlockAdjacency:
     """Symmetric normalization: weight(i,j) / sqrt(deg_i * deg_j), with the
     degree vector floored at DEGREE_FLOOR before inversion. The result has
-    the same edges as ``adj``, with scaled weights."""
-    w = adj.weights
-    degree = np.maximum(w @ np.ones(adj.partition.n_total), DEGREE_FLOOR)
+    the same edges and ``rows`` as ``adj``, with scaled weights."""
+    degree = np.maximum(product(adj, np.ones(adj.partition.n_total)), DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(degree)
     # the two factors multiply first so (i,j) and (j,i) round identically
-    scaled = w.data * (np.repeat(inv_sqrt, np.diff(w.indptr)) * inv_sqrt[w.indices])
-    return replace(adj, weights=sp.csr_matrix((scaled, w.indices, w.indptr), shape=w.shape))
+    scaled = adj.data * (inv_sqrt[adj.rows] * inv_sqrt[adj.indices])
+    return replace(adj, data=scaled)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import BlockAdjacency, NodePartition, normalize
+from .graph import BlockAdjacency, NodePartition, normalize, product
 
 
 def timed(fn, *args, **kwargs):
@@ -54,11 +54,10 @@ def propagate(norm_adj: BlockAdjacency, s0: np.ndarray,
     if s0.shape != (norm_adj.partition.n_total,):
         raise ValueError(f"score vector of shape {s0.shape} does not match "
                          f"the graph's {norm_adj.partition.n_total} nodes")
-    w = norm_adj.weights
     base = cfg.alpha * s0
     s = s0
     for _ in range(cfg.iterations):
-        s = w @ s + base
+        s = product(norm_adj, s) + base
     return s
 
 

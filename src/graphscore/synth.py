@@ -97,7 +97,7 @@ class SynthDataset:
     labeled: EmbeddingMatrix = None
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, stream: int) -> "np.random.Generator":
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
 
 

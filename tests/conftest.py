@@ -1,9 +1,27 @@
 import threading
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphscore import store
+from graphscore.graph import BlockAdjacency
+
+
+def hand_graph(weights, partition):
+    """A ``BlockAdjacency`` over ``partition`` holding ``weights``, a dense
+    or scipy sparse matrix, as scipy's canonical float64 CSR: a dense
+    matrix's zeros are not stored, a sparse matrix's stored zeros are."""
+    w = sp.csr_matrix(weights, dtype=np.float64)
+    w.sum_duplicates()
+    return BlockAdjacency(w.indptr, w.indices, w.data, partition)
+
+
+def csr(adj):
+    """``adj``'s weights as a scipy CSR matrix on its own arrays."""
+    n = adj.partition.n_total
+    return sp.csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
 
 
 class _InlineExecutor:

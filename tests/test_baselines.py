@@ -9,10 +9,11 @@ from graphscore.baselines import (
     manifold_score,
     shortest_path_distances,
 )
-from graphscore.graph import BlockAdjacency, NodePartition, build_adjacency
+from graphscore.graph import NodePartition, build_adjacency
 from graphscore.prompts import PrototypeSet
 from graphscore.store import EmbeddingMatrix
 
+from conftest import csr, hand_graph
 from oracles import floyd_warshall, random_unit_rows
 
 
@@ -145,7 +146,7 @@ def test_cosine_scores_hold_one_product_and_one_class_array():
 def _manual_adjacency(w_dense, n_proto, n_labeled=0):
     n = w_dense.shape[0]
     part = NodePartition(n_proto, n_labeled, n - n_proto - n_labeled)
-    return BlockAdjacency(sp.csr_matrix(w_dense), part)
+    return hand_graph(w_dense, part)
 
 
 def _similarity(dist):
@@ -176,7 +177,7 @@ def test_dijkstra_matches_floyd_warshall():
         adj = build_adjacency(protos, None, unlabeled, k=4)
         dist = shortest_path_distances(adj, sources=range(2))
         dense = np.full((24, 24), np.inf)
-        edges = adj.weights.tocoo()
+        edges = csr(adj).tocoo()
         dense[edges.row, edges.col] = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * edges.data))
         all_pairs = floyd_warshall(dense)
         expected = np.minimum(all_pairs[0], all_pairs[1])
@@ -226,7 +227,7 @@ def _scipy_distances(adj, sources):
     # the reference: scipy's multi-source Dijkstra over the same lengths and CSR structure
     from scipy.sparse.csgraph import dijkstra
 
-    w = adj.weights
+    w = csr(adj)
     lengths = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * w.data))
     graph = sp.csr_matrix((lengths, w.indices, w.indptr), shape=w.shape)
     return dijkstra(graph, indices=sources, min_only=True)
@@ -252,7 +253,7 @@ def test_distances_equal_scipy_dijkstra_bit_for_bit():
             got = shortest_path_distances(adj, sources)
             assert np.array_equal(got, _scipy_distances(adj, sources)), (seed, sources)
             seen_unreachable += np.isinf(got).any()
-        edges = adj.weights.tocoo()
+        edges = csr(adj).tocoo()
         seen_zero += ((edges.data >= 1.0) & (edges.row != edges.col)).any()
     assert seen_zero > 0 and seen_unreachable > 0, (seen_zero, seen_unreachable)
 

@@ -28,6 +28,7 @@ from graphscore.prompts import PrototypeSet
 from graphscore.propagation import run_gsp
 from graphscore.store import EmbeddingMatrix
 
+from conftest import csr, hand_graph
 from oracles import brute_knn, dense_block_adjacency, random_unit_rows, spectral_norm
 
 
@@ -42,7 +43,7 @@ def _units(seed, n, d):
 
 
 def _dense(adj):
-    return adj.weights.toarray()
+    return csr(adj).toarray()
 
 
 # knn ------------------------------------------------------------------
@@ -429,8 +430,7 @@ def _strips_input(seed):
 
 
 def _weight_bytes(adj):
-    w = adj.weights
-    return w.data.tobytes(), w.indices.tobytes(), w.indptr.tobytes()
+    return adj.data.tobytes(), adj.indices.tobytes(), adj.indptr.tobytes()
 
 
 def test_top_k_leaves_no_thread_behind(thread_starts):
@@ -507,7 +507,7 @@ def test_adjacency_with_duplicate_rows_ties():
 def test_adjacency_symmetric_as_stored():
     adj = build_adjacency(_protos(random_unit_rows(np.random.default_rng(0), 2, 6)),
                           None, _units(1, 20, 6), k=3)
-    assert adj.weights.has_canonical_format
+    assert csr(adj).has_canonical_format
     dense = _dense(adj)
     np.testing.assert_array_equal(dense, dense.T)
 
@@ -547,7 +547,7 @@ def test_summary_reports_k_clamps_and_knn_scratch():
 def test_summary_copies_the_build_report():
     # a hand-built graph ran no KNN search: its summary holds only the edge count
     w = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
-    assert BlockAdjacency(w, NodePartition(1, 0, 1)).summary == {"edges": w.nnz}
+    assert hand_graph(w, NodePartition(1, 0, 1)).summary == {"edges": w.nnz}
     with pytest.warns(UserWarning, match="clamping"):
         adj = build_adjacency(_protos([[1.0, 0.0]]), None,
                               EmbeddingMatrix([[0.9, 0.1], [0.1, 0.9]]), k=10)
@@ -592,7 +592,7 @@ def test_edge_distances_match_embeddings():
     unlabeled = EmbeddingMatrix(random_unit_rows(rng, 10, 6))
     adj = build_adjacency(protos, None, unlabeled, k=3)
     stacked = np.vstack([protos.vectors.data, unlabeled.data])
-    edges = adj.weights.tocoo()
+    edges = csr(adj).tocoo()
     derived = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * edges.data))
     np.testing.assert_allclose(
         derived, np.linalg.norm(stacked[edges.row] - stacked[edges.col], axis=1),
@@ -602,32 +602,42 @@ def test_edge_distances_match_embeddings():
 def test_block_adjacency_validation():
     part = NodePartition(1, 0, 1)
     with pytest.raises(ValueError, match="negative edge weight"):
-        BlockAdjacency(sp.csr_matrix([[1.0, -0.5], [-0.5, 0.0]]), part)
+        hand_graph([[1.0, -0.5], [-0.5, 0.0]], part)
     with pytest.raises(ValueError, match="does not match partition"):
-        BlockAdjacency(sp.csr_matrix(np.eye(3)), part)
+        hand_graph(np.eye(3), part)
 
 
 def test_block_adjacency_adopts_a_canonical_float64_csr():
     part = NodePartition(1, 0, 2)
     dense = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.25], [0.5, 0.25, 0.0]])
-    w = sp.csr_matrix(dense)
-    adj = BlockAdjacency(w, part)
-    for name in ("data", "indices", "indptr"):
-        assert getattr(adj.weights, name) is getattr(w, name)
-        assert not getattr(w, name).flags.writeable
-    # normalize hands its scaled weights over on the same index arrays
-    norm = normalize(adj).weights
-    assert np.shares_memory(norm.indices, w.indices) and norm.indptr is w.indptr
-    # unsorted columns and a duplicate entry: summed on a copy, the caller's arrays untouched
-    raw = sp.csr_matrix((np.array([0.5, 1.0, 0.125, 0.125, 0.5, 0.25]),
-                         np.array([2, 0, 2, 2, 0, 1]), np.array([0, 2, 4, 6])), shape=(3, 3))
-    before = [x.copy() for x in (raw.data, raw.indices, raw.indptr)]
-    for other in (raw, sp.csr_matrix(dense, dtype=np.float32), sp.coo_matrix(dense), dense):
-        adj = BlockAdjacency(other, part)
-        assert adj.weights.has_canonical_format and adj.weights.dtype == np.float64
-        assert adj.weights.toarray().tobytes() == dense.tobytes()
-    for arr, old in zip((raw.data, raw.indices, raw.indptr), before):
+    arrays = (np.array([0, 2, 3, 5]), np.array([0, 2, 2, 0, 1]),
+              np.array([1.0, 0.5, 0.25, 0.5, 0.25]))
+    adj = BlockAdjacency(*arrays, part)
+    for name, arr in zip(("indptr", "indices", "data"), arrays):
+        assert getattr(adj, name) is arr
+        assert not arr.flags.writeable
+    # normalize hands its scaled weights over on the same structure and row index
+    norm = normalize(adj)
+    assert norm.indices is adj.indices and norm.indptr is adj.indptr and norm.rows is adj.rows
+    # scipy's int32 indices and float32 weights are copied, the caller's arrays untouched
+    other = sp.csr_matrix(dense, dtype=np.float32)
+    before = [x.copy() for x in (other.data, other.indices, other.indptr)]
+    adj = BlockAdjacency(other.indptr, other.indices, other.data, part)
+    assert adj.indices.dtype == adj.indptr.dtype == np.intp and adj.data.dtype == np.float64
+    assert csr(adj).toarray().tobytes() == dense.tobytes()
+    for arr, old in zip((other.data, other.indices, other.indptr), before):
         assert arr.flags.writeable and arr.tobytes() == old.tobytes()
+    # unsorted columns or a repeated one are not a canonical CSR: rejected, not summed
+    for cols in ([2, 0, 2, 0, 1], [0, 0, 2, 0, 1]):
+        with pytest.raises(ValueError, match="ascend within each row"):
+            BlockAdjacency(arrays[0], np.array(cols), arrays[2], part)
+    for ptr in ([0, 2, 3, 6], [0, 3, 2, 5], [1, 2, 3, 5]):
+        with pytest.raises(ValueError, match="does not match partition total 3"):
+            BlockAdjacency(np.array(ptr), *arrays[1:], part)
+    with pytest.raises(ValueError, match="does not match partition total 3"):
+        BlockAdjacency(arrays[0], arrays[1], arrays[2][:4], part)
+    with pytest.raises(ValueError, match="columns must lie in"):
+        BlockAdjacency(arrays[0], np.array([0, 2, 3, 0, 1]), arrays[2], part)
 
 
 @given(st.integers(0, 10_000), st.integers(0, 2), st.booleans(), st.integers(0, 3))
@@ -647,7 +657,7 @@ def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k
     n_u = len(unlab)
     with pytest.warns(UserWarning, match="clamping"):
         adj = build_adjacency(protos, labeled, EmbeddingMatrix(unlab), k=n_u + k_extra)
-    w = adj.weights
+    w = csr(adj)
     assert w.has_canonical_format
     assert (w != w.T).nnz == 0
     off = 2 + n_l
@@ -665,27 +675,76 @@ def test_degenerate_inputs_canonical_graph_finite_scores(seed, n_l, antipodal, k
     assert np.isfinite(scores).all() and np.isfinite(manifold).all()
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+@example(0, 1, 1.0)
+@example(0, 5, 0.0)
+def test_assembly_and_product_equal_scipy_bit_for_bit(seed, n, density):
+    # scipy is the oracle: max(A, A.T) and the CSR product, by bytes, over
+    # weights from 1e-300 to 1e300, empty rows, isolated nodes, self-loops,
+    # pairs given in both directions, and vectors with -0.0 entries (a row of
+    # -0.0 terms sums to scipy's +0.0)
+    rng = np.random.default_rng(seed)
+    r, c = np.divmod(rng.permutation(n * n)[:int(density * n * n)], n)
+    s = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), r.size))
+    ref = sp.csr_matrix((s, (r, c)), shape=(n, n))
+    ref = ref.maximum(ref.T)
+    got = graph._symmetric_csr(r, c, s, n)
+    for arr, want in zip(got, (ref.indptr, ref.indices, ref.data)):
+        assert arr.tobytes() == want.astype(arr.dtype).tobytes()
+    if n < 2:  # a partition holds a prototype and an unlabeled node
+        return
+    adj = BlockAdjacency(*got, NodePartition(1, 0, n - 1))
+    x = rng.standard_normal((4, n))
+    x[rng.random((4, n)) < 0.3] = -0.0
+    for row in x:
+        assert graph.product(adj, row).tobytes() == (ref @ row).tobytes()
+
+
+def test_built_graph_holds_scipy_bits_in_exact_buffers(monkeypatch):
+    # the directed KNN lists of a build with labeled rows and several strips,
+    # symmetrized by scipy, give the graph's bytes; no array keeps spare room
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return assembly(*args)
+
+    assembly = graph._symmetric_csr
+    monkeypatch.setattr(graph, "_symmetric_csr", spy)
+    adj = build_adjacency(*_strips_input(2), k=4)
+    (r, c, s, n), = calls
+    ref = sp.csr_matrix((s, (r, c)), shape=(n, n))
+    ref = ref.maximum(ref.T)
+    assert adj.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(adj.indices, ref.indices) and np.array_equal(adj.indptr, ref.indptr)
+    for built in (adj, normalize(adj)):
+        for arr in (built.indptr, built.indices, built.data, built.rows):
+            assert arr.base is None or arr.base.nbytes == arr.nbytes
+        assert built.data.size == built.indices.size == built.nnz == ref.nnz
+
+
 # normalization ----------------------------------------------------------
 
 def _manual_adjacency(w_dense, n_proto, n_labeled):
     n = w_dense.shape[0]
     part = NodePartition(n_proto, n_labeled, n - n_proto - n_labeled)
-    return BlockAdjacency(sp.csr_matrix(w_dense), part)
+    return hand_graph(w_dense, part)
 
 
 def test_normalize_hand_example():
     adj = _manual_adjacency(np.array([[1.0, 1.0], [1.0, 0.0]]), 1, 0)
     norm = normalize(adj)
     expected = np.array([[0.5, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0.0]])
-    np.testing.assert_allclose(norm.weights.toarray(), expected, atol=1e-12)
-    np.testing.assert_array_equal(norm.weights.indices, adj.weights.indices)
-    np.testing.assert_array_equal(norm.weights.indptr, adj.weights.indptr)
+    np.testing.assert_allclose(csr(norm).toarray(), expected, atol=1e-12)
+    np.testing.assert_array_equal(norm.indices, adj.indices)
+    np.testing.assert_array_equal(norm.indptr, adj.indptr)
 
 
 def test_normalize_identity():
     adj = _manual_adjacency(np.eye(3), 2, 0)
     norm = normalize(adj)
-    np.testing.assert_allclose(norm.weights.toarray(), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(csr(norm).toarray(), np.eye(3), atol=1e-15)
 
 
 def test_normalize_isolated_node_floored():
@@ -697,15 +756,15 @@ def test_normalize_isolated_node_floored():
         # an unfloored zero degree would warn on the division
         warnings.simplefilter("error")
         norm = normalize(adj)
-    assert norm.weights[1].nnz == 0
-    assert np.isfinite(norm.weights.data).all()
+    assert csr(norm)[1].nnz == 0
+    assert np.isfinite(norm.data).all()
 
 
 def test_normalized_symmetry_exact():
     rng = np.random.default_rng(12)
     adj = build_adjacency(_protos(random_unit_rows(rng, 3, 8)), None,
                           _units(13, 30, 8), k=5)
-    w = normalize(adj).weights
+    w = csr(normalize(adj))
     diff = (w - w.T).tocoo()
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -717,7 +776,7 @@ def test_spectral_bound_on_random_graphs():
         protos = _protos(random_unit_rows(rng, int(rng.integers(1, 4)), 8))
         unlabeled = EmbeddingMatrix(random_unit_rows(rng, n_u, 8))
         norm = normalize(build_adjacency(protos, None, unlabeled, k=5))
-        assert spectral_norm(norm.weights.toarray(), seed=seed) <= 1.0 + 1e-9
+        assert spectral_norm(csr(norm).toarray(), seed=seed) <= 1.0 + 1e-9
 
 
 def test_graph_config_validation():

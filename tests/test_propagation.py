@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscore import propagation as propagation_module
 from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores
-from graphscore.graph import (
-    BlockAdjacency,
-    NodePartition,
-    build_adjacency,
-    normalize,
-)
+from graphscore.graph import NodePartition, build_adjacency, normalize
 from graphscore.prompts import PrototypeSet
 from graphscore.propagation import (
     PropagationConfig,
@@ -22,13 +16,14 @@ from graphscore.propagation import (
 from graphscore.store import EmbeddingMatrix
 from graphscore.synth import blob_benchmark_spec, bridge_benchmark_spec, generate
 
+from conftest import csr, hand_graph
 from oracles import dense_propagation, random_unit_rows
 
 
 def _manual(w_dense, n_proto, n_labeled=0):
     n = w_dense.shape[0]
     part = NodePartition(n_proto, n_labeled, n - n_proto - n_labeled)
-    return normalize(BlockAdjacency(sp.csr_matrix(w_dense), part)), part
+    return normalize(hand_graph(w_dense, part)), part
 
 
 def _random_graph(seed, max_nodes=64, k=5):
@@ -61,7 +56,7 @@ def _start_vectors(monkeypatch, w_dense, part, cfg=None):
         return propagate(norm, s0, cfg)  # the unpatched function
 
     monkeypatch.setattr(propagation_module, "propagate", spy)
-    run_gsp(BlockAdjacency(sp.csr_matrix(w_dense), part), cfg)
+    run_gsp(hand_graph(w_dense, part), cfg)
     return seen
 
 
@@ -132,7 +127,7 @@ def test_propagate_matches_dense_oracle_16_nodes():
     norm = normalize(adj)
     s0 = _init_vector(adj.partition)
     got = propagate(norm, s0, PropagationConfig(alpha=0.5, iterations=5))
-    expected = dense_propagation(adj.weights.toarray(), s0, 0.5, 5)
+    expected = dense_propagation(csr(adj).toarray(), s0, 0.5, 5)
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -274,7 +269,7 @@ def test_run_gsp_passes_match_dense_oracle():
         adj = _random_graph(seed=900 + seed, max_nodes=48)
         part = adj.partition
         pass1, final, diag = run_gsp(adj, cfg)
-        dense = adj.weights.toarray()
+        dense = csr(adj).toarray()
         unlab = part.unlabeled_slice
         s0 = _init_vector(part)
         np.testing.assert_allclose(pass1, dense_propagation(dense, s0, 0.5, 5)[unlab],
@@ -309,7 +304,7 @@ def test_run_gsp_counts_threshold_ties():
     for u in (3, 4):
         w[0, u] = w[u, 0] = 0.4
     part = NodePartition(1, 0, 6)
-    _, _, diag = run_gsp(BlockAdjacency(sp.csr_matrix(w), part),
+    _, _, diag = run_gsp(hand_graph(w, part),
                          PropagationConfig(m_percent=10.0))
     sel = diag["selection"]
     assert sel["q"] == 1

@@ -237,20 +237,63 @@ def test_small_calls_take_no_page_faults(root, tmp_path):
     assert count == 64 and per_call < 64, per_call
 
 
-_MODULES = """
+def test_small_calls_take_no_page_faults_with_two_blas_threads(root, tmp_path):
+    # with two BLAS threads glibc trimmed the heap top after every call, so
+    # each faulted about 450 pages back in, until graph's import freed an
+    # 8 MiB block, which raises the mmap and trim thresholds
+    stdout = _child("-c", _FAULTS, _dataset(root, "batches"), tmp_path / "run", module=(),
+                    setting="blas2")
+    count, per_call = json.loads(stdout.splitlines()[-1])
+    assert count == 64 and per_call < 64, per_call
+
+
+_FOOTPRINT = """
 import json, sys
+from pathlib import Path
+mode, data, out = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+if mode == "blocked":
+    class NoScipy:  # every scipy import fails, as where scipy is not installed
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ModuleNotFoundError(f"No module named {name!r}")
+    sys.meta_path.insert(0, NoScipy())
+import graphscore
 from graphscore.cli import main
-assert main(["score", "--manifest", sys.argv[1], "--method", "all", "--out", sys.argv[2]]) == 0
-print(json.dumps([m for m in ("scipy.linalg", "scipy.sparse.csgraph") if m in sys.modules]))
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "numpy.random")
+
+report = {"import": loaded()}
+assert main(["score", "--manifest", str(data / "manifest.json"), "--method", "all",
+             "--out", str(out / "all")]) == 0
+report["score"] = loaded()
+if mode == "blocked":
+    (out / "spec.json").write_text('{"preset": "bridge_benchmark", "seed": 0}')
+    for argv in (["synth", "--spec", out / "spec.json", "--out", out / "synth"],
+                 ["score", "--manifest", out / "synth" / "manifest.json", "--method", "all",
+                  "--out", out / "synth_all"],
+                 ["eval", "--scores", out / "all" / "scores_gsp.npy", "--names", "gsp",
+                  "--flags", data / "flags.csv", "--out", out / "eval"],
+                 ["cluster-prompts", "--pools", data / "unlabeled.npy", data / "unlabeled.npy",
+                  "--clusters", "1", "3", "--out", out / "protos"]):
+        assert main([str(a) for a in argv]) == 0, argv
+print(json.dumps(report))
 """
 
 
 def test_score_all_loads_no_scipy_linalg(root, tmp_path):
-    # scipy.sparse.csgraph imports scipy.linalg, about 10 MB of RSS in every
-    # process that scores manifold; the shortest-path search needs neither
-    stdout = _child("-c", _MODULES, _dataset(root, "strips") / "manifest.json", tmp_path / "run",
-                    module=())
-    assert json.loads(stdout.splitlines()[-1]) == []
+    # scipy is a test dependency only: importing graphscore and scoring every
+    # method on pre-built prototypes load no scipy module, nor numpy.random
+    # (about 6 MB of RSS; only K-means seeding and synth need it), and with
+    # every scipy import failing, each command still runs
+    modes = ("open", "blocked")
+    for mode in modes:
+        (tmp_path / mode).mkdir()
+    reports = _wait(*[_start("-c", _FOOTPRINT, mode, _dataset(root, "strips"), tmp_path / mode,
+                             module=()) for mode in modes])
+    for stdout in reports:
+        assert json.loads(stdout.splitlines()[-1]) == {"import": [], "score": []}
+    assert (tmp_path / "blocked" / "protos" / "prototypes_nc3.npy").exists()
 
 
 def test_reachable_ood_rung_ranks_methods_as_the_paper_claims(tmp_path):
