@@ -191,7 +191,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, stream: int):
             [h[:n].tolist() for h, n in zip(history, length)])
 
 
-def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) -> dict:
+def pool_prototypes(paths, clusters, seed: int) -> dict:
     """Every prototype set that ``clusters`` asks for, keyed by the count
     asked for, from one pass over ``paths``, one NPY file per class.
 
@@ -203,10 +203,9 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
     the block's rows, and reduced to every set asked for before the next
     block, so no ``(C, T, d)`` stack is ever held; :func:`_lloyd` only reads
     the block, so every count clusters the same buffer. Every file must have
-    the first file's shape, and the first must pass ``check(path, dim)``.
-    The error is the one a file-by-file pass would raise: a zero, NaN or inf
-    row is named by its file and its row in that file, and it comes before
-    a read error in a later file of the block.
+    the first file's shape. The error is the one a file-by-file pass would
+    raise: a zero, NaN or inf row is named by its file and its row in that
+    file, and it comes before a read error in a later file of the block.
 
     :func:`share` runs the blocks on two threads. Every class draws from its
     own PCG64 stream, so no output depends on which thread ran its block.
@@ -215,7 +214,6 @@ def pool_prototypes(paths, clusters, seed: int, check=lambda path, dim: None) ->
         raise ValueError(f"clusters must be >= 1, got {list(clusters)}")
     first = read_npy(paths[0], rank=2)
     n_classes, (n_t, dim) = len(paths), first.shape
-    check(paths[0], dim)
 
     for n_c in sorted(set(clusters)):
         if n_c > n_t:

@@ -2,7 +2,7 @@
 and JSON files, and :func:`share`, the two-thread task loop of the KNN build
 and the prompt pool pass. Every input file is read here; which files make up
 one dataset, and how they must agree, is the manifest schema in
-:func:`graphscore.cli.load_dataset`.
+:func:`graphscore.pipeline.load_dataset`.
 
 NPY files are read and written with ``numpy.lib.format``, restricted to a
 subset: version 1.0, little-endian float32/float64, C-order, no empty axis,
@@ -127,11 +127,11 @@ def read_npy(path, rank, slot=None) -> np.ndarray:
 
     The payload is read straight into a new array, or into ``slot(shape)``,
     a float64 C-order array of the file's shape that a loader hands out from
-    a preallocated stack; ``slot`` may raise to refuse the shape, and is only
-    called once the file size matches the header. A ``'<f4'`` payload is
-    widened ``UNIT_BLOCK_BYTES`` of output at a time through one small
-    buffer. Each distinct header is parsed once per process; every file is
-    still checked against it.
+    a preallocated stack; ``slot`` may raise to refuse the shape, or return
+    None to read no payload, and is only called once the file size matches
+    the header. A ``'<f4'`` payload is widened ``UNIT_BLOCK_BYTES`` of
+    output at a time through one small buffer. Each distinct header is
+    parsed once per process; every file is still checked against it.
     """
     with open(path, "rb") as f:
         try:
@@ -162,6 +162,8 @@ def read_npy(path, rank, slot=None) -> np.ndarray:
         if size > expected:
             raise NpyFormatError(f"{path}: trailing bytes after payload")
         out = np.empty(shape) if slot is None else slot(shape)
+        if out is None:
+            return None
         if dtype == out.dtype:
             f.readinto(out)
             return out

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import graphscore as gs
-from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores, main
+from graphscore.cli import main
+from graphscore.pipeline import METHODS, DatasetBundle, RunConfig, score
 from graphscore.prompts import _lloyd, pool_prototypes
 from graphscore.propagation import PropagationConfig, propagate
 from graphscore.store import EmbeddingMatrix
@@ -177,15 +178,16 @@ def test_criterion_6_kmeans_monotone_and_exhaustive_optimum(tmp_path):
 @pytest.fixture(scope="module")
 def bridge_sweep():
     """AUROC per method over 100 seeds of the frozen bridge benchmark."""
-    cfg = RunConfig()
+    cfg = RunConfig(method="all")
     out = {m: [] for m in ("cosine", "score_prop_only", "gsp", "gsp_no_neg")}
     start = time.monotonic()
     for seed in range(100):
         data = gs.generate(gs.bridge_benchmark_spec(seed=seed))
         bundle = DatasetBundle(unlabeled=data.unlabeled, labeled=data.labeled,
                                pool=None, prototypes=data.prototypes, flags=None)
-        for method, scores, _ in compute_scores(bundle, tuple(out), cfg):
-            out[method].append(gs.evaluate(scores, data.is_id).auroc)
+        for method, scores, _ in score(bundle, cfg):
+            if method in out:
+                out[method].append(gs.evaluate(scores, data.is_id).auroc)
     elapsed = time.monotonic() - start
     return {m: np.array(v) for m, v in out.items()}, elapsed
 

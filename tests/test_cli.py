@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphscore import cli, prompts, propagation, store
+import graphscore as gs
+from graphscore import pipeline, prompts, propagation, store
 from graphscore.cli import METHODS, main
 from graphscore.prompts import load_prototypes
 from graphscore.synth import bridge_benchmark_spec
@@ -327,7 +328,7 @@ def test_pool_manifest_pipeline(tmp_path, monkeypatch):
     # --method all makes the clustered and the mean prototype sets in one
     # pass over the pools, one graph and one propagation run per set, and
     # matches every single-method run byte for byte
-    calls = _count_calls(monkeypatch, cli, "build_adjacency", "pool_prototypes")
+    calls = _count_calls(monkeypatch, pipeline, "build_adjacency", "pool_prototypes")
     prop_calls = _count_calls(monkeypatch, propagation,
                               "normalize", "propagate", "select_pseudo_prompts")
     all_dir = tmp_path / "pool_all"
@@ -348,14 +349,14 @@ def test_pool_manifest_with_one_cluster_shares_one_set(tmp_path, monkeypatch):
     # one graph and one propagation run serve every method
     pool_manifest = _pool_manifest(tmp_path)
     counts = []
-    real = cli.pool_prototypes
+    real = pipeline.pool_prototypes
 
     def spy(paths, clusters, *args):
         counts.append(set(clusters))
         return real(paths, clusters, *args)
 
-    monkeypatch.setattr(cli, "pool_prototypes", spy)
-    calls = _count_calls(monkeypatch, cli, "build_adjacency")
+    monkeypatch.setattr(pipeline, "pool_prototypes", spy)
+    calls = _count_calls(monkeypatch, pipeline, "build_adjacency")
     run_dir = tmp_path / "run"
     assert main(["score", "--manifest", str(pool_manifest), "--method", "all",
                  "--clusters", "1", "--out", str(run_dir)]) == 0
@@ -364,6 +365,51 @@ def test_pool_manifest_with_one_cluster_shares_one_set(tmp_path, monkeypatch):
     read = {m: (run_dir / f"scores_{m}.npy").read_bytes() for m in METHODS}
     assert read["gsp"] == read["gsp_no_cluster"]
     assert read["gsp_no_neg"] == read["score_prop_only"]
+
+
+@pytest.mark.parametrize("source", ["prompt_pools", "prototypes"])
+def test_library_path_equals_score_all(tmp_path, source):
+    # graphscore.score over graphscore.load_dataset is the path that
+    # `score --method all` takes: the same score bytes and, apart from
+    # timing_s, the same diagnostics
+    manifest = (_pool_manifest(tmp_path) if source == "prompt_pools"
+                else _labeled_dataset(tmp_path) / "manifest.json")
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(manifest), "--method", "all",
+                 "--out", str(run_dir)]) == 0
+    results = gs.score(gs.load_dataset(manifest), gs.RunConfig(method="all"))
+    assert [method for method, _, _ in results] == list(METHODS)
+    for method, scores, diag in results:
+        save_vector(scores, tmp_path / "library.npy")
+        assert ((tmp_path / "library.npy").read_bytes()
+                == (run_dir / f"scores_{method}.npy").read_bytes()), method
+        written = json.loads((run_dir / f"diagnostics_{method}.json").read_text())
+        del written["timing_s"], diag["timing_s"]
+        assert json.loads(json.dumps(diag)) == written, method
+
+
+def test_pool_dimension_checked_at_load(tmp_path, capsys):
+    # only the first pool file's header is read at load, and its dimension
+    # fails there, before any pool pass or output directory
+    rng = np.random.default_rng(1)
+    for name, rows, dim in (("unlabeled", 10, 8), ("pool0", 5, 6), ("pool1", 5, 8)):
+        matrix = rng.standard_normal((rows, dim))
+        save_matrix(EmbeddingMatrix(matrix / np.linalg.norm(matrix, axis=1, keepdims=True)),
+                    tmp_path / f"{name}.npy")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"unlabeled": "unlabeled.npy", "C_in": 2,
+                                    "class_names": ["a", "b"],
+                                    "prompt_pools": ["pool0.npy", "pool1.npy"]}))
+    message = (f"{tmp_path / 'pool0.npy'}: dimension 6, but {tmp_path / 'unlabeled.npy'} "
+               f"has dimension 8")
+    with pytest.raises(ValueError) as exc:
+        gs.load_dataset(manifest)
+    assert str(exc.value) == message
+    run_dir = tmp_path / "run"
+    assert main(["score", "--manifest", str(manifest), "--method", "all",
+                 "--out", str(run_dir)]) == 1
+    _assert_one_error_line(capsys, f"{message}\n")
+    assert not run_dir.exists()
 
 
 def test_timing_total_is_the_sum_of_every_stage(tmp_path):
@@ -402,7 +448,7 @@ def _count_calls(monkeypatch, module, *names):
 def test_score_all_builds_one_graph_for_prebuilt_prototypes(tmp_path, monkeypatch):
     data_dir = _synth_dataset(tmp_path, seed=0)
     manifest = str(data_dir / "manifest.json")
-    calls = _count_calls(monkeypatch, cli, "build_adjacency")
+    calls = _count_calls(monkeypatch, pipeline, "build_adjacency")
     prop_calls = _count_calls(monkeypatch, propagation,
                               "normalize", "propagate", "select_pseudo_prompts")
     run_dir = tmp_path / "run"
@@ -865,4 +911,7 @@ def test_each_pool_file_is_opened_once(tmp_path, monkeypatch):
                  ["cluster-prompts", "--pools", *map(str, pools), "--clusters", "1", "3"]):
         opened.clear()
         assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
-        assert sorted(p for p in opened if p in pools) == pools, argv[0]
+        # the pool pass opens each file once; score's load opens the first
+        # one before it, for its header alone
+        expected = sorted(pools[:1] + pools) if argv[0] == "score" else pools
+        assert sorted(p for p in opened if p in pools) == expected, argv[0]

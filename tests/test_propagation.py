@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscore import propagation as propagation_module
-from graphscore.cli import METHODS, DatasetBundle, RunConfig, compute_scores
+from graphscore.pipeline import DatasetBundle, RunConfig, score
 from graphscore.graph import NodePartition, build_adjacency, normalize
 from graphscore.prompts import PrototypeSet
 from graphscore.propagation import (
@@ -397,7 +397,7 @@ def test_every_method_invariant_under_rotation(seed, dim, n_unlabeled, n_labeled
             pool=None, prototypes=PrototypeSet(vectors=EmbeddingMatrix(matrix[:3]),
                                                class_of=np.arange(3)),
             flags=None)
-        results.append(compute_scores(bundle, METHODS, RunConfig(k=k)))
+        results.append(score(bundle, RunConfig(method="all", k=k)))
     for (method, base, _), (_, turned, _) in zip(*results):
         np.testing.assert_allclose(turned, base, rtol=1e-9, atol=1e-12, err_msg=method)
 

@@ -230,8 +230,8 @@ print(json.dumps([len(batches), faults / len(batches)]))
 
 
 def test_small_calls_take_no_page_faults(root, tmp_path):
-    # one BLAS thread, as in the benchmark: with two, glibc trims the heap top
-    # lower and a 256-node call still takes about 445 faults
+    # one BLAS thread, as in the benchmark; with two, the 8 MiB block that
+    # graph's import frees keeps a call near 0.22 faults (the test below)
     stdout = _child("-c", _FAULTS, _dataset(root, "batches"), tmp_path / "run", module=())
     count, per_call = json.loads(stdout.splitlines()[-1])
     assert count == 64 and per_call < 64, per_call
@@ -258,12 +258,14 @@ if mode == "blocked":
                 raise ModuleNotFoundError(f"No module named {name!r}")
     sys.meta_path.insert(0, NoScipy())
 import graphscore
+# the library path imports neither the command-line driver nor argparse
+cli_loaded = sorted({"graphscore.cli", "argparse"} & set(sys.modules))
 from graphscore.cli import main
 
 def loaded():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "numpy.random")
 
-report = {"import": loaded()}
+report = {"import": loaded(), "cli": cli_loaded}
 assert main(["score", "--manifest", str(data / "manifest.json"), "--method", "all",
              "--out", str(out / "all")]) == 0
 report["score"] = loaded()
@@ -285,14 +287,15 @@ def test_score_all_loads_no_scipy_linalg(root, tmp_path):
     # scipy is a test dependency only: importing graphscore and scoring every
     # method on pre-built prototypes load no scipy module, nor numpy.random
     # (about 6 MB of RSS; only K-means seeding and synth need it), and with
-    # every scipy import failing, each command still runs
+    # every scipy import failing, each command still runs; importing
+    # graphscore loads neither graphscore.cli nor argparse
     modes = ("open", "blocked")
     for mode in modes:
         (tmp_path / mode).mkdir()
     reports = _wait(*[_start("-c", _FOOTPRINT, mode, _dataset(root, "strips"), tmp_path / mode,
                              module=()) for mode in modes])
     for stdout in reports:
-        assert json.loads(stdout.splitlines()[-1]) == {"import": [], "score": []}
+        assert json.loads(stdout.splitlines()[-1]) == {"import": [], "cli": [], "score": []}
     assert (tmp_path / "blocked" / "protos" / "prototypes_nc3.npy").exists()
 
 

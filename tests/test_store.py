@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscore import store
-from graphscore.cli import load_dataset
+from graphscore.pipeline import load_dataset
 from graphscore.store import (
     EmbeddingMatrix,
     NpyFormatError,
@@ -501,7 +501,7 @@ def test_flags_incomplete(tmp_path):
         load_flags(path)
 
 
-# manifests, parsed by cli.load_dataset ---------------------------------
+# manifests, parsed by pipeline.load_dataset ----------------------------
 
 def _write_dataset(tmp_path, with_pools=True):
     rng = np.random.default_rng(5)
@@ -526,9 +526,8 @@ def test_manifest_good(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     bundle = load_dataset(tmp_path / "manifest.json")
     assert bundle.unlabeled.count == 6 and bundle.unlabeled.dim == 4
-    # the pool files are kept as a list, read only when the pool is reduced
-    paths, check = bundle.pool
-    assert paths == [str(tmp_path / "pool0.npy"), str(tmp_path / "pool1.npy")] and callable(check)
+    # the pool files are kept as a list; of them only the first header is read
+    assert bundle.pool == [str(tmp_path / "pool0.npy"), str(tmp_path / "pool1.npy")]
     assert bundle.labeled is None and bundle.prototypes is None and bundle.flags is None
 
 
